@@ -14,7 +14,7 @@ corpus = prefilter(corpus, graph).corpus
 
 # --- index over title + abstract -------------------------------------------
 index = build_index(corpus)
-print(f"indexed {index.N} documents, {len(index.postings)} terms, avgdl={index.avgdl:.1f}")
+print(f"indexed {index.N} documents, {len(index.vocab)} terms, avgdl={index.avgdl:.1f}")
 
 # --- scoring one (query, document) pair -------------------------------------
 query_article = next(a for a in corpus if a.year == 2019 and graph.outgoing[a.id])

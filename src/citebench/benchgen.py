@@ -230,8 +230,15 @@ def build_benchmark(corpus: Corpus, graph: CitationGraph,
         if name in RESERVED_TYPES:
             raise ValueError(f"model run name {name!r} collides with a reserved type label")
     qrels: dict[str, frozenset] = {}
-    for queries in queries_by_field.values():
+    field_of: dict[str, str] = {}
+    for field_key, queries in queries_by_field.items():
         for q in queries:
+            if q in field_of:
+                # evaluation keys rankings by query id, so two entries for one
+                # id would both be scored with one of their rankings
+                raise ValueError(f"query {q!r} is listed for fields {field_of[q]!r} "
+                                 f"and {field_key!r}; benchmark query ids must be unique")
+            field_of[q] = field_key
             qrels[q] = graph.outgoing.get(q, frozenset())
     per_model = {
         name: top_negatives_per_model(run, qrels, params.model_pool_depth)

@@ -103,7 +103,23 @@ def _parse_embeddings(specs: list[str] | None) -> dict[str, str]:
     return out
 
 
-def _build_model(args: argparse.Namespace, corpus) -> RetrievalModel:
+def _single_pool(args: argparse.Namespace) -> str:
+    pools = args.pool if isinstance(args.pool, list) else [args.pool]
+    if len(pools) > 1:
+        raise ValueError(f"{args.command} takes one --pool; extra pools given: "
+                         f"{', '.join(pools[1:])}")
+    return pools[0]
+
+
+def _tuned_params(index, corpus, pool_set, objective: str, cutoff: int) -> Bm25Params:
+    validation = [(corpus.article(q).text, set(pool_set.positives[q]))
+                  for q in sorted(pool_set.positives)]
+    return tune_params(index, validation, default_tuning_grid(), pool=pool_set.members(),
+                       objective=objective, cutoff=cutoff)
+
+
+def _build_model(args: argparse.Namespace, corpus, index=None) -> RetrievalModel:
+    """The model named by --model; a BM25 model uses `index` when given."""
     embeddings = _parse_embeddings(getattr(args, "embeddings", None))
     name = args.model or "bm25"
     if name in embeddings:
@@ -113,7 +129,7 @@ def _build_model(args: argparse.Namespace, corpus) -> RetrievalModel:
                           chunks=args.threads or 1)
     if name == "bm25":
         params = _bm25_params(args)
-        return Bm25Model(build_index(corpus), params)
+        return Bm25Model(build_index(corpus) if index is None else index, params)
     raise ValueError(f"unknown model {name!r}: not 'bm25' and no --embeddings entry")
 
 
@@ -212,15 +228,11 @@ def cmd_pool(args: argparse.Namespace) -> int:
 
 def cmd_tune(args: argparse.Namespace) -> int:
     _require(args, "corpus", "pool", "out")
+    pool_set = read_pool_json(_single_pool(args))
     out = _out_dir(args)
     corpus = load_corpus(args.corpus)
-    index = build_index(corpus)
-    pool_set = read_pool_json(args.pool[0] if isinstance(args.pool, list) else args.pool)
-    validation = [(corpus.article(q).text, set(pool_set.positives[q]))
-                  for q in sorted(pool_set.positives)]
-    best = tune_params(index, validation, default_tuning_grid(),
-                       pool=pool_set.members(), objective=args.objective or "map",
-                       cutoff=500 if args.cutoff is None else args.cutoff)
+    best = _tuned_params(build_index(corpus), corpus, pool_set, args.objective or "map",
+                         500 if args.cutoff is None else args.cutoff)
     _write_json(out / "bm25_params.json", {"k1": best.k1, "b": best.b})
     _write_manifest(out, "bm25_params", args)
     print(f"tune: best k1={best.k1} b={best.b} ({args.objective or 'map'})")
@@ -236,21 +248,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     _require(args, "corpus", "out")
     if (args.pool is None) == (args.benchmark is None):
         raise ValueError("run needs exactly one of --pool or --benchmark")
+    pool_set = read_pool_json(_single_pool(args)) if args.pool else None
     out = _out_dir(args)
     corpus = load_corpus(args.corpus)
     cutoff = 500 if args.cutoff is None else args.cutoff
-    if args.tune and (args.model or "bm25") == "bm25" and args.pool:
-        pool_set = read_pool_json(args.pool[0] if isinstance(args.pool, list) else args.pool)
+    index = None
+    if args.tune and (args.model or "bm25") == "bm25" and pool_set is not None:
         index = build_index(corpus)
-        validation = [(corpus.article(q).text, set(pool_set.positives[q]))
-                      for q in sorted(pool_set.positives)]
-        tuned = tune_params(index, validation, default_tuning_grid(),
-                            pool=pool_set.members(), cutoff=cutoff)
+        tuned = _tuned_params(index, corpus, pool_set, "map", cutoff)
         args.k1, args.b = tuned.k1, tuned.b
-    model = _build_model(args, corpus)
-    if args.pool:
-        pool_path = args.pool[0] if isinstance(args.pool, list) else args.pool
-        pool_set = read_pool_json(pool_path)
+    model = _build_model(args, corpus, index)
+    if pool_set is not None:
         run = run_retrieval(model, pool_set, corpus, cutoff)
         rankings = run.rankings
     else:

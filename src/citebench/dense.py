@@ -12,10 +12,17 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sequence
+from functools import cached_property
 
 import numpy as np
 
+from .util import id_ranks, rank_rows
+
 METRICS = ("cosine", "dot", "euclidean")
+
+# Most rows converted to float64 at once, by the scan and by the cosine row
+# norms; larger blocks only raise peak memory
+_BLOCK = 512
 
 
 class EmbeddingError(ValueError):
@@ -55,6 +62,20 @@ class EmbeddingStore:
     def vector(self, article_id: str) -> np.ndarray:
         return self.vectors[self._row[article_id]]
 
+    @cached_property
+    def id_rank(self) -> np.ndarray:
+        return id_ranks(self.ids)
+
+    @cached_property
+    def row_norms(self) -> np.ndarray:
+        """float64 L2 norm of every row, the cosine denominator of _scores."""
+        norms = np.empty(len(self.ids))
+        for start in range(0, len(self.ids), _BLOCK):
+            v = self.vectors[start:start + _BLOCK].astype(np.float64)
+            norms[start:start + _BLOCK] = np.sqrt((v * v).sum(axis=1))
+        norms.setflags(write=False)
+        return norms
+
 
 def load_embeddings(vector_path, manifest_path) -> EmbeddingStore:
     """Load vectors from a raw '<f4' file validated against its manifest.
@@ -85,8 +106,10 @@ def save_embeddings(ids: Sequence[str], vectors: np.ndarray, vector_path, manife
         fh.write("\n")
 
 
-def _scores(vectors: np.ndarray, q: np.ndarray, metric: str) -> np.ndarray:
-    # all reductions are row-local so chunked scans reproduce the full scan
+def _scores(vectors: np.ndarray, q: np.ndarray, metric: str,
+            row_norms: np.ndarray | None) -> np.ndarray:
+    # all reductions are row-local so chunked scans reproduce the full scan;
+    # cosine divides by the rows' EmbeddingStore.row_norms
     v = vectors.astype(np.float64)
     if metric == "dot":
         return (v * q).sum(axis=1)
@@ -95,7 +118,6 @@ def _scores(vectors: np.ndarray, q: np.ndarray, metric: str) -> np.ndarray:
         return np.sqrt((diff * diff).sum(axis=1))
     if metric == "cosine":
         dots = (v * q).sum(axis=1)
-        row_norms = np.sqrt((v * v).sum(axis=1))
         q_norm = math.sqrt(float((q * q).sum()))
         denom = row_norms * q_norm
         safe = np.where(denom > 0.0, denom, 1.0)
@@ -110,8 +132,8 @@ def knn(store: EmbeddingStore, query, k: int, metric: str = "cosine",
     Euclidean ranks ascending by distance, cosine/dot descending by
     similarity; ties break by ascending article id. The cosine of a
     zero-norm vector is 0 against everything. `chunks` partitions the rows
-    for scanning; the deterministic merge keeps results identical for every
-    chunk count.
+    for scanning, in blocks of at most _BLOCK rows; scores are row-local, so
+    results are identical for every partition.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -129,15 +151,11 @@ def knn(store: EmbeddingStore, query, k: int, metric: str = "cosine",
             raise KeyError(f"pool id {exc.args[0]!r} has no embedding row") from None
     if rows.size == 0:
         return []
-    descending = metric in ("cosine", "dot")
-    candidates: list[tuple[str, float]] = []
-    for part in np.array_split(rows, max(1, min(chunks, rows.size))):
-        if part.size == 0:
-            continue
-        part_scores = _scores(store.vectors[part], q, metric)
-        candidates.extend((store.ids[r], float(s)) for r, s in zip(part, part_scores))
-    if descending:
-        candidates.sort(key=lambda item: (-item[1], item[0]))
-    else:
-        candidates.sort(key=lambda item: (item[1], item[0]))
-    return candidates[:k]
+    norms = store.row_norms if metric == "cosine" else None
+    n_parts = max(1, min(chunks, rows.size), -(-rows.size // _BLOCK))
+    scores = np.concatenate([
+        _scores(store.vectors[part], q, metric, None if norms is None else norms[part])
+        for part in np.array_split(rows, n_parts)
+    ])
+    return rank_rows(store.ids, store.id_rank, rows, scores, k,
+                     descending=metric in ("cosine", "dot"))

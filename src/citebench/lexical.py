@@ -1,4 +1,4 @@
-"""BM25 retrieval over an in-memory inverted index.
+"""BM25 retrieval over an in-memory inverted index in CSR layout.
 
 Documents are the concatenation of an article's title and abstract. Scoring
 follows the classic formulation
@@ -10,18 +10,29 @@ summed over the query's token sequence, so a term occurring twice in the
 query contributes twice. The +1 inside the log keeps IDF strictly positive.
 Search returns only documents matching at least one query term; ties break
 by ascending doc id.
+
+Search scores every posting of the query's terms with numpy, in the same
+operation order as score(), so each returned score equals score() exactly.
+Indexes persist as format version 2: a JSON header (analyzer, doc ids,
+terms) followed by the raw CSR arrays.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import re
 import struct
+from array import array
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from . import metrics
 from .corpus import Corpus
+from .util import id_ranks, rank_rows
 
 _WORD = re.compile(r"\w+")
 
@@ -62,51 +73,151 @@ class Bm25Params:
 
 
 class Bm25Index:
-    """Inverted index with exact term frequencies.
+    """Inverted index with exact term frequencies, in CSR layout.
 
-    postings maps term -> {doc id: tf}; doc_lengths maps doc id -> token
-    count. Immutable after build; scoring and search are pure.
+    Row i is the i-th document in corpus order: `ids[i]` has `lengths[i]`
+    tokens. `vocab` numbers the terms in first-seen order; term t owns the
+    slice `indptr[t]:indptr[t + 1]` of `rows` (ascending int32 row numbers)
+    and of `tfs` (float64 term frequencies). Immutable after build; scoring
+    and search are pure.
     """
 
-    def __init__(self, postings: dict[str, dict[str, int]], doc_lengths: dict[str, int],
+    def __init__(self, ids: list[str], lengths, vocab: dict[str, int], indptr, rows, tfs,
                  analyzer: AnalyzerConfig):
-        self.postings = postings
-        self.doc_lengths = doc_lengths
+        self.ids = list(ids)
+        self.lengths = np.asarray(lengths, dtype=np.int64)
+        self.vocab = vocab
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.rows = np.asarray(rows, dtype=np.int32)
+        self.tfs = np.asarray(tfs, dtype=np.float64)
         self.analyzer = analyzer
-        self.N = len(doc_lengths)
-        self.avgdl = sum(doc_lengths.values()) / self.N if self.N else 0.0
+        if (self.lengths.shape != (len(self.ids),) or self.indptr.shape != (len(vocab) + 1,)
+                or self.rows.shape != self.tfs.shape or self.indptr[-1] != self.rows.size):
+            raise ValueError("inconsistent index arrays")
+        for arr in (self.lengths, self.indptr, self.rows, self.tfs):
+            arr.setflags(write=False)
+        self.N = len(self.ids)
+        self.avgdl = sum(self.lengths.tolist()) / self.N if self.N else 0.0
+        self._row = {doc_id: i for i, doc_id in enumerate(self.ids)}
+        self._inner: dict[float, np.ndarray] = {}
+
+    @property
+    def postings(self) -> dict[str, dict[str, int]]:
+        """term -> {doc id: tf}, rebuilt from the arrays on each access."""
+        ids, ptr = self.ids, self.indptr.tolist()
+        rows, tfs = self.rows.tolist(), self.tfs.tolist()
+        return {term: {ids[r]: int(tf) for r, tf in zip(rows[ptr[t]:ptr[t + 1]],
+                                                        tfs[ptr[t]:ptr[t + 1]])}
+                for term, t in self.vocab.items()}
+
+    @property
+    def doc_lengths(self) -> dict[str, int]:
+        """doc id -> token count, rebuilt from the arrays on each access."""
+        return dict(zip(self.ids, self.lengths.tolist()))
+
+    @cached_property
+    def id_rank(self) -> np.ndarray:
+        return id_ranks(self.ids)
+
+    def _length_norm(self, b: float) -> np.ndarray:
+        """(1 - b) + b |D| / avgdl per row, cached per b."""
+        inner = self._inner.get(b)
+        if inner is None:
+            inner = self._inner[b] = (1.0 - b) + (b * self.lengths) / self.avgdl
+        return inner
+
+    def _pool_mask(self, pool) -> np.ndarray:
+        mask = np.zeros(self.N, dtype=bool)
+        row = self._row
+        mask[[row[i] for i in pool if i in row]] = True
+        return mask
 
 
 def build_index(corpus: Corpus, config: AnalyzerConfig = AnalyzerConfig()) -> Bm25Index:
     if len(corpus) == 0:
         raise ValueError("cannot index an empty corpus")
-    postings: dict[str, dict[str, int]] = {}
-    doc_lengths: dict[str, int] = {}
+    ids: list[str] = []
+    vocab: dict[str, int] = {}
+    # one (term number, tf) pair per posting in corpus order, plus the number
+    # of distinct terms per document
+    lengths, widths, term_of, tf_of = array("q"), array("q"), array("q"), array("q")
     for art in corpus:
         tokens = analyze(art.text, config)
-        doc_lengths[art.id] = len(tokens)
-        for term, tf in Counter(tokens).items():
-            postings.setdefault(term, {})[art.id] = tf
-    return Bm25Index(postings, doc_lengths, config)
+        counts = Counter(tokens)
+        ids.append(art.id)
+        lengths.append(len(tokens))
+        widths.append(len(counts))
+        term_of.extend([vocab.setdefault(term, len(vocab)) for term in counts])
+        tf_of.extend(counts.values())
+    terms = np.frombuffer(term_of, dtype=np.int64)
+    # a stable sort by term keeps each term's rows in ascending corpus order
+    order = np.argsort(terms, kind="stable")
+    rows = np.repeat(np.arange(len(ids), dtype=np.int32), np.frombuffer(widths, dtype=np.int64))
+    indptr = np.zeros(len(vocab) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(terms, minlength=len(vocab)), out=indptr[1:])
+    tfs = np.frombuffer(tf_of, dtype=np.int64)[order].astype(np.float64)
+    return Bm25Index(ids, np.frombuffer(lengths, dtype=np.int64), vocab, indptr, rows[order],
+                     tfs, config)
 
 
 def idf(index: Bm25Index, term: str) -> float:
     """ln((N - n + 0.5)/(n + 0.5) + 1), with n = 0 for unseen terms."""
-    n = len(index.postings.get(term, ()))
+    t = index.vocab.get(term)
+    n = 0 if t is None else int(index.indptr[t + 1] - index.indptr[t])
     return math.log((index.N - n + 0.5) / (n + 0.5) + 1.0)
 
 
 def score(index: Bm25Index, query_terms: list[str], doc_id: str, params: Bm25Params = Bm25Params()) -> float:
     """Score one document against an analyzed query token sequence."""
-    if doc_id not in index.doc_lengths:
+    row = index._row.get(doc_id)
+    if row is None:
         raise KeyError(f"unknown doc id {doc_id!r}")
-    norm = params.k1 * (1.0 - params.b + params.b * index.doc_lengths[doc_id] / index.avgdl)
+    norm = params.k1 * (1.0 - params.b + params.b * int(index.lengths[row]) / index.avgdl)
     total = 0.0
     for term in query_terms:
-        tf = index.postings.get(term, {}).get(doc_id, 0)
-        if tf:
+        t = index.vocab.get(term)
+        if t is None:
+            continue
+        start, end = int(index.indptr[t]), int(index.indptr[t + 1])
+        i = start + int(np.searchsorted(index.rows[start:end], row))
+        if i < end and index.rows[i] == row:
+            tf = float(index.tfs[i])
             total += idf(index, term) * (tf * (params.k1 + 1.0)) / (tf + norm)
     return total
+
+
+def _query_terms(index: Bm25Index, tokens: list[str], mask: np.ndarray | None):
+    """(idf, rows, tfs) per query token in token order, rows restricted to
+    the mask; tokens with no (pooled) posting are dropped."""
+    sliced = {}
+    for term in dict.fromkeys(tokens):
+        t = index.vocab.get(term)
+        if t is None:
+            continue
+        start, end = index.indptr[t], index.indptr[t + 1]
+        rows, tfs = index.rows[start:end], index.tfs[start:end]
+        if mask is not None:
+            keep = mask[rows]
+            rows, tfs = rows[keep], tfs[keep]
+        if rows.size:
+            sliced[term] = (idf(index, term), rows, tfs)
+    return [sliced[term] for term in tokens if term in sliced]
+
+
+def _ranked(index: Bm25Index, terms, params: Bm25Params, k: int) -> list[tuple[str, float]]:
+    if not terms:
+        return []
+    norm = params.k1 * index._length_norm(params.b)
+    kp1 = params.k1 + 1.0
+    acc = np.zeros(index.N)
+    touched = np.zeros(index.N, dtype=bool)
+    # accumulation order per doc equals the query token order, and each
+    # operation is score()'s, so sums are bit-identical to score()
+    for term_idf, rows, tfs in terms:
+        acc[rows] += (term_idf * (tfs * kp1)) / (tfs + norm[rows])
+        touched[rows] = True
+    hit = np.flatnonzero(touched)
+    return rank_rows(index.ids, index.id_rank, hit, acc[hit], k)
 
 
 def search(index: Bm25Index, query_text: str, params: Bm25Params = Bm25Params(),
@@ -117,22 +228,9 @@ def search(index: Bm25Index, query_text: str, params: Bm25Params = Bm25Params(),
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    tokens = analyze(query_text, index.analyzer)
-    acc: dict[str, float] = {}
-    for term in tokens:
-        plist = index.postings.get(term)
-        if not plist:
-            continue
-        # accumulation order per doc equals the query token order, so sums
-        # are bit-identical to score()
-        for doc_id, tf in plist.items():
-            if pool is not None and doc_id not in pool:
-                continue
-            norm = params.k1 * (1.0 - params.b + params.b * index.doc_lengths[doc_id] / index.avgdl)
-            contribution = idf(index, term) * (tf * (params.k1 + 1.0)) / (tf + norm)
-            acc[doc_id] = acc.get(doc_id, 0.0) + contribution
-    ranked = sorted(acc.items(), key=lambda item: (-item[1], item[0]))
-    return ranked[:k]
+    mask = None if pool is None else index._pool_mask(pool)
+    return _ranked(index, _query_terms(index, analyze(query_text, index.analyzer), mask),
+                   params, k)
 
 
 def default_tuning_grid() -> list[Bm25Params]:
@@ -159,19 +257,23 @@ def tune_params(index: Bm25Index, validation: list[tuple[str, set]], grid: list[
     """Grid point maximizing the mean objective over validation queries.
 
     `validation` pairs query text with the query's positive id set. Ties
-    break toward smaller (b, k1).
+    break toward smaller (b, k1). Each query is analyzed and restricted to
+    the pool once; every grid point reuses that.
     """
     if not grid:
         raise ValueError("empty parameter grid")
     if not validation:
         raise ValueError("empty validation set")
     k = cutoff if cutoff is not None else (len(pool) if pool is not None else index.N)
+    mask = None if pool is None else index._pool_mask(pool)
+    prepared = [(_query_terms(index, analyze(text, index.analyzer), mask), positives)
+                for text, positives in validation]
     best_key = None
     best_params = None
     for params in grid:
         total = 0.0
-        for query_text, positives in validation:
-            ranked = search(index, query_text, params, k=k, pool=pool)
+        for terms, positives in prepared:
+            ranked = _ranked(index, terms, params, k)
             total += _objective([doc for doc, _ in ranked], positives, objective)
         mean = total / len(validation)
         key = (-mean, params.b, params.k1)
@@ -181,87 +283,67 @@ def tune_params(index: Bm25Index, validation: list[tuple[str, set]], grid: list[
 
 
 # ---------------------------------------------------------------------------
-# binary index persistence (little-endian, versioned header)
+# binary index persistence, format version 2: magic, version and header
+# length, a JSON header, then the raw little-endian arrays lengths (i8),
+# indptr (i8), tfs (f8) and rows (i4)
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"CBIX"
-_VERSION = 1
-
-
-def _pack_str(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    return struct.pack("<I", len(raw)) + raw
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, fmt: str):
-        size = struct.calcsize(fmt)
-        values = struct.unpack_from(fmt, self.data, self.pos)
-        self.pos += size
-        return values
-
-    def take_str(self) -> str:
-        (n,) = self.take("<I")
-        raw = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return raw.decode("utf-8")
+_VERSION = 2
+_PREFIX = struct.Struct("<4sIQ")
 
 
 def save_index(index: Bm25Index, path) -> None:
     """Persist the index so that load_index(save_index(...)) ranks bit-identically."""
-    out = [_MAGIC, struct.pack("<I", _VERSION)]
     cfg = index.analyzer
-    stopwords = sorted(cfg.stopwords) if cfg.stopwords else []
-    out.append(struct.pack("<BBI", int(cfg.lowercase), int(cfg.stopwords is not None), len(stopwords)))
-    out.extend(_pack_str(w) for w in stopwords)
-    doc_ids = list(index.doc_lengths)
-    out.append(struct.pack("<Q", len(doc_ids)))
-    for doc_id in doc_ids:
-        out.append(_pack_str(doc_id))
-        out.append(struct.pack("<Q", index.doc_lengths[doc_id]))
-    row = {doc_id: i for i, doc_id in enumerate(doc_ids)}
-    out.append(struct.pack("<Q", len(index.postings)))
-    for term, plist in index.postings.items():
-        out.append(_pack_str(term))
-        out.append(struct.pack("<Q", len(plist)))
-        for doc_id, tf in plist.items():
-            out.append(struct.pack("<QQ", row[doc_id], tf))
+    header = json.dumps({
+        "lowercase": cfg.lowercase,
+        "stopwords": None if cfg.stopwords is None else sorted(cfg.stopwords),
+        "ids": index.ids,
+        "terms": list(index.vocab),
+    }, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    header += b" " * (-len(header) % 8)  # keeps every array 8-byte aligned
     with open(path, "wb") as fh:
-        fh.write(b"".join(out))
+        fh.write(_PREFIX.pack(_MAGIC, _VERSION, len(header)))
+        fh.write(header)
+        for arr, dtype in ((index.lengths, "<i8"), (index.indptr, "<i8"),
+                           (index.tfs, "<f8"), (index.rows, "<i4")):
+            fh.write(arr.astype(dtype, copy=False).tobytes())
 
 
 def load_index(path) -> Bm25Index:
     with open(path, "rb") as fh:
-        reader = _Reader(fh.read())
-    if reader.data[:4] != _MAGIC:
+        data = fh.read()
+    if data[:4] != _MAGIC:
         raise ValueError(f"{path}: not an index file")
-    reader.pos = 4
-    (version,) = reader.take("<I")
+    if len(data) < _PREFIX.size:
+        raise ValueError(f"{path}: truncated index file")
+    _, version, header_len = _PREFIX.unpack_from(data)
     if version != _VERSION:
         raise ValueError(f"{path}: unsupported index version {version}")
-    lowercase, has_stop, n_stop = reader.take("<BBI")
-    stopwords = frozenset(reader.take_str() for _ in range(n_stop)) if has_stop else None
-    config = AnalyzerConfig(lowercase=bool(lowercase), stopwords=stopwords)
-    (n_docs,) = reader.take("<Q")
-    doc_ids: list[str] = []
-    doc_lengths: dict[str, int] = {}
-    for _ in range(n_docs):
-        doc_id = reader.take_str()
-        (length,) = reader.take("<Q")
-        doc_ids.append(doc_id)
-        doc_lengths[doc_id] = length
-    (n_terms,) = reader.take("<Q")
-    postings: dict[str, dict[str, int]] = {}
-    for _ in range(n_terms):
-        term = reader.take_str()
-        (n_post,) = reader.take("<Q")
-        plist: dict[str, int] = {}
-        for _ in range(n_post):
-            row_idx, tf = reader.take("<QQ")
-            plist[doc_ids[row_idx]] = tf
-        postings[term] = plist
-    return Bm25Index(postings, doc_lengths, config)
+    offset = _PREFIX.size + header_len
+    try:
+        header = json.loads(data[_PREFIX.size:offset])
+    except ValueError:
+        raise ValueError(f"{path}: corrupt index header") from None
+
+    def take(dtype: str, count: int) -> np.ndarray:
+        nonlocal offset
+        try:
+            arr = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
+        except ValueError:
+            raise ValueError(f"{path}: truncated index file") from None
+        offset += arr.nbytes
+        return arr
+
+    ids, terms, stopwords = header["ids"], header["terms"], header["stopwords"]
+    lengths = take("<i8", len(ids))
+    indptr = take("<i8", len(terms) + 1)
+    tfs = take("<f8", int(indptr[-1]))
+    rows = take("<i4", int(indptr[-1]))
+    if offset != len(data):
+        raise ValueError(f"{path}: {len(data) - offset} trailing bytes after the index arrays")
+    config = AnalyzerConfig(lowercase=header["lowercase"],
+                            stopwords=None if stopwords is None else frozenset(stopwords))
+    vocab = {term: t for t, term in enumerate(terms)}
+    return Bm25Index(ids, lengths, vocab, indptr, rows, tfs, config)

@@ -1,10 +1,13 @@
-"""Shared helpers: canonical JSON, stable hashing, seed derivation."""
+"""Shared helpers: canonical JSON, stable hashing, seed derivation, top-k ranking."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Sequence
 from typing import Any
+
+import numpy as np
 
 
 def canonical_json(obj: Any) -> str:
@@ -32,3 +35,24 @@ def derive_seed(master: int, *labels: str) -> int:
         h.update(b"\x1f")
         h.update(label.encode("utf-8"))
     return int.from_bytes(h.digest()[:8], "little")
+
+
+def id_ranks(ids: Sequence[str]) -> np.ndarray:
+    """Each row's position in ascending id order: the tie-break key of a ranking."""
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    ranks = np.empty(len(ids), dtype=np.intp)
+    ranks[order] = np.arange(len(ids), dtype=np.intp)
+    return ranks
+
+
+def rank_rows(ids: Sequence[str], id_rank: np.ndarray, rows: np.ndarray, scores: np.ndarray,
+              k: int, descending: bool = True) -> list[tuple[str, float]]:
+    """The k best (id, score) pairs of a candidate set given as row numbers.
+
+    Best means highest score when `descending`, else lowest; ties break by
+    ascending id. One stable lexsort, so the order equals sorting
+    (id, score) tuples on (-score, id) or (score, id).
+    """
+    key = -scores if descending else scores
+    top = np.lexsort((id_rank[rows], key))[:k]
+    return list(zip([ids[r] for r in rows[top].tolist()], scores[top].tolist()))

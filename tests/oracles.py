@@ -8,8 +8,10 @@ code paths it checks.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 from mpmath import mp, mpf
 from mpmath import log as mplog
 
@@ -36,6 +38,78 @@ def naive_bm25_rank(doc_tokens: dict[str, list[str]], query_tokens: list[str],
             scored.append((doc_id, s))
     scored.sort(key=lambda t: (-t[1], t[0]))
     return scored if k is None else scored[:k]
+
+
+def dict_bm25_index(texts: dict[str, list[str]]):
+    """The dict-of-dicts index that BM25 search used before the CSR arrays:
+    term -> {doc id: tf} in first-seen order, and doc id -> length."""
+    postings: dict[str, dict[str, int]] = {}
+    doc_lengths: dict[str, int] = {}
+    for doc_id, tokens in texts.items():
+        doc_lengths[doc_id] = len(tokens)
+        for term, tf in Counter(tokens).items():
+            postings.setdefault(term, {})[doc_id] = tf
+    return postings, doc_lengths
+
+
+def dict_bm25_search(postings, doc_lengths, query_tokens: list[str], k1: float, b: float,
+                     k: int, pool=None) -> list[tuple[str, float]]:
+    """The dict-walking BM25 search that the CSR kernel replaced, kept as
+    its reference: idf per posting, one (id, score) tuple per match."""
+    N = len(doc_lengths)
+    avgdl = sum(doc_lengths.values()) / N
+    acc: dict[str, float] = {}
+    for term in query_tokens:
+        plist = postings.get(term)
+        if not plist:
+            continue
+        for doc_id, tf in plist.items():
+            if pool is not None and doc_id not in pool:
+                continue
+            norm = k1 * (1.0 - b + b * doc_lengths[doc_id] / avgdl)
+            n = len(plist)
+            idf = math.log((N - n + 0.5) / (n + 0.5) + 1.0)
+            acc[doc_id] = acc.get(doc_id, 0.0) + idf * (tf * (k1 + 1.0)) / (tf + norm)
+    return sorted(acc.items(), key=lambda item: (-item[1], item[0]))[:k]
+
+
+def _tuple_scores(vectors: np.ndarray, q: np.ndarray, metric: str) -> np.ndarray:
+    v = vectors.astype(np.float64)
+    if metric == "dot":
+        return (v * q).sum(axis=1)
+    if metric == "euclidean":
+        diff = v - q
+        return np.sqrt((diff * diff).sum(axis=1))
+    dots = (v * q).sum(axis=1)
+    row_norms = np.sqrt((v * v).sum(axis=1))
+    q_norm = math.sqrt(float((q * q).sum()))
+    denom = row_norms * q_norm
+    safe = np.where(denom > 0.0, denom, 1.0)
+    return np.where(denom > 0.0, dots / safe, 0.0)
+
+
+def tuple_sort_knn(ids, vectors, query, k: int, metric: str, pool=None,
+                   chunks: int = 1) -> list[tuple[str, float]]:
+    """The dense top-k that the lexsort kernel replaced, kept as its
+    reference: chunked float64 scans with the row norms recomputed per
+    chunk, then one sorted (id, score) tuple per row."""
+    row = {ident: i for i, ident in enumerate(ids)}
+    q = np.asarray(query, dtype=np.float64).reshape(-1)
+    if pool is None:
+        rows = np.arange(len(ids), dtype=np.intp)
+    else:
+        rows = np.array(sorted(row[i] for i in pool), dtype=np.intp)
+    if rows.size == 0:
+        return []
+    candidates: list[tuple[str, float]] = []
+    for part in np.array_split(rows, max(1, min(chunks, rows.size))):
+        part_scores = _tuple_scores(vectors[part], q, metric)
+        candidates.extend((ids[r], float(s)) for r, s in zip(part, part_scores))
+    if metric in ("cosine", "dot"):
+        candidates.sort(key=lambda item: (-item[1], item[0]))
+    else:
+        candidates.sort(key=lambda item: (item[1], item[0]))
+    return candidates[:k]
 
 
 def frac_average_precision(ranked, relevant) -> Fraction:

@@ -366,6 +366,13 @@ class TestBuildBenchmark:
         with pytest.raises(ValueError, match="reserved"):
             build_benchmark(corpus, graph, queries_by_field, model_runs, seed=5)
 
+    def test_query_in_two_fields_rejected(self, synth_prefiltered):
+        corpus, graph, queries_by_field, model_runs = small_benchmark_inputs(synth_prefiltered)
+        shared = queries_by_field["Med"][0]
+        queries_by_field["CS"] = [*queries_by_field["CS"], shared]
+        with pytest.raises(ValueError, match=f"{shared!r}.*'Med'.*'CS'"):
+            build_benchmark(corpus, graph, queries_by_field, model_runs, seed=5)
+
     def test_full_scale_arithmetic(self):
         params = BenchmarkParams()
         per_query = params.positives_per_query + 6 * params.negatives_per_type

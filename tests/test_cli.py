@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from citebench import synthetic
+from citebench import cli, synthetic
 from citebench.cli import main
 from citebench.corpus import load_corpus, write_corpus_jsonl
 from citebench.dense import save_embeddings
@@ -211,3 +211,30 @@ def test_unknown_model_error(pipeline, capsys):
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
     assert "mystery" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["run", "tune"])
+def test_extra_pools_rejected(pipeline, capsys, command):
+    root, pref_path, emb, pools, run_files, _ = pipeline
+    rc = main([command, "--corpus", pref_path, "--pool", pools[0], "--pool", pools[1],
+               "--out", str(root / f"two_pools_{command}")])
+    assert rc == 1
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert pools[1] in message and "one --pool" in message
+
+
+def test_run_tune_builds_index_once(pipeline, monkeypatch):
+    root, pref_path, emb, pools, run_files, _ = pipeline
+    calls = []
+
+    def counting_build_index(*args, **kwargs):
+        calls.append(args)
+        return build_index(*args, **kwargs)
+
+    build_index = cli.build_index
+    monkeypatch.setattr(cli, "build_index", counting_build_index)
+    out = root / "run_tuned"
+    assert main(["run", "--corpus", pref_path, "--pool", pools[0], "--tune", "--cutoff", "50",
+                 "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert (out / "run_bm25.tsv").exists()

@@ -1,0 +1,201 @@
+"""Differential tests: the array kernels against the implementations they
+replaced (kept in oracles.py), compared with ==, never approx."""
+
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from citebench import metrics
+from citebench.corpus import Corpus
+from citebench.dense import EmbeddingStore, knn
+from citebench.lexical import (AnalyzerConfig, Bm25Params, analyze, build_index, load_index,
+                               save_index, score, search, tune_params)
+from conftest import make_article
+from oracles import dict_bm25_index, dict_bm25_search, tuple_sort_knn
+
+VOCAB = ["a", "b", "c", "d", "e", "f"]
+# ids whose sorted order differs from insertion order, mixed case included
+ID_POOL = [f"d{i}" for i in range(12)] + ["B7", "a1", "Z", "zz9", "m"]
+
+SETTINGS = settings(max_examples=150, deadline=None)
+
+# long documents over a small vocabulary give term frequencies well above 2
+doc_texts = st.lists(
+    st.tuples(st.sampled_from(ID_POOL), st.lists(st.sampled_from(VOCAB), max_size=24)),
+    min_size=1, max_size=len(ID_POOL), unique_by=lambda item: item[0],
+)
+query_tokens = st.lists(st.sampled_from(VOCAB + ["unseen"]), max_size=7)
+k1_values = st.one_of(st.sampled_from([0.0, 0.9, 1.2, 2.9]), st.floats(0.0, 3.0))
+b_values = st.one_of(st.sampled_from([0.0, 1.0, 0.4]), st.floats(0.0, 1.0))
+
+
+def index_of(docs):
+    corpus = Corpus([make_article(i, title=" ".join(tokens), abstract="") for i, tokens in docs])
+    return build_index(corpus), {i: list(tokens) for i, tokens in docs}
+
+
+def pool_from(draw, ids):
+    if draw(st.booleans()):
+        return None
+    chosen = draw(st.lists(st.sampled_from(ids), unique=True))
+    ghosts = draw(st.lists(st.sampled_from(["ghost", "x404"]), unique=True))
+    return set(chosen) | set(ghosts)
+
+
+class TestBm25AgainstDictKernel:
+    @SETTINGS
+    @given(docs=doc_texts, tokens=query_tokens, k1=k1_values, b=b_values, data=st.data())
+    def test_search_equals_dict_search(self, docs, tokens, k1, b, data):
+        ix, texts = index_of(docs)
+        postings, doc_lengths = dict_bm25_index(texts)
+        pool = pool_from(data.draw, [i for i, _ in docs])
+        k = data.draw(st.integers(1, len(docs) + 2))
+        query = " ".join(tokens)
+        got = search(ix, query, Bm25Params(k1, b), k=k, pool=pool)
+        assert got == dict_bm25_search(postings, doc_lengths, analyze(query), k1, b, k, pool)
+        for doc, s in got:
+            assert s == score(ix, analyze(query), doc, Bm25Params(k1, b))
+
+    @SETTINGS
+    @given(docs=doc_texts, data=st.data())
+    def test_tune_equals_dict_tune(self, docs, data):
+        ix, texts = index_of(docs)
+        postings, doc_lengths = dict_bm25_index(texts)
+        ids = [i for i, _ in docs]
+        validation = data.draw(st.lists(
+            st.tuples(query_tokens.map(" ".join), st.sets(st.sampled_from(ids), min_size=1)),
+            min_size=1, max_size=4))
+        grid = data.draw(st.lists(st.builds(Bm25Params, k1_values, b_values), min_size=1,
+                                  max_size=6))
+        pool = pool_from(data.draw, ids)
+        cutoff = data.draw(st.one_of(st.none(), st.integers(1, len(ids) + 1)))
+        k = cutoff if cutoff is not None else (len(pool) if pool is not None else len(ids))
+        best_key, expected = None, None
+        for params in grid:
+            total = 0.0
+            for text, positives in validation:
+                ranked = dict_bm25_search(postings, doc_lengths, analyze(text), params.k1,
+                                          params.b, k, pool)
+                total += metrics.average_precision([d for d, _ in ranked], positives)
+            key = (-(total / len(validation)), params.b, params.k1)
+            if best_key is None or key < best_key:
+                best_key, expected = key, params
+        assert tune_params(ix, validation, grid, pool=pool, cutoff=cutoff) == expected
+
+    def test_k_cuts_through_tie(self):
+        docs = [(f"t{i}", ["a", "b"]) for i in (3, 1, 4, 0, 2)] + [("w", ["a"])]
+        ix, texts = index_of(docs)
+        postings, doc_lengths = dict_bm25_index(texts)
+        got = search(ix, "a b", k=3)
+        assert [d for d, _ in got] == ["t0", "t1", "t2"]
+        assert got == dict_bm25_search(postings, doc_lengths, ["a", "b"], 0.9, 0.4, 3)
+
+    def test_empty_documents_only(self):
+        ix, _ = index_of([("e1", []), ("e2", [])])
+        assert ix.avgdl == 0.0
+        assert search(ix, "a b", k=5) == []
+
+
+vectors_and_ids = st.integers(1, 30).flatmap(lambda n: st.tuples(
+    st.lists(st.sampled_from(ID_POOL + [f"r{i}" for i in range(30)]), min_size=n, max_size=n,
+             unique=True),
+    st.integers(1, 6),
+))
+
+
+class TestKnnAgainstTupleSort:
+    @SETTINGS
+    @given(shape=vectors_and_ids, metric=st.sampled_from(["cosine", "dot", "euclidean"]),
+           chunks=st.integers(1, 5), data=st.data())
+    def test_knn_equals_tuple_sort(self, shape, metric, chunks, data):
+        ids, dim = shape
+        # small integers give ties, duplicate vectors and zero vectors
+        cells = st.integers(-2, 2).map(float)
+        matrix = np.array(data.draw(st.lists(st.lists(cells, min_size=dim, max_size=dim),
+                                             min_size=len(ids), max_size=len(ids))),
+                          dtype=np.float32)
+        query = data.draw(st.lists(cells, min_size=dim, max_size=dim))
+        pool = None
+        if data.draw(st.booleans()):
+            pool = set(data.draw(st.lists(st.sampled_from(ids), unique=True)))
+        k = data.draw(st.integers(1, len(ids) + 2))
+        store = EmbeddingStore(ids, matrix)
+        got = knn(store, query, k, metric=metric, pool=pool, chunks=chunks)
+        assert got == tuple_sort_knn(ids, matrix, query, k, metric, pool, chunks)
+
+    @pytest.mark.parametrize("dim", [1, 7, 8, 9, 16, 33, 128, 768])
+    def test_blocked_row_norms_on_wide_stores(self, dim):
+        # more rows than one norm block, real-valued vectors, pools of every shape
+        rng = np.random.default_rng(dim)
+        n = 1100
+        ids = [f"v{i:05d}" for i in rng.permutation(n)]
+        matrix = rng.standard_normal((n, dim)).astype(np.float32)
+        matrix[5] = 0.0
+        matrix[700] = matrix[3]
+        store = EmbeddingStore(ids, matrix)
+        q = rng.standard_normal(dim)
+        for size in (1, 2, 3, 65, 600, n):
+            pool = set(rng.choice(ids, size=size, replace=False).tolist())
+            for chunks in (1, 3):
+                got = knn(store, q, 50, metric="cosine", pool=pool, chunks=chunks)
+                assert got == tuple_sort_knn(ids, matrix, q, 50, "cosine", pool, chunks)
+        assert knn(store, q, n) == tuple_sort_knn(ids, matrix, q, n, "cosine")
+
+
+class TestIndexFormat:
+    def _index(self):
+        texts = {"doc2": "alpha beta beta", "doc0": "gamma alpha", "doc1": "", "Δ": "ünï code"}
+        corpus = Corpus([make_article(i, title=t, abstract="") for i, t in texts.items()])
+        return build_index(corpus, AnalyzerConfig(stopwords=frozenset({"code"})))
+
+    def test_version_2_roundtrip(self, tmp_path):
+        ix = self._index()
+        path = tmp_path / "index.bin"
+        save_index(ix, path)
+        assert path.read_bytes()[:8] == b"CBIX" + struct.pack("<I", 2)
+        loaded = load_index(path)
+        assert loaded.ids == ix.ids and loaded.vocab == ix.vocab
+        for name in ("lengths", "indptr", "rows", "tfs"):
+            a, b = getattr(loaded, name), getattr(ix, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert loaded.analyzer == ix.analyzer
+        assert loaded.avgdl == ix.avgdl
+        for query in ("alpha", "beta alpha gamma", "ünï", "nothing"):
+            assert search(loaded, query, k=10) == search(ix, query, k=10)
+
+    def test_no_stopwords_roundtrip(self, tmp_path):
+        ix = build_index(Corpus([make_article("d", title="x y", abstract="")]))
+        save_index(ix, tmp_path / "i.bin")
+        assert load_index(tmp_path / "i.bin").analyzer == AnalyzerConfig()
+
+    def test_version_1_rejected(self, tmp_path):
+        # header of a version-1 file: magic, version, analyzer flags, doc count
+        path = tmp_path / "v1.bin"
+        path.write_bytes(b"CBIX" + struct.pack("<I", 1) + struct.pack("<BBI", 1, 0, 0)
+                         + struct.pack("<Q", 0) + struct.pack("<Q", 0))
+        with pytest.raises(ValueError, match="unsupported index version 1"):
+            load_index(path)
+
+    def test_truncated_file_rejected(self, tmp_path):
+        ix = self._index()
+        path = tmp_path / "index.bin"
+        save_index(ix, path)
+        data = path.read_bytes()
+        path.write_bytes(data[:-3])
+        with pytest.raises(ValueError, match="truncated"):
+            load_index(path)
+        path.write_bytes(data[:40])
+        with pytest.raises(ValueError, match="corrupt index header"):
+            load_index(path)
+
+    def test_dict_views_are_read_only(self):
+        ix = self._index()
+        assert ix.postings["beta"] == {"doc2": 2}
+        assert ix.doc_lengths == {"doc2": 3, "doc0": 2, "doc1": 0, "Δ": 1}
+        with pytest.raises(AttributeError):
+            ix.postings = {}
+        with pytest.raises(AttributeError):
+            ix.doc_lengths = {}
