@@ -24,7 +24,7 @@ from .corpus import (PrefilterRules, build_citation_graph, load_corpus,
                      prefilter, write_corpus_jsonl, FIELD_ABBREVS)
 from .dense import load_embeddings
 from .harness import (Bm25Model, DenseModel, RetrievalModel, candidate_type_breakdown,
-                      emit_report, run_retrieval, score_benchmark_rankings)
+                      emit_report, rank_benchmark, run_retrieval, score_benchmark_rankings)
 from .lexical import Bm25Params, build_index, default_tuning_grid, tune_params
 from .metrics import evaluate_run, read_run_tsv, write_run_tsv
 from .pools import (SamplingPlan, build_dataset_pool, build_field_pool,
@@ -244,30 +244,39 @@ def _benchmark_with_manifest(path: str) -> Benchmark:
     return read_benchmark_jsonl(path, sibling if sibling.exists() else None)
 
 
+def _check_tune_flags(args: argparse.Namespace) -> None:
+    """run --tune tunes BM25 on its --pool and ranks with the tuned k1/b, so
+    a flag that would make it rank otherwise is an error, not ignored."""
+    if args.benchmark is not None:
+        raise ValueError("run --tune tunes on a --pool and cannot be used with --benchmark")
+    if (args.model or "bm25") != "bm25":
+        raise ValueError(f"run --tune tunes BM25 only, not --model {args.model}")
+    for name in ("k1", "b", "params"):
+        if getattr(args, name) is not None:
+            raise ValueError(f"run --tune sets k1 and b itself; drop --{name}")
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     _require(args, "corpus", "out")
     if (args.pool is None) == (args.benchmark is None):
         raise ValueError("run needs exactly one of --pool or --benchmark")
+    if args.tune:
+        _check_tune_flags(args)
     pool_set = read_pool_json(_single_pool(args)) if args.pool else None
     out = _out_dir(args)
     corpus = load_corpus(args.corpus)
     cutoff = 500 if args.cutoff is None else args.cutoff
     index = None
-    if args.tune and (args.model or "bm25") == "bm25" and pool_set is not None:
+    if args.tune:
         index = build_index(corpus)
         tuned = _tuned_params(index, corpus, pool_set, "map", cutoff)
         args.k1, args.b = tuned.k1, tuned.b
     model = _build_model(args, corpus, index)
     if pool_set is not None:
-        run = run_retrieval(model, pool_set, corpus, cutoff)
-        rankings = run.rankings
+        rankings = run_retrieval(model, pool_set, corpus, cutoff).rankings
     else:
         benchmark = _benchmark_with_manifest(args.benchmark)
-        rankings = {}
-        for entry in benchmark.entries:
-            candidates = frozenset(entry.candidate_ids())
-            rankings[entry.query_id] = model.rank(
-                corpus.article(entry.query_id), candidates, min(cutoff, len(candidates)))
+        rankings = rank_benchmark(model, benchmark, corpus, cutoff)
     run_path = out / f"run_{model.name}.tsv"
     write_run_tsv(rankings, run_path)
     _write_manifest(out, run_path.stem, args)

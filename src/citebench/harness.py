@@ -24,7 +24,14 @@ class RetrievalModel(ABC):
 
     @abstractmethod
     def rank(self, query: Article, candidates, k: int) -> list[tuple[str, float]]:
-        """Ranked (id, score) list, ids drawn from `candidates`, best first."""
+        """Ranked (id, score) list, ids drawn from `candidates`, best first.
+
+        The order must not depend on which other candidates are in the set:
+        ranking a subset of `candidates` gives the subset's items in the
+        order the full set ranks them. `candidate_type_breakdown` relies on
+        this. BM25 meets it because idf and avgdl come from the whole index,
+        and dense scores because each reduction runs within one row.
+        """
 
 
 class Bm25Model(RetrievalModel):
@@ -128,35 +135,52 @@ def score_benchmark_rankings(rankings: Mapping[str, Sequence], benchmark: Benchm
     return _aggregate_by_field(per_query, field_of, ("map", recall_key))
 
 
+def rank_benchmark(model: RetrievalModel, benchmark: Benchmark, corpus: Corpus,
+                   cutoff: int | None = None) -> dict[str, list[tuple[str, float]]]:
+    """Rank each entry's closed candidate pool (positives plus all negative
+    groups) once, keyed by query id. A ranking keeps min(cutoff, pool size)
+    items; with no cutoff the whole pool is ranked."""
+    rankings: dict[str, list[tuple[str, float]]] = {}
+    for entry in benchmark.entries:
+        if entry.query_id in rankings:
+            raise ValueError(f"benchmark query {entry.query_id!r} has more than one entry")
+        candidates = frozenset(entry.candidate_ids())
+        k = len(candidates) if cutoff is None else min(cutoff, len(candidates))
+        rankings[entry.query_id] = model.rank(corpus.article(entry.query_id), candidates, k)
+    return rankings
+
+
 def evaluate_benchmark(model: RetrievalModel, benchmark: Benchmark, corpus: Corpus,
                        recall_cutoff: int = 5) -> BenchmarkReport:
-    """Rank each entry's closed candidate pool (positives plus all negative
-    groups) and aggregate AP and recall per field, macro-averaged overall."""
-    rankings = {}
-    for entry in benchmark.entries:
-        candidates = frozenset(entry.candidate_ids())
-        rankings[entry.query_id] = model.rank(corpus.article(entry.query_id),
-                                              candidates, len(candidates))
-    return score_benchmark_rankings(rankings, benchmark, recall_cutoff)
+    """Rank each entry's closed candidate pool and aggregate AP and recall
+    per field, macro-averaged overall."""
+    return score_benchmark_rankings(rank_benchmark(model, benchmark, corpus), benchmark,
+                                    recall_cutoff)
 
 
 def candidate_type_breakdown(model: RetrievalModel, benchmark: Benchmark, corpus: Corpus,
                              recall_cutoff: int = 5) -> dict[str, dict[str, float]]:
-    """For each candidate type, rank the subset pool (positives plus that
-    type's negatives) per entry and average AP and recall over all entries."""
+    """For each candidate type, score each entry's subset pool (positives
+    plus that type's negatives) and average AP and recall over all entries.
+
+    The subset ranking is the closed-pool ranking with the other types'
+    negatives filtered out, which equals ranking the subset on its own
+    because `RetrievalModel.rank` orders a subset as it orders the full set.
+    The full pool is ranked whole, so filtering never loses a candidate.
+    """
     recall_key = f"recall@{recall_cutoff}"
     types = benchmark.negative_types()
+    rankings = rank_benchmark(model, benchmark, corpus)
     sums = {t: {"map": 0.0, recall_key: 0.0} for t in types}
-    count = 0
     for entry in benchmark.entries:
         positives = frozenset(entry.positives)
-        article = corpus.article(entry.query_id)
-        count += 1
+        ranked = rankings[entry.query_id]
         for t in types:
-            candidates = positives | frozenset(entry.negatives[t])
-            ranked = model.rank(article, candidates, len(candidates))
-            sums[t]["map"] += metrics.average_precision(ranked, positives)
-            sums[t][recall_key] += metrics.recall_at_k(ranked, positives, recall_cutoff)
+            keep = positives | frozenset(entry.negatives[t])
+            subset = [item for item in ranked if item[0] in keep]
+            sums[t]["map"] += metrics.average_precision(subset, positives)
+            sums[t][recall_key] += metrics.recall_at_k(subset, positives, recall_cutoff)
+    count = len(benchmark.entries)
     if count == 0:
         return {t: {"map": 0.0, recall_key: 0.0} for t in types}
     return {t: {m: v / count for m, v in vals.items()} for t, vals in sums.items()}

@@ -11,8 +11,12 @@ query contributes twice. The +1 inside the log keeps IDF strictly positive.
 Search returns only documents matching at least one query term; ties break
 by ascending doc id.
 
-Search scores every posting of the query's terms with numpy, in the same
-operation order as score(), so each returned score equals score() exactly.
+Search gathers the pooled postings of the query's tokens, in query-token
+order, into one set of arrays and adds their contributions into the
+per-document sums with one np.add.at. That adds one element at a time in
+index order, so each document's sum starts from 0.0 and takes its terms in
+query-token order with score()'s operations: every returned score equals
+score() exactly.
 Indexes persist as format version 2: a JSON header (analyzer, doc ids,
 terms) followed by the raw CSR arrays.
 """
@@ -187,8 +191,10 @@ def score(index: Bm25Index, query_terms: list[str], doc_id: str, params: Bm25Par
 
 
 def _query_terms(index: Bm25Index, tokens: list[str], mask: np.ndarray | None):
-    """(idf, rows, tfs) per query token in token order, rows restricted to
-    the mask; tokens with no (pooled) posting are dropped."""
+    """The query's postings as one (rows, tfs, idfs) triple, rows restricted
+    to the mask: each token's slice in query-token order (a repeated token
+    repeats its slice), with the token's idf once per posting. None when no
+    token has a (pooled) posting."""
     sliced = {}
     for term in dict.fromkeys(tokens):
         t = index.vocab.get(term)
@@ -200,22 +206,26 @@ def _query_terms(index: Bm25Index, tokens: list[str], mask: np.ndarray | None):
             keep = mask[rows]
             rows, tfs = rows[keep], tfs[keep]
         if rows.size:
-            sliced[term] = (idf(index, term), rows, tfs)
-    return [sliced[term] for term in tokens if term in sliced]
+            sliced[term] = (rows, tfs, np.full(rows.size, idf(index, term)))
+    parts = [sliced[term] for term in tokens if term in sliced]
+    if not parts:
+        return None
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def _ranked(index: Bm25Index, terms, params: Bm25Params, k: int) -> list[tuple[str, float]]:
-    if not terms:
+    if terms is None:
         return []
-    norm = params.k1 * index._length_norm(params.b)
-    kp1 = params.k1 + 1.0
+    rows, tfs, idfs = terms
+    norm = params.k1 * index._length_norm(params.b)[rows]
+    contrib = (idfs * (tfs * (params.k1 + 1.0))) / (tfs + norm)
+    # add.at adds one element at a time in index order, so each document's
+    # sum starts from 0.0 and takes its terms in query-token order, each
+    # with score()'s operations: sums are bit-identical to score()
     acc = np.zeros(index.N)
+    np.add.at(acc, rows, contrib)
     touched = np.zeros(index.N, dtype=bool)
-    # accumulation order per doc equals the query token order, and each
-    # operation is score()'s, so sums are bit-identical to score()
-    for term_idf, rows, tfs in terms:
-        acc[rows] += (term_idf * (tfs * kp1)) / (tfs + norm[rows])
-        touched[rows] = True
+    touched[rows] = True
     hit = np.flatnonzero(touched)
     return rank_rows(index.ids, index.id_rank, hit, acc[hit], k)
 
@@ -257,8 +267,9 @@ def tune_params(index: Bm25Index, validation: list[tuple[str, set]], grid: list[
     """Grid point maximizing the mean objective over validation queries.
 
     `validation` pairs query text with the query's positive id set. Ties
-    break toward smaller (b, k1). Each query is analyzed and restricted to
-    the pool once; every grid point reuses that.
+    break toward smaller (b, k1). Each query is analyzed, restricted to the
+    pool and gathered into its postings arrays once; every grid point reuses
+    them.
     """
     if not grid:
         raise ValueError("empty parameter grid")

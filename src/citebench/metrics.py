@@ -123,7 +123,10 @@ def write_run_tsv(run, path) -> None:
 
 
 def read_run_tsv(path) -> dict[str, list[tuple[str, float]]]:
+    """Read a run file; errors name `path:line`. Ranks must parse as
+    integers and be unique per query, scores as finite floats."""
     rows: dict[str, list[tuple[int, str, float]]] = {}
+    rank_lines: dict[tuple[str, int], int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -132,8 +135,24 @@ def read_run_tsv(path) -> dict[str, list[tuple[str, float]]]:
             parts = line.split("\t")
             if len(parts) != 4:
                 raise ValueError(f"{path}:{lineno}: expected 4 tab-separated columns")
-            q, doc, rank, score = parts
-            rows.setdefault(q, []).append((int(rank), doc, float(score)))
+            q, doc, rank_text, score_text = parts
+            try:
+                rank = int(rank_text)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: rank {rank_text!r} "
+                                 "is not an integer") from None
+            try:
+                score = float(score_text)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: score {score_text!r} "
+                                 "is not a number") from None
+            if not math.isfinite(score):
+                raise ValueError(f"{path}:{lineno}: score {score_text!r} is not finite")
+            first = rank_lines.setdefault((q, rank), lineno)
+            if first != lineno:
+                raise ValueError(f"{path}:{lineno}: rank {rank} repeats line {first} "
+                                 f"for query {q!r}")
+            rows.setdefault(q, []).append((rank, doc, score))
     rankings: dict[str, list[tuple[str, float]]] = {}
     for q, items in rows.items():
         items.sort(key=lambda t: t[0])
@@ -154,10 +173,14 @@ def write_qrels_tsv(qrels: Mapping[str, set], path) -> None:
 def read_qrels_tsv(path) -> dict[str, set[str]]:
     qrels: dict[str, set[str]] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            q, doc = line.split("\t")
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise ValueError(f"{path}:{lineno}: expected 2 tab-separated columns, "
+                                 f"got {len(parts)}")
+            q, doc = parts
             qrels.setdefault(q, set()).add(doc)
     return qrels

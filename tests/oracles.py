@@ -15,6 +15,8 @@ import numpy as np
 from mpmath import mp, mpf
 from mpmath import log as mplog
 
+from citebench import metrics
+
 
 def naive_bm25_rank(doc_tokens: dict[str, list[str]], query_tokens: list[str],
                     k1: float, b: float, pool=None, k: int | None = None):
@@ -110,6 +112,29 @@ def tuple_sort_knn(ids, vectors, query, k: int, metric: str, pool=None,
     else:
         candidates.sort(key=lambda item: (item[1], item[0]))
     return candidates[:k]
+
+
+def subset_type_breakdown(model, benchmark, corpus, recall_cutoff: int = 5):
+    """The candidate-type breakdown that one closed-pool ranking per entry
+    replaced, kept as its reference: one `rank` call per entry and type,
+    over positives plus that type's negatives. Scored with the library's
+    metrics, so tables compare with ==."""
+    recall_key = f"recall@{recall_cutoff}"
+    types = benchmark.negative_types()
+    sums = {t: {"map": 0.0, recall_key: 0.0} for t in types}
+    count = 0
+    for entry in benchmark.entries:
+        positives = frozenset(entry.positives)
+        article = corpus.article(entry.query_id)
+        count += 1
+        for t in types:
+            candidates = positives | frozenset(entry.negatives[t])
+            ranked = model.rank(article, candidates, len(candidates))
+            sums[t]["map"] += metrics.average_precision(ranked, positives)
+            sums[t][recall_key] += metrics.recall_at_k(ranked, positives, recall_cutoff)
+    if count == 0:
+        return {t: {"map": 0.0, recall_key: 0.0} for t in types}
+    return {t: {m: v / count for m, v in vals.items()} for t, vals in sums.items()}
 
 
 def frac_average_precision(ranked, relevant) -> Fraction:

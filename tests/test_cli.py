@@ -238,3 +238,22 @@ def test_run_tune_builds_index_once(pipeline, monkeypatch):
                  "--out", str(out)]) == 0
     assert len(calls) == 1
     assert (out / "run_bm25.tsv").exists()
+
+
+@pytest.mark.parametrize("extra, flag", [
+    (["--benchmark", "BENCH"], "--benchmark"),
+    (["--pool", "POOL", "--model", "dense_a"], "--model dense_a"),
+    (["--pool", "POOL", "--k1", "1.5"], "--k1"),
+    (["--pool", "POOL", "--b", "0.2"], "--b"),
+    (["--pool", "POOL", "--params", "bm25_params.json"], "--params"),
+], ids=["benchmark", "dense", "k1", "b", "params"])
+def test_run_tune_conflicting_flag_rejected(pipeline, capsys, extra, flag):
+    root, pref_path, emb, pools, run_files, bench_path = pipeline
+    paths = {"BENCH": bench_path, "POOL": pools[0]}
+    out = root / "tune_conflict"
+    rc = main(["run", "--corpus", pref_path, *(paths.get(a, a) for a in extra), "--tune",
+               "--embeddings", f"dense_a={emb['dense_a']}", "--out", str(out)])
+    assert rc == 1
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert "--tune" in message and flag in message
+    assert not out.exists()

@@ -1,17 +1,24 @@
 import random
+import zlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citebench import synthetic
-from citebench.benchgen import build_benchmark
-from citebench.dense import knn
+from citebench.benchgen import Benchmark, build_benchmark
+from citebench.corpus import Corpus
+from citebench.dense import EmbeddingStore, knn
 from citebench.harness import (Bm25Model, DenseModel, RetrievalModel, RetrievalRun,
                                candidate_type_breakdown, emit_report, evaluate_benchmark,
-                               render_report, run_retrieval, score_benchmark_rankings)
+                               rank_benchmark, render_report, run_retrieval,
+                               score_benchmark_rankings)
 from citebench.lexical import Bm25Params, build_index, search
 from citebench.pools import SamplingPlan, build_dataset_pool, sample_queries
+from conftest import make_article
+from oracles import subset_type_breakdown
 from test_benchgen import small_benchmark_inputs
 
 
@@ -34,6 +41,19 @@ def perfect_model(graph):
 
 def adversarial_model(graph):
     return OrderedModel(lambda q, d: 1 if d in graph.outgoing[q] else 0, name="worst")
+
+
+class CountingModel(RetrievalModel):
+    """Passes `rank` calls through to another model and counts them."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.calls = 0
+
+    def rank(self, query, candidates, k):
+        self.calls += 1
+        return self.inner.rank(query, candidates, k)
 
 
 class ShuffleModel(RetrievalModel):
@@ -160,6 +180,23 @@ class TestEvaluateBenchmark:
             score_benchmark_rankings({}, bench)
 
 
+class TestRankBenchmark:
+    def test_cutoff_keeps_the_top_of_the_full_ranking(self, bench_fixture):
+        corpus, graph, bench = bench_fixture
+        model = Bm25Model(build_index(corpus))
+        full = rank_benchmark(model, bench, corpus)
+        cut = rank_benchmark(model, bench, corpus, cutoff=7)
+        assert list(cut) == [entry.query_id for entry in bench.entries]
+        for q, ranked in full.items():
+            assert cut[q] == ranked[:7]
+
+    def test_duplicate_query_entry_rejected(self, bench_fixture):
+        corpus, graph, bench = bench_fixture
+        twice = Benchmark([*bench.entries, bench.entries[0]], bench.manifest)
+        with pytest.raises(ValueError, match=bench.entries[0].query_id):
+            rank_benchmark(perfect_model(graph), twice, corpus)
+
+
 class TestBreakdown:
     def test_pool_shapes(self, bench_fixture):
         corpus, graph, bench = bench_fixture
@@ -181,6 +218,26 @@ class TestBreakdown:
         for vals in table.values():
             assert vals["map"] == 1.0 and vals["recall@5"] == 1.0
 
+    @pytest.mark.parametrize("kind", ["bm25", "cosine", "euclidean", "perfect", "adversarial",
+                                      "hashed"])
+    def test_equals_one_ranking_per_type(self, bench_fixture, kind):
+        corpus, graph, bench = bench_fixture
+        if kind == "bm25":
+            model = Bm25Model(build_index(corpus), Bm25Params(k1=1.2, b=0.75))
+        elif kind in ("cosine", "euclidean"):
+            store = synthetic.embed_corpus(corpus, dim=16, label=f"bd_{kind}")
+            model = DenseModel(store, metric=kind, name=kind)
+        elif kind == "perfect":
+            model = perfect_model(graph)
+        elif kind == "adversarial":
+            model = adversarial_model(graph)
+        else:
+            model = OrderedModel(lambda q, d: zlib.crc32(f"{q}|{d}".encode()))
+        expected = subset_type_breakdown(model, bench, corpus)
+        counting = CountingModel(model)
+        assert candidate_type_breakdown(counting, bench, corpus) == expected
+        assert counting.calls == len(bench.entries)
+
     def test_adversarial_value_from_oracle(self, bench_fixture):
         corpus, graph, bench = bench_fixture
         table = candidate_type_breakdown(adversarial_model(graph), bench, corpus)
@@ -190,6 +247,59 @@ class TestBreakdown:
         for vals in table.values():
             assert vals["map"] == pytest.approx(expected_ap, abs=1e-12)
             assert vals["recall@5"] == 0.0
+
+
+POOL_IDS = [f"d{i}" for i in range(10)] + ["B7", "a1", "Z", "zz9", "m"]
+
+
+def nested_pools(draw, ids):
+    """A candidate superset drawn from `ids` and a non-empty subset of it."""
+    superset = draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
+    subset = draw(st.lists(st.sampled_from(superset), min_size=1, unique=True))
+    return frozenset(superset), frozenset(subset)
+
+
+def filtered(ranked, keep):
+    return [item for item in ranked if item[0] in keep]
+
+
+class TestPoolIndependence:
+    """Ranking a subset of candidates equals filtering the superset ranking,
+    which is what lets the breakdown reuse one ranking per entry."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(docs=st.lists(st.tuples(st.sampled_from(POOL_IDS),
+                                   st.lists(st.sampled_from("abcdef"), max_size=12)),
+                         min_size=1, max_size=len(POOL_IDS), unique_by=lambda item: item[0]),
+           query=st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=6),
+           k1=st.sampled_from([0.0, 0.9, 2.9]), b=st.sampled_from([0.0, 0.4, 1.0]),
+           data=st.data())
+    def test_bm25(self, docs, query, k1, b, data):
+        # empty documents and ones sharing no query term never match; equal
+        # documents tie and break by id
+        corpus = Corpus([make_article(i, title=" ".join(t), abstract="") for i, t in docs])
+        model = Bm25Model(build_index(corpus), Bm25Params(k1, b))
+        superset, subset = nested_pools(data.draw, [i for i, _ in docs])
+        article = make_article("query", title=" ".join(query), abstract="")
+        assert (model.rank(article, subset, len(subset))
+                == filtered(model.rank(article, superset, len(superset)), subset))
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, len(POOL_IDS)), dim=st.integers(1, 4),
+           metric=st.sampled_from(["cosine", "dot", "euclidean"]), chunks=st.integers(1, 3),
+           data=st.data())
+    def test_dense(self, n, dim, metric, chunks, data):
+        # small integers give ties, duplicate rows and zero vectors
+        ids = POOL_IDS[:n]
+        cells = st.integers(-2, 2).map(float)
+        matrix = data.draw(st.lists(st.lists(cells, min_size=dim, max_size=dim),
+                                    min_size=n, max_size=n))
+        model = DenseModel(EmbeddingStore(ids, np.array(matrix)), metric=metric,
+                           chunks=chunks)
+        superset, subset = nested_pools(data.draw, ids)
+        article = make_article(data.draw(st.sampled_from(ids)))
+        assert (model.rank(article, subset, len(subset))
+                == filtered(model.rank(article, superset, len(superset)), subset))
 
 
 class TestReports:

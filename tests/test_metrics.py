@@ -197,3 +197,28 @@ class TestFileFormats:
         path = tmp_path / "qrels.tsv"
         write_qrels_tsv(qrels, path)
         assert read_qrels_tsv(path) == qrels
+
+    @pytest.mark.parametrize("bad_line, message", [
+        ("q1\tb\ttwo\t1.0", "rank 'two' is not an integer"),
+        ("q1\tb\t2\thigh", "score 'high' is not a number"),
+        ("q1\tb\t2\tnan", "score 'nan' is not finite"),
+        ("q1\tb\t2\t-inf", "score '-inf' is not finite"),
+        ("q1\tb\t1\t1.0", "rank 1 repeats line 1 for query 'q1'"),
+    ], ids=["rank", "score", "nan", "inf", "repeated-rank"])
+    def test_run_bad_line_named(self, tmp_path, bad_line, message):
+        path = tmp_path / "run.tsv"
+        path.write_text(f"q1\ta\t1\t2.0\nq2\ta\t1\t2.0\n{bad_line}\n")
+        with pytest.raises(ValueError, match=f"run.tsv:3: {message}"):
+            read_run_tsv(path)
+
+    def test_run_same_rank_in_two_queries_accepted(self, tmp_path):
+        path = tmp_path / "run.tsv"
+        path.write_text("q1\ta\t1\t2.0\nq2\ta\t1\t2.0\n")
+        assert read_run_tsv(path) == {"q1": [("a", 2.0)], "q2": [("a", 2.0)]}
+
+    @pytest.mark.parametrize("bad_line", ["q1", "q1\ta\textra"], ids=["one", "three"])
+    def test_qrels_bad_line_named(self, tmp_path, bad_line):
+        path = tmp_path / "qrels.tsv"
+        path.write_text(f"q1\ta\n\n{bad_line}\n")
+        with pytest.raises(ValueError, match="qrels.tsv:3: expected 2 tab-separated columns"):
+            read_qrels_tsv(path)
