@@ -11,14 +11,13 @@ from citebench import synthetic
 from citebench.corpus import (PrefilterRules, build_citation_graph, field_cited_set,
                               load_corpus, prefilter, write_corpus_jsonl, FIELDS)
 
-workdir = Path(tempfile.mkdtemp(prefix="citebench_demo_"))
-
 # --- generate and round-trip a corpus -------------------------------------
 corpus = synthetic.generate_corpus(2000, seed=11)
-path = workdir / "corpus.jsonl"
-write_corpus_jsonl(corpus, path)
-corpus = load_corpus(path)
-print(f"loaded {len(corpus)} articles from {path}")
+with tempfile.TemporaryDirectory(prefix="citebench_demo_") as workdir:
+    path = Path(workdir) / "corpus.jsonl"
+    write_corpus_jsonl(corpus, path)
+    corpus = load_corpus(path)
+    print(f"loaded {len(corpus)} articles from {path}")
 
 sample = next(iter(corpus))
 print(f"example article: id={sample.id} year={sample.year} fields={sorted(sample.fields)}")

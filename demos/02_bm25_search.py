@@ -48,9 +48,10 @@ print(f"\ntuned parameters over {len(validation)} validation queries: "
       f"k1={best.k1} b={best.b}")
 
 # --- binary persistence, rankings round-trip bit-exactly ----------------------
-path = Path(tempfile.mkdtemp(prefix="citebench_demo_")) / "index.bin"
-save_index(index, path)
-loaded = load_index(path)
-assert search(loaded, query_article.text, best, k=50, pool=pool) == \
-    search(index, query_article.text, best, k=50, pool=pool)
-print(f"index persisted to {path} ({path.stat().st_size} bytes), rankings identical")
+with tempfile.TemporaryDirectory(prefix="citebench_demo_") as workdir:
+    path = Path(workdir) / "index.bin"
+    save_index(index, path)
+    loaded = load_index(path)
+    assert search(loaded, query_article.text, best, k=50, pool=pool) == \
+        search(index, query_article.text, best, k=50, pool=pool)
+    print(f"index persisted to {path} ({path.stat().st_size} bytes), rankings identical")

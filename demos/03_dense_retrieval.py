@@ -16,12 +16,12 @@ corpus = prefilter(corpus, build_citation_graph(corpus)).corpus
 
 # --- produce, save, and reload embeddings -----------------------------------
 store = synthetic.embed_corpus(corpus, dim=32, label="demo_encoder")
-workdir = Path(tempfile.mkdtemp(prefix="citebench_demo_"))
-vec_path = workdir / "demo.f32"
-save_embeddings(store.ids, store.vectors, vec_path, workdir / "demo.f32.json")
-store = load_embeddings(vec_path, workdir / "demo.f32.json")
-print(f"store: {len(store)} vectors x {store.dim} dims "
-      f"({vec_path.stat().st_size} bytes on disk)")
+with tempfile.TemporaryDirectory(prefix="citebench_demo_") as workdir:
+    vec_path = Path(workdir) / "demo.f32"
+    save_embeddings(store.ids, store.vectors, vec_path, Path(workdir) / "demo.f32.json")
+    store = load_embeddings(vec_path, Path(workdir) / "demo.f32.json")
+    print(f"store: {len(store)} vectors x {store.dim} dims "
+          f"({vec_path.stat().st_size} bytes on disk)")
 
 # --- exact top-k under three metrics -----------------------------------------
 query_id = store.ids[0]

@@ -7,8 +7,10 @@ Four selection strategies feed six negative groups of ten:
     mean pairwise Jaccard between their top negatives);
   * graph: neighbors of the query's cited articles, walked from the cited
     article with the highest citation-overlap similarity downward;
-  * most_cited: sampled from the field's most-cited articles;
-  * random: sampled from the whole prefiltered corpus.
+  * most_cited: sampled from the field's most-cited articles, ranked once
+    per field and `build_benchmark` call;
+  * random: sampled from the whole prefiltered corpus, through a view of its
+    sorted ids that skips the excluded ones.
 
 Groups are generated in a fixed order and each group excludes the query, its
 cited articles, and every previously chosen negative, so the 60 negatives
@@ -18,8 +20,10 @@ fill a quota are dropped, never padded.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
+from bisect import bisect_left, bisect_right
 from collections.abc import Mapping, Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -142,7 +146,16 @@ def select_diverse_models(per_model_negatives: Mapping[str, Mapping[str, Sequenc
 def model_based_negatives(query_id: str, model_negatives: Sequence[str], n: int,
                           exclude, seed: int) -> Selection:
     """Uniform sample of n ids from a model's top negatives minus `exclude`."""
-    eligible = [d for d in model_negatives if d not in exclude and d != query_id]
+    return _sample(_eligible(model_negatives, query_id, exclude), n, seed)
+
+
+def _eligible(candidates: Sequence[str], query_id: str, exclude) -> list[str]:
+    return [d for d in candidates if d not in exclude and d != query_id]
+
+
+def _sample(eligible: Sequence[str], n: int, seed: int) -> Selection:
+    """Uniform sample of n of `eligible`, or all of it (a shortfall) when it
+    holds fewer than n."""
     if len(eligible) < n:
         return Selection(list(eligible), True)
     return Selection(random.Random(seed).sample(eligible, n), False)
@@ -185,23 +198,57 @@ def most_cited_negatives(corpus: Corpus, graph: CitationGraph, field, query_id: 
                          *, top: int = 200, exclude=frozenset(), seed: int = 0) -> Selection:
     """Sample n ids from the field's `top` most-cited articles (incoming
     citation count within the corpus, ties by ascending id)."""
+    return _sample(_eligible(_most_cited(corpus, graph, field, top), query_id, exclude), n, seed)
+
+
+def _most_cited(corpus: Corpus, graph: CitationGraph, field, top: int) -> list[str]:
+    """The field's `top` most-cited article ids, by descending incoming
+    citation count within the corpus, ties by ascending id."""
     label = resolve_field(field)
     labeled = [art.id for art in corpus if label.name in art.fields]
     if not labeled:
         raise ValueError(f"no articles labeled {label.name!r}")
-    ranked = sorted(labeled, key=lambda i: (-graph.in_degree(i), i))[:top]
-    eligible = [d for d in ranked if d not in exclude and d != query_id]
-    if len(eligible) < n:
-        return Selection(eligible, True)
-    return Selection(random.Random(seed).sample(eligible, n), False)
+    return sorted(labeled, key=lambda i: (-graph.in_degree(i), i))[:top]
 
 
 def random_negatives(corpus: Corpus, query_id: str, n: int, exclude, seed: int) -> Selection:
     """Uniform sample of n ids from the whole corpus minus `exclude`."""
-    eligible = sorted(i for i in corpus.ids() if i not in exclude and i != query_id)
-    if len(eligible) < n:
-        return Selection(eligible, True)
-    return Selection(random.Random(seed).sample(eligible, n), False)
+    return _sample(_SortedWithout(corpus.sorted_ids, {query_id, *exclude}), n, seed)
+
+
+class _SortedWithout(Sequence):
+    """Read-only view of ascending `ids` without the members of `drop`.
+
+    Same length and order as the filtered list, so `random.sample` draws
+    the same ids from it, but built in O(|drop| log N) instead of O(N):
+    indexing skips the dropped positions by bisection.
+    """
+
+    def __init__(self, ids: Sequence[str], drop):
+        skip = set()
+        for d in drop:
+            pos = bisect_left(ids, d)
+            if pos < len(ids) and ids[pos] == d:
+                skip.add(pos)
+        self._ids = ids
+        self._skip = sorted(skip)
+        # kept ids before each dropped position; nondecreasing
+        self._kept_before = [pos - k for k, pos in enumerate(self._skip)]
+
+    def __len__(self) -> int:
+        return len(self._ids) - len(self._skip)
+
+    def __getitem__(self, i: int) -> str:
+        n = len(self)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("index out of range")
+        return self._ids[i + bisect_right(self._kept_before, i)]
+
+    def __iter__(self):
+        skip = set(self._skip)
+        return (d for pos, d in enumerate(self._ids) if pos not in skip)
 
 
 def sample_positives(graph: CitationGraph, query_id: str, n: int, seed: int) -> list[str]:
@@ -224,7 +271,9 @@ def build_benchmark(corpus: Corpus, graph: CitationGraph,
     `model_runs` maps run names (must not collide with the reserved type
     labels) to rankings; the most diverse `params.model_count` runs supply
     the model-based groups. Per-query RNG streams derive from the master
-    seed, so generation order cannot change the output.
+    seed, so generation order cannot change the output. Each field's
+    most-cited ranking is computed once per call, when its first query
+    reaches the most-cited step.
     """
     for name in model_runs:
         if name in RESERVED_TYPES:
@@ -248,6 +297,10 @@ def build_benchmark(corpus: Corpus, graph: CitationGraph,
     type_order = list(chosen) + [GRAPH_TYPE, MOST_CITED_TYPE, RANDOM_TYPE]
 
     by_abbrev = {resolve_field(key).abbrev: key for key in queries_by_field}
+    # computed on the first query that reaches the most-cited step, so a
+    # field whose queries all drop earlier needs no labeled articles
+    most_cited = functools.cache(
+        lambda abbrev: _most_cited(corpus, graph, abbrev, params.most_cited_top))
     entries: list[BenchmarkEntry] = []
     dropped: dict[str, int] = {}
     for abbrev in FIELD_ABBREVS:
@@ -255,7 +308,8 @@ def build_benchmark(corpus: Corpus, graph: CitationGraph,
             continue
         field_key = by_abbrev[abbrev]
         for q in sorted(queries_by_field[field_key]):
-            entry = _build_entry(corpus, graph, q, abbrev, chosen, per_model, params, seed)
+            entry = _build_entry(corpus, graph, q, abbrev, chosen, per_model, params, seed,
+                                 most_cited)
             if entry is None:
                 dropped[abbrev] = dropped.get(abbrev, 0) + 1
             else:
@@ -275,7 +329,7 @@ def build_benchmark(corpus: Corpus, graph: CitationGraph,
     return Benchmark(entries, manifest)
 
 
-def _build_entry(corpus, graph, query_id, abbrev, chosen, per_model, params, seed):
+def _build_entry(corpus, graph, query_id, abbrev, chosen, per_model, params, seed, most_cited):
     try:
         positives = sorted(
             sample_positives(graph, query_id, params.positives_per_query,
@@ -298,9 +352,8 @@ def _build_entry(corpus, graph, query_id, abbrev, chosen, per_model, params, see
         return None
     groups[GRAPH_TYPE] = sorted(sel.ids)
     exclude |= set(sel.ids)
-    sel = most_cited_negatives(corpus, graph, abbrev, query_id, params.negatives_per_type,
-                               top=params.most_cited_top, exclude=exclude,
-                               seed=derive_seed(seed, query_id, "most_cited"))
+    sel = _sample(_eligible(most_cited(abbrev), query_id, exclude), params.negatives_per_type,
+                  derive_seed(seed, query_id, "most_cited"))
     if sel.shortfall:
         return None
     groups[MOST_CITED_TYPE] = sorted(sel.ids)
@@ -337,18 +390,46 @@ def write_benchmark_jsonl(benchmark: Benchmark, path, manifest_path=None) -> Non
 
 
 def read_benchmark_jsonl(path, manifest_path=None) -> Benchmark:
+    """Read a benchmark file; errors name `path:line`. Each line is an
+    object with string `query_id` and `field`, `positives` a list of
+    strings and `negatives` an object of lists of strings."""
     entries = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            entries.append(BenchmarkEntry(
-                obj["query_id"], obj["field"], list(obj["positives"]),
-                {t: list(ids) for t, ids in obj["negatives"].items()},
-            ))
+            where = f"{path}:{lineno}"
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{where}: malformed JSON: {exc}") from None
+            entries.append(_parse_entry(obj, where))
     manifest: dict = {}
     if manifest_path is not None:
         with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
+            try:
+                manifest = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{manifest_path}: malformed JSON: {exc}") from None
     return Benchmark(entries, manifest)
+
+
+def _parse_entry(obj, where: str) -> BenchmarkEntry:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: entry must be a JSON object")
+    for key in ("query_id", "field", "positives", "negatives"):
+        if key not in obj:
+            raise ValueError(f"{where}: missing key {key!r}")
+    for key in ("query_id", "field"):
+        if not isinstance(obj[key], str):
+            raise ValueError(f"{where}: {key} must be a string")
+    if not _is_str_list(obj["positives"]):
+        raise ValueError(f"{where}: positives must be a list of strings")
+    negatives = obj["negatives"]
+    if not isinstance(negatives, dict) or not all(map(_is_str_list, negatives.values())):
+        raise ValueError(f"{where}: negatives must be an object of lists of strings")
+    return BenchmarkEntry(obj["query_id"], obj["field"], obj["positives"], negatives)
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)

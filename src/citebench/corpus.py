@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 from .util import canonical_json, stable_digest
 
@@ -126,9 +127,14 @@ class Corpus:
     def ids(self):
         return self._articles.keys()
 
+    @cached_property
+    def sorted_ids(self) -> tuple[str, ...]:
+        """All article ids in ascending order."""
+        return tuple(sorted(self._articles))
+
     def content_hash(self) -> str:
         """Order-independent digest of the full corpus content."""
-        parts = [canonical_json(_article_obj(self._articles[i])) for i in sorted(self._articles)]
+        parts = [canonical_json(_article_obj(self._articles[i])) for i in self.sorted_ids]
         return stable_digest(*parts)
 
 

@@ -80,14 +80,29 @@ class EmbeddingStore:
 def load_embeddings(vector_path, manifest_path) -> EmbeddingStore:
     """Load vectors from a raw '<f4' file validated against its manifest.
 
-    Manifest: JSON object {"dim": int, "count": int, "ids": [str, ...]}.
-    The vector file must hold exactly count*dim little-endian float32s.
+    Manifest: JSON object {"dim": int >= 1, "count": int >= 0, "ids":
+    [str, ...]}; errors name the manifest path. The vector file must hold
+    exactly count*dim little-endian float32s.
     """
     with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise EmbeddingError(f"{manifest_path}: malformed JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise EmbeddingError(f"{manifest_path}: manifest must be a JSON object")
+    for key in ("dim", "count", "ids"):
+        if key not in manifest:
+            raise EmbeddingError(f"{manifest_path}: missing key {key!r}")
     dim, count, ids = manifest["dim"], manifest["count"], manifest["ids"]
+    for key, value, least in (("dim", dim, 1), ("count", count, 0)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise EmbeddingError(f"{manifest_path}: {key} must be an integer >= {least}, "
+                                 f"got {value!r}")
+    if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+        raise EmbeddingError(f"{manifest_path}: ids must be a list of strings")
     if len(ids) != count:
-        raise EmbeddingError(f"manifest lists {len(ids)} ids but count={count}")
+        raise EmbeddingError(f"{manifest_path}: manifest lists {len(ids)} ids but count={count}")
     data = np.fromfile(vector_path, dtype="<f4")
     if data.size != count * dim:
         raise EmbeddingError(

@@ -10,9 +10,13 @@ from typing import Any
 import numpy as np
 
 
+# json.dumps with non-default arguments builds a new encoder on every call
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
 def canonical_json(obj: Any) -> str:
     """Serialize with sorted keys and fixed separators so equal objects give equal bytes."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return _CANONICAL.encode(obj)
 
 
 def stable_digest(*parts: str) -> str:

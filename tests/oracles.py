@@ -7,8 +7,11 @@ code paths it checks.
 
 from __future__ import annotations
 
+import json
 import math
+import random
 from collections import Counter
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +19,12 @@ from mpmath import mp, mpf
 from mpmath import log as mplog
 
 from citebench import metrics
+from citebench.benchgen import (GRAPH_TYPE, MOST_CITED_TYPE, RANDOM_TYPE, Benchmark,
+                                BenchmarkEntry, BenchmarkParams, QueryRejected, Selection,
+                                graph_negatives, sample_positives, select_diverse_models,
+                                top_negatives_per_model)
+from citebench.corpus import FIELD_ABBREVS, _article_obj, resolve_field
+from citebench.util import derive_seed, stable_digest
 
 
 def naive_bm25_rank(doc_tokens: dict[str, list[str]], query_tokens: list[str],
@@ -239,3 +248,117 @@ def brute_select_diverse(per_model: dict[str, dict[str, list[str]]], m: int) -> 
         others = [pair_mean(*sorted((name, other))) for other in names if other != name]
         scores[name] = sum(others, Fraction(0)) / len(others)
     return sorted(names, key=lambda name: (scores[name], name))[:m]
+
+
+# ---------------------------------------------------------------------------
+# benchmark construction as it was before the per-field and per-corpus work
+# was hoisted out of the per-query loop: every query re-ranks its field and
+# re-sorts the whole corpus
+# ---------------------------------------------------------------------------
+
+
+def per_query_most_cited_negatives(corpus, graph, field, query_id, n, *, top=200,
+                                   exclude=frozenset(), seed=0):
+    label = resolve_field(field)
+    labeled = [art.id for art in corpus if label.name in art.fields]
+    if not labeled:
+        raise ValueError(f"no articles labeled {label.name!r}")
+    ranked = sorted(labeled, key=lambda i: (-graph.in_degree(i), i))[:top]
+    eligible = [d for d in ranked if d not in exclude and d != query_id]
+    if len(eligible) < n:
+        return Selection(eligible, True)
+    return Selection(random.Random(seed).sample(eligible, n), False)
+
+
+def per_query_random_negatives(corpus, query_id, n, exclude, seed):
+    eligible = sorted(i for i in corpus.ids() if i not in exclude and i != query_id)
+    if len(eligible) < n:
+        return Selection(eligible, True)
+    return Selection(random.Random(seed).sample(eligible, n), False)
+
+
+def per_query_model_based_negatives(query_id, model_negatives, n, exclude, seed):
+    eligible = [d for d in model_negatives if d not in exclude and d != query_id]
+    if len(eligible) < n:
+        return Selection(list(eligible), True)
+    return Selection(random.Random(seed).sample(eligible, n), False)
+
+
+def per_query_build_entry(corpus, graph, query_id, abbrev, chosen, per_model, params, seed):
+    try:
+        positives = sorted(
+            sample_positives(graph, query_id, params.positives_per_query,
+                             derive_seed(seed, query_id, "positives"))
+        )
+    except QueryRejected:
+        return None
+    exclude = {query_id} | set(positives) | set(graph.outgoing.get(query_id, frozenset()))
+    groups: dict[str, list[str]] = {}
+    for label in chosen:
+        sel = per_query_model_based_negatives(query_id, per_model[label].get(query_id, []),
+                                              params.negatives_per_type, exclude,
+                                              derive_seed(seed, query_id, "model", label))
+        if sel.shortfall:
+            return None
+        groups[label] = sorted(sel.ids)
+        exclude |= set(sel.ids)
+    sel = graph_negatives(graph, query_id, params.negatives_per_type, exclude)
+    if sel.shortfall:
+        return None
+    groups[GRAPH_TYPE] = sorted(sel.ids)
+    exclude |= set(sel.ids)
+    sel = per_query_most_cited_negatives(corpus, graph, abbrev, query_id,
+                                         params.negatives_per_type,
+                                         top=params.most_cited_top, exclude=exclude,
+                                         seed=derive_seed(seed, query_id, "most_cited"))
+    if sel.shortfall:
+        return None
+    groups[MOST_CITED_TYPE] = sorted(sel.ids)
+    exclude |= set(sel.ids)
+    sel = per_query_random_negatives(corpus, query_id, params.negatives_per_type, exclude,
+                                     derive_seed(seed, query_id, "random"))
+    if sel.shortfall:
+        return None
+    groups[RANDOM_TYPE] = sorted(sel.ids)
+    return BenchmarkEntry(query_id, abbrev, positives, groups)
+
+
+def per_query_build_benchmark(corpus, graph, queries_by_field, model_runs,
+                              params=BenchmarkParams(), seed=0):
+    """build_benchmark with per_query_build_entry; the library supplies the
+    unchanged model selection, and the corpus hash is recomputed with
+    json.dumps over freshly sorted ids."""
+    qrels = {q: graph.outgoing.get(q, frozenset())
+             for queries in queries_by_field.values() for q in queries}
+    per_model = {name: top_negatives_per_model(run, qrels, params.model_pool_depth)
+                 for name, run in model_runs.items()}
+    chosen = select_diverse_models(per_model, params.model_count)
+    by_abbrev = {resolve_field(key).abbrev: key for key in queries_by_field}
+    entries, dropped = [], {}
+    for abbrev in FIELD_ABBREVS:
+        if abbrev not in by_abbrev:
+            continue
+        for q in sorted(queries_by_field[by_abbrev[abbrev]]):
+            entry = per_query_build_entry(corpus, graph, q, abbrev, chosen, per_model, params, seed)
+            if entry is None:
+                dropped[abbrev] = dropped.get(abbrev, 0) + 1
+            else:
+                entries.append(entry)
+    articles = {art.id: art for art in corpus}
+    corpus_hash = stable_digest(*(
+        json.dumps(_article_obj(articles[i]), sort_keys=True, separators=(",", ":"),
+                   ensure_ascii=False)
+        for i in sorted(articles)))
+    manifest = {
+        "seed": seed,
+        "models": list(chosen),
+        "types": list(chosen) + [GRAPH_TYPE, MOST_CITED_TYPE, RANDOM_TYPE],
+        "params": asdict(params),
+        "corpus_hash": corpus_hash,
+        "entries": len(entries),
+        "dropped": {k: dropped[k] for k in sorted(dropped)},
+        "pairs": sum(
+            len(e.positives) + sum(len(ids) for ids in e.negatives.values()) for e in entries
+        ),
+    }
+    return Benchmark(entries, manifest)

@@ -387,3 +387,43 @@ class TestBuildBenchmark:
         assert types[:3] == bench.manifest["models"]
         for entry in bench.entries:
             assert list(entry.negatives) == types
+
+
+GOOD_LINE = '{"query_id":"q1","field":"Med","positives":["a"],"negatives":{"graph":["b"]}}'
+
+
+class TestReadBenchmark:
+    @pytest.mark.parametrize("bad_line, message", [
+        ('{"query_id": "q2",', "malformed JSON"),
+        ('["q2"]', "entry must be a JSON object"),
+        ('{"query_id":"q2","field":"Med","positives":["a"]}', "missing key 'negatives'"),
+        ('{"field":"Med","positives":["a"],"negatives":{}}', "missing key 'query_id'"),
+        ('{"query_id":2,"field":"Med","positives":["a"],"negatives":{}}',
+         "query_id must be a string"),
+        ('{"query_id":"q2","field":null,"positives":["a"],"negatives":{}}',
+         "field must be a string"),
+        ('{"query_id":"q2","field":"Med","positives":"ab","negatives":{}}',
+         "positives must be a list of strings"),
+        ('{"query_id":"q2","field":"Med","positives":["a",1],"negatives":{}}',
+         "positives must be a list of strings"),
+        ('{"query_id":"q2","field":"Med","positives":["a"],"negatives":[["b"]]}',
+         "negatives must be an object of lists of strings"),
+        ('{"query_id":"q2","field":"Med","positives":["a"],"negatives":{"graph":"bc"}}',
+         "negatives must be an object of lists of strings"),
+        ('{"query_id":"q2","field":"Med","positives":["a"],"negatives":{"graph":[null]}}',
+         "negatives must be an object of lists of strings"),
+    ], ids=["json", "not-object", "no-negatives", "no-query", "query-int", "field-null",
+            "positives-str", "positives-int", "negatives-list", "negatives-str",
+            "negatives-null"])
+    def test_bad_line_named(self, tmp_path, bad_line, message):
+        path = tmp_path / "b.jsonl"
+        path.write_text(f"{GOOD_LINE}\n\n{bad_line}\n")
+        with pytest.raises(ValueError, match=f"b.jsonl:3: {message}"):
+            read_benchmark_jsonl(path)
+
+    def test_bad_manifest_named(self, tmp_path):
+        path, manifest = tmp_path / "b.jsonl", tmp_path / "b.manifest.json"
+        path.write_text(f"{GOOD_LINE}\n")
+        manifest.write_text('{"types": [')
+        with pytest.raises(ValueError, match="b.manifest.json: malformed JSON"):
+            read_benchmark_jsonl(path, manifest)

@@ -48,6 +48,42 @@ class TestLoadEmbeddings:
             load_embeddings(vec, man)
 
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("dim", "2", "dim must be an integer >= 1, got '2'"),
+        ("dim", 2.0, "dim must be an integer >= 1, got 2.0"),
+        ("dim", True, "dim must be an integer >= 1, got True"),
+        ("dim", 0, "dim must be an integer >= 1, got 0"),
+        ("count", "2", "count must be an integer >= 0, got '2'"),
+        ("count", -1, "count must be an integer >= 0, got -1"),
+        ("count", False, "count must be an integer >= 0, got False"),
+        ("ids", [1, 2], "ids must be a list of strings"),
+        ("ids", "ab", "ids must be a list of strings"),
+        ("ids", None, "missing key 'ids'"),
+        ("count", None, "missing key 'count'"),
+    ], ids=["dim-str", "dim-float", "dim-bool", "dim-zero", "count-str", "count-negative",
+            "count-bool", "ids-int", "ids-str", "ids-missing", "count-missing"])
+    def test_manifest_field_types(self, tmp_path, key, value, message):
+        vec, man = write_store(tmp_path, ["a", "b"], [[1, 2], [3, 4]])
+        obj = json.loads(man.read_text())
+        if value is None:
+            del obj[key]
+        else:
+            obj[key] = value
+        man.write_text(json.dumps(obj))
+        with pytest.raises(EmbeddingError, match=f"emb.f32.json: {message}"):
+            load_embeddings(vec, man)
+
+    @pytest.mark.parametrize("text, message", [
+        ("[2, 2]", "manifest must be a JSON object"),
+        ('{"dim": 2,', "malformed JSON"),
+    ], ids=["list", "truncated"])
+    def test_manifest_not_an_object(self, tmp_path, text, message):
+        vec, man = write_store(tmp_path, ["a", "b"], [[1, 2], [3, 4]])
+        man.write_text(text)
+        with pytest.raises(EmbeddingError, match=f"emb.f32.json: {message}"):
+            load_embeddings(vec, man)
+
+
 class TestKnn:
     def test_self_similarity_first(self):
         store = EmbeddingStore(["a", "b", "c"], [[1, 2, 0], [0, 1, 5], [3, 0, 1]])

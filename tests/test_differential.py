@@ -1,6 +1,8 @@
-"""Differential tests: the array kernels against the implementations they
-replaced (kept in oracles.py), compared with ==, never approx."""
+"""Differential tests: the array kernels and benchmark construction against
+the implementations they replaced (kept in oracles.py), compared with ==,
+never approx."""
 
+import random
 import struct
 
 import numpy as np
@@ -9,12 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citebench import metrics
-from citebench.corpus import Corpus
+from citebench.benchgen import (BenchmarkParams, _SortedWithout, build_benchmark,
+                                most_cited_negatives, random_negatives)
+from citebench.corpus import Corpus, build_citation_graph, resolve_field
 from citebench.dense import EmbeddingStore, knn
 from citebench.lexical import (AnalyzerConfig, Bm25Params, analyze, build_index, load_index,
                                save_index, score, search, tune_params)
 from conftest import make_article
-from oracles import dict_bm25_index, dict_bm25_search, tuple_sort_knn
+from oracles import (dict_bm25_index, dict_bm25_search, per_query_build_benchmark,
+                     per_query_most_cited_negatives, per_query_random_negatives,
+                     tuple_sort_knn)
 
 VOCAB = ["a", "b", "c", "d", "e", "f"]
 # ids whose sorted order differs from insertion order, mixed case included
@@ -199,3 +205,176 @@ class TestIndexFormat:
             ix.postings = {}
         with pytest.raises(AttributeError):
             ix.doc_lengths = {}
+
+
+# ---------------------------------------------------------------------------
+# benchmark construction against the per-query copies in oracles.py
+# ---------------------------------------------------------------------------
+
+# str(i) sorts "10" before "9", so sorted order differs from numeric order
+CORPUS_IDS = [str(i) for i in range(40)] + ["Q", "a9", "zz"]
+# excluded ids outside the corpus, sorting before, between and after its ids
+GHOSTS = ["", "0.5", "19x", "ghost", "zzz"]
+BENCH_FIELDS = ["Physics", "Biology", "Chemistry"]
+
+
+def outcome(fn, *args, **kwargs):
+    """The result, or the ValueError's type and message, so raising and
+    returning both compare with ==."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def cited_corpora(draw):
+    """Corpora dense enough that many queries fill every group: hypothesis
+    draws the size, citation density and a seed for the rest."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    ids = rng.sample(CORPUS_IDS, draw(st.integers(1, len(CORPUS_IDS))))
+    density = draw(st.sampled_from([0.05, 0.2, 0.4, 0.7]))
+    articles = [
+        make_article(i, fields=[f for f in BENCH_FIELDS if rng.random() < 0.4],
+                     cites=[c for c in ids + ["ghost"] if rng.random() < density])
+        for i in ids
+    ]
+    corpus = Corpus(articles)
+    return corpus, build_citation_graph(corpus)
+
+
+def plain_corpus(size):
+    """`size` articles in an insertion order other than the sorted one."""
+    ids = [str(i) for i in range(size)]
+    random.Random(size).shuffle(ids)
+    return Corpus([make_article(i) for i in ids])
+
+
+class TestRandomNegativesAgainstPerQuery:
+    @SETTINGS
+    @given(size=st.one_of(st.integers(0, 30), st.integers(80, 100), st.integers(100, 400)),
+           n=st.integers(1, 12), seed=st.integers(0, 2**32), data=st.data())
+    def test_equals_sorted_copy(self, size, n, seed, data):
+        corpus = plain_corpus(size)
+        ids = sorted(corpus.ids())
+        query = data.draw(st.sampled_from(ids + GHOSTS))
+        exclude = set(data.draw(st.lists(st.sampled_from(ids + GHOSTS), unique=True)))
+        got = random_negatives(corpus, query, n, exclude, seed)
+        assert got == per_query_random_negatives(corpus, query, n, exclude, seed)
+
+    # random.sample copies a population of at most 85 with list() when
+    # drawing 10, and indexes a larger one
+    @pytest.mark.parametrize("eligible", [9, 10, 11, 84, 85, 86, 87, 300])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_both_sample_paths_and_shortfall(self, eligible, seed):
+        corpus = plain_corpus(eligible + 20)
+        ids = sorted(corpus.ids())
+        query = ids[0]
+        exclude = set(random.Random(eligible).sample(ids[1:], 19)) | {"ghost", "0.5"}
+        view = _SortedWithout(corpus.sorted_ids, exclude | {query})
+        assert len(view) == eligible
+        got = random_negatives(corpus, query, 10, exclude, seed)
+        assert got == per_query_random_negatives(corpus, query, 10, exclude, seed)
+        assert got.shortfall == (eligible < 10)
+
+    def test_view_matches_filtered_list(self):
+        view = _SortedWithout(("a", "b", "c", "d"), {"b", "d", "ghost", ""})
+        assert len(view) == 2 and list(view) == ["a", "c"]
+        assert (view[0], view[1], view[-1], view[-2]) == ("a", "c", "c", "a")
+        for past_end in (2, 3, -3):
+            with pytest.raises(IndexError):
+                view[past_end]
+        with pytest.raises(IndexError):
+            _SortedWithout(("a",), {"a"})[0]
+
+
+class TestMostCitedAgainstPerQuery:
+    @SETTINGS
+    @given(graph_corpus=cited_corpora(), n=st.integers(1, 6), top=st.integers(0, 45),
+           seed=st.integers(0, 2**32), data=st.data())
+    def test_equals_per_query_ranking(self, graph_corpus, n, top, seed, data):
+        corpus, graph = graph_corpus
+        ids = sorted(corpus.ids())
+        field = data.draw(st.sampled_from(["Phy", "Bio", "Ch", "Chemistry"]))
+        query = data.draw(st.sampled_from(ids + GHOSTS))
+        exclude = set(data.draw(st.lists(st.sampled_from(ids + GHOSTS), unique=True)))
+        got = outcome(most_cited_negatives, corpus, graph, field, query, n, top=top,
+                      exclude=exclude, seed=seed)
+        assert got == outcome(per_query_most_cited_negatives, corpus, graph, field, query, n,
+                              top=top, exclude=exclude, seed=seed)
+
+
+def benchmark_case(draw, corpus):
+    """Disjoint queries for three fields, four model runs and small params."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    ids = sorted(corpus.ids())
+    queries = rng.sample(ids, min(len(ids), draw(st.integers(0, 12))))
+    cuts = sorted(rng.randint(0, len(queries)) for _ in range(2))
+    queries_by_field = {"Phy": queries[:cuts[0]], "Bio": queries[cuts[0]:cuts[1]],
+                        "Ch": queries[cuts[1]:]}
+    model_runs = {}
+    for name in ("m1", "m2", "m3", "m4"):
+        model_runs[name] = {q: [(d, 1.0) for d in rng.sample(ids, rng.randint(0, len(ids)))]
+                            for q in queries}
+    params = BenchmarkParams(positives_per_query=draw(st.integers(1, 3)),
+                             negatives_per_type=draw(st.integers(1, 3)),
+                             model_pool_depth=draw(st.integers(1, 15)),
+                             most_cited_top=draw(st.integers(1, 20)))
+    return queries_by_field, model_runs, params
+
+
+class TestBuildBenchmarkAgainstPerQuery:
+    @SETTINGS
+    @given(graph_corpus=cited_corpora(), seed=st.integers(0, 2**32), data=st.data())
+    def test_equals_per_query_build(self, graph_corpus, seed, data):
+        corpus, graph = graph_corpus
+        queries_by_field, model_runs, params = benchmark_case(data.draw, corpus)
+        got = outcome(build_benchmark, corpus, graph, queries_by_field, model_runs, params, seed)
+        assert got == outcome(per_query_build_benchmark, corpus, graph, queries_by_field,
+                              model_runs, params, seed)
+
+    def test_synthetic_scale(self, synth_prefiltered):
+        corpus, graph = synth_prefiltered
+        queries_by_field = {}
+        for field in ("Med", "CS", "Bio"):
+            name = resolve_field(field).name
+            queries_by_field[field] = sorted(
+                a.id for a in corpus if a.year == 2019 and name in a.fields
+                and len(graph.outgoing[a.id]) >= 5)[:6]
+        queries = [q for qs in queries_by_field.values() for q in qs]
+        universe = sorted(corpus.ids())
+        rng = random.Random(3)
+        model_runs = {m: {q: [(d, 1.0) for d in rng.sample(universe, 250)] for q in queries}
+                      for m in ("alpha", "beta", "gamma")}
+        got = build_benchmark(corpus, graph, queries_by_field, model_runs, seed=11)
+        assert got.entries
+        assert got == per_query_build_benchmark(corpus, graph, queries_by_field, model_runs,
+                                                seed=11)
+
+    def test_field_whose_queries_all_drop_needs_no_labels(self):
+        # no article is labeled Chemistry; its queries cite too few articles
+        # to get positives, so the field's most-cited ranking is never needed
+        cited = [f"c{i}" for i in range(8)]
+        articles = [make_article(c, fields=("Physics",)) for c in cited]
+        articles += [make_article(f"p{i}", fields=("Physics",), cites=cited) for i in range(4)]
+        articles += [make_article(f"x{i}", fields=("Physics",)) for i in range(4)]
+        articles += [make_article("weak", cites=cited[:2])]
+        corpus = Corpus(articles)
+        graph = build_citation_graph(corpus)
+        queries_by_field = {"Ch": ["weak"], "Phy": ["p0"]}
+        model_runs = {m: {"p0": [(d, 1.0) for d in sorted(corpus.ids())]}
+                      for m in ("m1", "m2", "m3")}
+        params = BenchmarkParams(positives_per_query=3, negatives_per_type=1,
+                                 most_cited_top=20)
+        got = build_benchmark(corpus, graph, queries_by_field, model_runs, params, seed=2)
+        assert got.manifest["dropped"] == {"Ch": 1}
+        assert got == per_query_build_benchmark(corpus, graph, queries_by_field, model_runs,
+                                                params, seed=2)
+        # a query that does reach the most-cited step still needs labels
+        articles += [make_article("strong", cites=cited)]
+        corpus = Corpus(articles)
+        graph = build_citation_graph(corpus)
+        model_runs = {m: {"strong": [(d, 1.0) for d in sorted(corpus.ids())]}
+                      for m in ("m1", "m2", "m3")}
+        with pytest.raises(ValueError, match="no articles labeled 'Chemistry'"):
+            build_benchmark(corpus, graph, {"Ch": ["strong"]}, model_runs, params, seed=2)
