@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 from .corpus import CitationGraph, Corpus, FIELD_ABBREVS, resolve_field
 from .metrics import jaccard
-from .util import derive_seed
+from .util import derive_seed, is_str_list
 
 GRAPH_TYPE = "graph"
 MOST_CITED_TYPE = "most_cited"
@@ -423,13 +423,9 @@ def _parse_entry(obj, where: str) -> BenchmarkEntry:
     for key in ("query_id", "field"):
         if not isinstance(obj[key], str):
             raise ValueError(f"{where}: {key} must be a string")
-    if not _is_str_list(obj["positives"]):
+    if not is_str_list(obj["positives"]):
         raise ValueError(f"{where}: positives must be a list of strings")
     negatives = obj["negatives"]
-    if not isinstance(negatives, dict) or not all(map(_is_str_list, negatives.values())):
+    if not isinstance(negatives, dict) or not all(map(is_str_list, negatives.values())):
         raise ValueError(f"{where}: negatives must be an object of lists of strings")
     return BenchmarkEntry(obj["query_id"], obj["field"], obj["positives"], negatives)
-
-
-def _is_str_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(x, str) for x in value)

@@ -16,13 +16,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .util import id_ranks, rank_rows
+from .util import id_ranks, is_str_list, rank_rows
 
 METRICS = ("cosine", "dot", "euclidean")
 
 # Most rows converted to float64 at once, by the scan and by the cosine row
 # norms; larger blocks only raise peak memory
 _BLOCK = 512
+
+# Most bytes of float64 scores that knn_pool holds for one group of queries
+_SCORE_BUDGET = 32 << 20
 
 
 class EmbeddingError(ValueError):
@@ -99,7 +102,7 @@ def load_embeddings(vector_path, manifest_path) -> EmbeddingStore:
         if isinstance(value, bool) or not isinstance(value, int) or value < least:
             raise EmbeddingError(f"{manifest_path}: {key} must be an integer >= {least}, "
                                  f"got {value!r}")
-    if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+    if not is_str_list(ids):
         raise EmbeddingError(f"{manifest_path}: ids must be a list of strings")
     if len(ids) != count:
         raise EmbeddingError(f"{manifest_path}: manifest lists {len(ids)} ids but count={count}")
@@ -121,11 +124,11 @@ def save_embeddings(ids: Sequence[str], vectors: np.ndarray, vector_path, manife
         fh.write("\n")
 
 
-def _scores(vectors: np.ndarray, q: np.ndarray, metric: str,
+def _scores(v: np.ndarray, q: np.ndarray, metric: str,
             row_norms: np.ndarray | None) -> np.ndarray:
-    # all reductions are row-local so chunked scans reproduce the full scan;
-    # cosine divides by the rows' EmbeddingStore.row_norms
-    v = vectors.astype(np.float64)
+    # v holds float64 copies of the rows; all reductions are row-local so
+    # chunked scans reproduce the full scan; cosine divides by the rows'
+    # EmbeddingStore.row_norms
     if metric == "dot":
         return (v * q).sum(axis=1)
     if metric == "euclidean":
@@ -140,6 +143,42 @@ def _scores(vectors: np.ndarray, q: np.ndarray, metric: str,
     raise ValueError(f"unknown metric {metric!r}")
 
 
+def _check(k: int, metric: str) -> None:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}")
+
+
+def _pool_rows(store: EmbeddingStore, pool) -> np.ndarray:
+    """The pool's rows in ascending order, or every row when pool is None."""
+    if pool is None:
+        return np.arange(len(store.ids), dtype=np.intp)
+    try:
+        return np.array(sorted(store._row[i] for i in pool), dtype=np.intp)
+    except KeyError as exc:
+        raise KeyError(f"pool id {exc.args[0]!r} has no embedding row") from None
+
+
+def _scan(store: EmbeddingStore, rows: np.ndarray, queries: np.ndarray, metric: str,
+          chunks: int) -> np.ndarray:
+    """Scores of `rows` (non-empty) for each float64 query row, one score row
+    per query. The rows are split into max(chunks, blocks of at most _BLOCK)
+    parts; each part is gathered and cast to float64 once for all queries."""
+    norms = store.row_norms if metric == "cosine" else None
+    n_parts = max(1, min(chunks, rows.size), -(-rows.size // _BLOCK))
+    scores = np.empty((len(queries), rows.size))
+    start = 0
+    for part in np.array_split(rows, n_parts):
+        v = store.vectors[part].astype(np.float64)
+        part_norms = None if norms is None else norms[part]
+        end = start + part.size
+        for q, out in zip(queries, scores):
+            out[start:end] = _scores(v, q, metric, part_norms)
+        start = end
+    return scores
+
+
 def knn(store: EmbeddingStore, query, k: int, metric: str = "cosine",
         pool=None, chunks: int = 1) -> list[tuple[str, float]]:
     """Exact top-k under the metric, optionally restricted to a pool of ids.
@@ -150,27 +189,52 @@ def knn(store: EmbeddingStore, query, k: int, metric: str = "cosine",
     for scanning, in blocks of at most _BLOCK rows; scores are row-local, so
     results are identical for every partition.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}")
+    _check(k, metric)
     q = np.asarray(query, dtype=np.float64).reshape(-1)
     if q.shape[0] != store.dim:
         raise ValueError(f"query has dimension {q.shape[0]}, store has {store.dim}")
-    if pool is None:
-        rows = np.arange(len(store.ids), dtype=np.intp)
-    else:
-        try:
-            rows = np.array(sorted(store._row[i] for i in pool), dtype=np.intp)
-        except KeyError as exc:
-            raise KeyError(f"pool id {exc.args[0]!r} has no embedding row") from None
+    rows = _pool_rows(store, pool)
     if rows.size == 0:
         return []
-    norms = store.row_norms if metric == "cosine" else None
-    n_parts = max(1, min(chunks, rows.size), -(-rows.size // _BLOCK))
-    scores = np.concatenate([
-        _scores(store.vectors[part], q, metric, None if norms is None else norms[part])
-        for part in np.array_split(rows, n_parts)
-    ])
+    scores = _scan(store, rows, q[np.newaxis], metric, chunks)[0]
     return rank_rows(store.ids, store.id_rank, rows, scores, k,
                      descending=metric in ("cosine", "dot"))
+
+
+def knn_pool(store: EmbeddingStore, query_ids: Sequence[str], pool, k: int,
+             metric: str = "cosine", chunks: int = 1) -> dict[str, list[tuple[str, float]]]:
+    """Top-k for each stored query vector against one shared pool, keyed by
+    query id in the given order; a query is never its own candidate.
+
+    Equal to knn(store, store.vector(q), k, metric, pool - {q}, chunks) for
+    every q, but the pool's rows are sorted once, and each block of rows is
+    gathered and cast once per group of queries rather than once per query.
+    A group's score matrix stays within _SCORE_BUDGET bytes.
+    """
+    _check(k, metric)
+    if not query_ids:
+        return {}
+    query_rows = []
+    for q in query_ids:
+        if q not in store:
+            raise KeyError(f"no embedding row for query {q!r}")
+        query_rows.append(store._row[q])
+    rows = _pool_rows(store, pool)
+    if rows.size == 0:
+        return {q: [] for q in query_ids}
+    descending = metric in ("cosine", "dot")
+    group = max(1, _SCORE_BUDGET // (8 * rows.size))
+    out = {}
+    for start in range(0, len(query_ids), group):
+        group_rows = query_rows[start:start + group]
+        queries = store.vectors[group_rows].astype(np.float64)
+        for q, q_row, scores in zip(query_ids[start:start + group], group_rows,
+                                    _scan(store, rows, queries, metric, chunks)):
+            cand = rows
+            at = int(np.searchsorted(rows, q_row))
+            if at < rows.size and rows[at] == q_row:
+                # scores are row-local, so dropping the query's own row after
+                # scoring equals scoring the pool without it
+                cand, scores = np.delete(rows, at), np.delete(scores, at)
+            out[q] = rank_rows(store.ids, store.id_rank, cand, scores, k, descending)
+    return out

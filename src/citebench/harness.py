@@ -16,8 +16,10 @@ from .pools import PoolSet
 class RetrievalModel(ABC):
     """Ranks candidate article ids for a query article.
 
-    Implementations must be deterministic (identical inputs give identical
-    output) and safe to call concurrently once constructed.
+    Implementations define `rank` and may override `rank_pool` to prepare
+    one shared candidate set once for many queries. They must be
+    deterministic (identical inputs give identical output) and safe to call
+    concurrently once constructed.
     """
 
     name: str
@@ -33,6 +35,16 @@ class RetrievalModel(ABC):
         and dense scores because each reduction runs within one row.
         """
 
+    def rank_pool(self, queries: Sequence[Article], candidates: frozenset[str],
+                  k: int) -> dict[str, list[tuple[str, float]]]:
+        """Rank one shared candidate set for many query articles, keyed by
+        query id in the order given. A query is never its own candidate:
+        each ranking equals `rank(q, candidates - {q.id}, k)`, which is what
+        this default calls, once per query. Backends override it to prepare
+        the candidate set once for all queries.
+        """
+        return {q.id: self.rank(q, candidates - {q.id}, k) for q in queries}
+
 
 class Bm25Model(RetrievalModel):
     def __init__(self, index: lexical.Bm25Index, params: lexical.Bm25Params | None = None,
@@ -43,6 +55,11 @@ class Bm25Model(RetrievalModel):
 
     def rank(self, query: Article, candidates, k: int) -> list[tuple[str, float]]:
         return lexical.search(self.index, query.text, self.params, k=k, pool=candidates)
+
+    def rank_pool(self, queries: Sequence[Article], candidates: frozenset[str],
+                  k: int) -> dict[str, list[tuple[str, float]]]:
+        return lexical.search_pool(self.index, [(q.id, q.text) for q in queries], candidates,
+                                   self.params, k=k)
 
 
 class DenseModel(RetrievalModel):
@@ -58,6 +75,11 @@ class DenseModel(RetrievalModel):
             raise KeyError(f"no embedding row for query {query.id!r}")
         return dense.knn(self.store, self.store.vector(query.id), k,
                          metric=self.metric, pool=candidates, chunks=self.chunks)
+
+    def rank_pool(self, queries: Sequence[Article], candidates: frozenset[str],
+                  k: int) -> dict[str, list[tuple[str, float]]]:
+        return dense.knn_pool(self.store, [q.id for q in queries], candidates, k,
+                              metric=self.metric, chunks=self.chunks)
 
 
 @dataclass
@@ -79,14 +101,11 @@ class RetrievalRun:
 
 def run_retrieval(model: RetrievalModel, pool_set: PoolSet, corpus: Corpus,
                   cutoff: int = 500) -> RetrievalRun:
-    """Rank the shared pool for every pool query; a query is never its own
-    candidate. The cutoff truncates each ranking."""
-    members = pool_set.members()
-    rankings: dict[str, list[tuple[str, float]]] = {}
-    for q in sorted(pool_set.positives):
-        candidates = members - {q}
-        rankings[q] = model.rank(corpus.article(q), candidates, cutoff)
-    return RetrievalRun(model.name, rankings, cutoff)
+    """Rank the shared pool for every pool query, in query id order, with one
+    `rank_pool` call; a query is never its own candidate. The cutoff
+    truncates each ranking."""
+    queries = [corpus.article(q) for q in sorted(pool_set.positives)]
+    return RetrievalRun(model.name, model.rank_pool(queries, pool_set.members(), cutoff), cutoff)
 
 
 @dataclass

@@ -213,7 +213,10 @@ def _query_terms(index: Bm25Index, tokens: list[str], mask: np.ndarray | None):
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
-def _ranked(index: Bm25Index, terms, params: Bm25Params, k: int) -> list[tuple[str, float]]:
+def _ranked(index: Bm25Index, terms, params: Bm25Params, k: int,
+            exclude: int | None = None) -> list[tuple[str, float]]:
+    """The top k of the gathered postings, row `exclude` left out; sums are
+    per document, so leaving a row out after summing equals never pooling it."""
     if terms is None:
         return []
     rows, tfs, idfs = terms
@@ -226,6 +229,8 @@ def _ranked(index: Bm25Index, terms, params: Bm25Params, k: int) -> list[tuple[s
     np.add.at(acc, rows, contrib)
     touched = np.zeros(index.N, dtype=bool)
     touched[rows] = True
+    if exclude is not None:
+        touched[exclude] = False
     hit = np.flatnonzero(touched)
     return rank_rows(index.ids, index.id_rank, hit, acc[hit], k)
 
@@ -241,6 +246,21 @@ def search(index: Bm25Index, query_text: str, params: Bm25Params = Bm25Params(),
     mask = None if pool is None else index._pool_mask(pool)
     return _ranked(index, _query_terms(index, analyze(query_text, index.analyzer), mask),
                    params, k)
+
+
+def search_pool(index: Bm25Index, queries, pool, params: Bm25Params = Bm25Params(),
+                k: int = 500) -> dict[str, list[tuple[str, float]]]:
+    """Top-k for many (query id, query text) pairs against one shared pool,
+    keyed by query id in the given order; a query is never its own
+    candidate. Equal to search(index, text, params, k, pool - {id}) for each
+    pair, with the pool mask built once for all of them.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    mask = index._pool_mask(pool)
+    return {qid: _ranked(index, _query_terms(index, analyze(text, index.analyzer), mask),
+                         params, k, exclude=index._row.get(qid))
+            for qid, text in queries}
 
 
 def default_tuning_grid() -> list[Bm25Params]:

@@ -16,13 +16,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import CitationGraph, Corpus, FieldLabel, field_cited_set, resolve_field
+from .util import is_str_list
 
 DATASET_LEVEL = "dataset"
 FIELD_LEVEL = "field"
 
-# desk-scale defaults; the full-scale sizes stay available for real corpora
+# desk-scale defaults
 DEFAULT_POOL_SIZES = (2_000, 5_000, 10_000, 20_000)
-FULL_SCALE_POOL_SIZES = (200_000, 500_000, 1_000_000, 2_000_000)
 
 
 @dataclass(frozen=True)
@@ -118,13 +118,16 @@ def _query_year(corpus: Corpus, queries: Iterable[str]) -> int:
     return max(years)
 
 
-def _assemble(corpus: Corpus, graph: CitationGraph, queries: list[str], size: int, seed: int,
-              fill_population: list[str], setup: str, field_abbrev: str | None,
-              query_year: int) -> PoolSet:
-    qset = set(queries)
-    cited_union: set[str] = set()
+def _cited_union(graph: CitationGraph, queries: list[str]) -> set[str]:
+    cited: set[str] = set()
     for q in queries:
-        cited_union |= graph.outgoing.get(q, frozenset())
+        cited |= graph.outgoing.get(q, frozenset())
+    return cited
+
+
+def _assemble(graph: CitationGraph, queries: list[str], cited_union: set[str], size: int,
+              seed: int, fill_population: list[str], setup: str, field_abbrev: str | None,
+              query_year: int) -> PoolSet:
     if size < len(cited_union):
         raise ValueError(
             f"pool size {size} cannot hold the {len(cited_union)} articles cited by the queries"
@@ -137,7 +140,7 @@ def _assemble(corpus: Corpus, graph: CitationGraph, queries: list[str], size: in
         fill = random.Random(seed).sample(fill_population, need)
         shortfall = False
     pool_ids = sorted(cited_union | set(fill))
-    positives = {q: sorted(graph.outgoing.get(q, frozenset())) for q in sorted(qset)}
+    positives = {q: sorted(graph.outgoing.get(q, frozenset())) for q in sorted(set(queries))}
     return PoolSet(setup, field_abbrev, seed, query_year, size, shortfall, pool_ids, positives)
 
 
@@ -148,16 +151,14 @@ def build_dataset_pool(corpus: Corpus, graph: CitationGraph, queries: Iterable[s
     are never used as fill."""
     queries = list(queries)
     query_year = _query_year(corpus, queries)
-    cited: set[str] = set()
-    for q in queries:
-        cited |= graph.outgoing.get(q, frozenset())
+    cited = _cited_union(graph, queries)
     qset = set(queries)
     fill_population = sorted(
         art.id for art in corpus
         if art.id not in cited and art.id not in qset
         and art.year is not None and art.year <= query_year
     )
-    return _assemble(corpus, graph, queries, size, seed, fill_population,
+    return _assemble(graph, queries, cited, size, seed, fill_population,
                      DATASET_LEVEL, None, query_year)
 
 
@@ -169,9 +170,7 @@ def build_field_pool(corpus: Corpus, graph: CitationGraph, field: str | FieldLab
     label = resolve_field(field)
     queries = list(queries)
     query_year = _query_year(corpus, queries)
-    cited: set[str] = set()
-    for q in queries:
-        cited |= graph.outgoing.get(q, frozenset())
+    cited = _cited_union(graph, queries)
     qset = set(queries)
     fcs = field_cited_set(corpus, graph, label)
     fill_population = sorted(
@@ -179,7 +178,7 @@ def build_field_pool(corpus: Corpus, graph: CitationGraph, field: str | FieldLab
         if i not in cited and i not in qset
         and corpus.article(i).year is not None and corpus.article(i).year <= query_year
     )
-    return _assemble(corpus, graph, queries, size, seed, fill_population,
+    return _assemble(graph, queries, cited, size, seed, fill_population,
                      FIELD_LEVEL, label.abbrev, query_year)
 
 
@@ -213,16 +212,67 @@ def write_pool_json(pool: PoolSet, path) -> None:
 
 
 def read_pool_json(path) -> PoolSet:
+    """Read a pool file as write_pool_json writes it; errors name the path.
+
+    Every key write_pool_json writes is required (`field` when `setup` is
+    "field"): string `setup` and `field`, integer `seed`, `query_year` and
+    `target_size` (not bools), boolean `shortfall`, `pool_ids` a list of
+    distinct strings, and `queries` a list of {"query_id": str, "positives":
+    [str, ...]} objects with distinct query ids and positives in `pool_ids`.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    positives = {entry["query_id"]: list(entry["positives"]) for entry in obj["queries"]}
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: malformed JSON: {exc}") from None
+
+    def fail(message: str):
+        raise ValueError(f"{path}: {message}")
+
+    if not isinstance(obj, dict):
+        fail("pool file must be a JSON object")
+    required = ["setup", "seed", "query_year", "target_size", "shortfall", "pool_ids", "queries"]
+    if obj.get("setup") == FIELD_LEVEL:
+        required.append("field")
+    for key in required:
+        if key not in obj:
+            fail(f"missing key {key!r}")
+    for key in ("setup", "field"):
+        if key in obj and not isinstance(obj[key], str):
+            fail(f"{key} must be a string")
+    for key in ("seed", "query_year", "target_size"):
+        if isinstance(obj[key], bool) or not isinstance(obj[key], int):
+            fail(f"{key} must be an integer, got {obj[key]!r}")
+    if not isinstance(obj["shortfall"], bool):
+        fail(f"shortfall must be a boolean, got {obj['shortfall']!r}")
+    pool_ids = obj["pool_ids"]
+    if not is_str_list(pool_ids):
+        fail("pool_ids must be a list of strings")
+    members = set(pool_ids)
+    if len(members) != len(pool_ids):
+        fail("duplicate pool ids")
+    if not isinstance(obj["queries"], list):
+        fail("queries must be a list")
+    positives: dict[str, list[str]] = {}
+    for entry in obj["queries"]:
+        if not (isinstance(entry, dict) and isinstance(entry.get("query_id"), str)
+                and is_str_list(entry.get("positives"))):
+            fail("each query must be an object with a string query_id and a list of "
+                 "string positives")
+        q = entry["query_id"]
+        if q in positives:
+            fail(f"duplicate query id {q!r}")
+        outside = [p for p in entry["positives"] if p not in members]
+        if outside:
+            fail(f"query {q!r} has positives outside pool_ids: {outside[:3]}")
+        positives[q] = entry["positives"]
     return PoolSet(
         setup=obj["setup"],
         field=obj.get("field"),
         seed=obj["seed"],
-        query_year=obj.get("query_year", 0),
-        target_size=obj.get("target_size", len(obj["pool_ids"])),
-        shortfall=obj.get("shortfall", False),
-        pool_ids=list(obj["pool_ids"]),
+        query_year=obj["query_year"],
+        target_size=obj["target_size"],
+        shortfall=obj["shortfall"],
+        pool_ids=pool_ids,
         positives=positives,
     )

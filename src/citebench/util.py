@@ -19,6 +19,11 @@ def canonical_json(obj: Any) -> str:
     return _CANONICAL.encode(obj)
 
 
+def is_str_list(value) -> bool:
+    """True for a list whose items are all strings: the shape of id lists in input files."""
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
 def stable_digest(*parts: str) -> str:
     """SHA-256 hex digest over the given string parts with an unambiguous separator."""
     h = hashlib.sha256()

@@ -24,6 +24,7 @@ from citebench.benchgen import (GRAPH_TYPE, MOST_CITED_TYPE, RANDOM_TYPE, Benchm
                                 graph_negatives, sample_positives, select_diverse_models,
                                 top_negatives_per_model)
 from citebench.corpus import FIELD_ABBREVS, _article_obj, resolve_field
+from citebench.harness import RetrievalRun
 from citebench.util import derive_seed, stable_digest
 
 
@@ -121,6 +122,18 @@ def tuple_sort_knn(ids, vectors, query, k: int, metric: str, pool=None,
     else:
         candidates.sort(key=lambda item: (item[1], item[0]))
     return candidates[:k]
+
+
+def per_query_run_retrieval(model, pool_set, corpus, cutoff: int = 500) -> RetrievalRun:
+    """The run loop that one `rank_pool` call per run replaced, kept as its
+    reference: one `rank` call per query, each against a fresh copy of the
+    pool without the query."""
+    members = pool_set.members()
+    rankings: dict[str, list[tuple[str, float]]] = {}
+    for q in sorted(pool_set.positives):
+        candidates = members - {q}
+        rankings[q] = model.rank(corpus.article(q), candidates, cutoff)
+    return RetrievalRun(model.name, rankings, cutoff)
 
 
 def subset_type_breakdown(model, benchmark, corpus, recall_cutoff: int = 5):

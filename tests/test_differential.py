@@ -10,17 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citebench import metrics
+from citebench import dense, metrics
 from citebench.benchgen import (BenchmarkParams, _SortedWithout, build_benchmark,
                                 most_cited_negatives, random_negatives)
 from citebench.corpus import Corpus, build_citation_graph, resolve_field
 from citebench.dense import EmbeddingStore, knn
+from citebench.harness import Bm25Model, DenseModel, RetrievalModel, run_retrieval
 from citebench.lexical import (AnalyzerConfig, Bm25Params, analyze, build_index, load_index,
                                save_index, score, search, tune_params)
+from citebench.pools import DATASET_LEVEL, PoolSet
 from conftest import make_article
 from oracles import (dict_bm25_index, dict_bm25_search, per_query_build_benchmark,
                      per_query_most_cited_negatives, per_query_random_negatives,
-                     tuple_sort_knn)
+                     per_query_run_retrieval, tuple_sort_knn)
 
 VOCAB = ["a", "b", "c", "d", "e", "f"]
 # ids whose sorted order differs from insertion order, mixed case included
@@ -378,3 +380,199 @@ class TestBuildBenchmarkAgainstPerQuery:
                       for m in ("m1", "m2", "m3")}
         with pytest.raises(ValueError, match="no articles labeled 'Chemistry'"):
             build_benchmark(corpus, graph, {"Ch": ["strong"]}, model_runs, params, seed=2)
+
+
+# ---------------------------------------------------------------------------
+# run_retrieval: one rank_pool call per run against the per-query loop
+# ---------------------------------------------------------------------------
+
+METRIC_NAMES = ["cosine", "dot", "euclidean"]
+
+
+def pool_set_of(pool_ids, queries):
+    """A pool file's worth of run input: run_retrieval reads only the pool
+    ids and the query ids."""
+    return PoolSet(DATASET_LEVEL, None, 0, 2019, len(pool_ids), False, sorted(pool_ids),
+                   {q: [] for q in queries})
+
+
+def draw_pool_and_queries(draw, query_ids, pool_ids):
+    """Queries drawn from `query_ids`; a pool drawn from `pool_ids` that may
+    be empty, hold only one query, or hold or miss any query."""
+    queries = draw(st.lists(st.sampled_from(query_ids), unique=True, max_size=6))
+    shape = draw(st.sampled_from(["any", "any", "empty", "only-query"]))
+    if shape == "empty":
+        pool = set()
+    elif shape == "only-query" and queries:
+        pool = {draw(st.sampled_from(queries))}
+    else:
+        pool = set(draw(st.lists(st.sampled_from(pool_ids), unique=True)))
+    return pool, queries
+
+
+def assert_same_run(run, expected):
+    assert run == expected
+    assert list(run.rankings) == list(expected.rankings)
+
+
+# articles outside the index: queries with no indexed row and pool ids the
+# index lacks
+UNINDEXED = ["u1", "Q0", "zz0"]
+
+
+class TestRunRetrievalBm25AgainstPerQuery:
+    @SETTINGS
+    @given(docs=doc_texts, extra=st.lists(query_tokens, min_size=len(UNINDEXED),
+                                          max_size=len(UNINDEXED)),
+           k1=k1_values, b=b_values, data=st.data())
+    def test_equals_per_query_loop(self, docs, extra, k1, b, data):
+        ix, texts = index_of(docs)
+        corpus = Corpus([make_article(i, title=" ".join(tokens), abstract="")
+                         for i, tokens in list(docs) + list(zip(UNINDEXED, extra))])
+        ids = list(corpus.ids())
+        pool, queries = draw_pool_and_queries(data.draw, ids, ids + ["ghost", "x404"])
+        cutoff = data.draw(st.integers(1, len(ids) + 3))
+        model = Bm25Model(ix, Bm25Params(k1, b))
+        run = run_retrieval(model, pool_set_of(pool, queries), corpus, cutoff)
+        assert_same_run(run, per_query_run_retrieval(model, pool_set_of(pool, queries), corpus,
+                                                     cutoff))
+        postings, doc_lengths = dict_bm25_index(texts)
+        for q in queries:
+            assert run.rankings[q] == dict_bm25_search(
+                postings, doc_lengths, analyze(corpus.article(q).text), k1, b, cutoff,
+                pool - {q})
+
+    def test_query_without_pooled_posting(self):
+        texts = {"d1": "a b", "d2": "c", "Q0": "a c"}
+        ix, _ = index_of([(i, t.split()) for i, t in texts.items()])
+        corpus = Corpus([make_article(i, title=t, abstract="") for i, t in texts.items()])
+        model = Bm25Model(ix)
+        for pool in ({"Q0"}, {"d1"}, {"Q0", "d2"}, {"ghost"}, set()):
+            pool_set = pool_set_of(pool, ["Q0", "d2"])
+            run = run_retrieval(model, pool_set, corpus, 5)
+            assert_same_run(run, per_query_run_retrieval(model, pool_set, corpus, 5))
+        # Q0's only pooled posting is its own; d2's term is not pooled at all
+        assert run_retrieval(model, pool_set_of({"Q0"}, ["Q0"]), corpus, 5).rankings == {"Q0": []}
+        assert run_retrieval(model, pool_set_of({"d1"}, ["d2"]), corpus, 5).rankings == {"d2": []}
+
+
+@st.composite
+def dense_cases(draw):
+    """An integer-valued store (ties, duplicate and zero rows) and a corpus
+    holding its ids."""
+    ids, dim = draw(vectors_and_ids)
+    cells = st.integers(-2, 2).map(float)
+    matrix = np.array(draw(st.lists(st.lists(cells, min_size=dim, max_size=dim),
+                                    min_size=len(ids), max_size=len(ids))), dtype=np.float32)
+    return ids, matrix
+
+
+class TestRunRetrievalDenseAgainstPerQuery:
+    @SETTINGS
+    @given(case=dense_cases(), metric=st.sampled_from(METRIC_NAMES), chunks=st.integers(1, 5),
+           block=st.sampled_from([1, 2, 3, 7, 512]),
+           group=st.sampled_from([1, 2, 3, None]), data=st.data())
+    def test_equals_per_query_loop(self, case, metric, chunks, block, group, data):
+        ids, matrix = case
+        corpus = Corpus([make_article(i) for i in ids])
+        pool, queries = draw_pool_and_queries(data.draw, ids, ids)
+        cutoff = data.draw(st.integers(1, len(ids) + 2))
+        # a budget of `group` score rows for the largest pool, so pools
+        # span several blocks and runs several query groups
+        budget = 1 << 30 if group is None else 8 * max(len(pool), 1) * group
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dense, "_BLOCK", block)
+            mp.setattr(dense, "_SCORE_BUDGET", budget)
+            store = EmbeddingStore(ids, matrix)
+            model = DenseModel(store, metric, chunks=chunks)
+            run = run_retrieval(model, pool_set_of(pool, queries), corpus, cutoff)
+            expected = per_query_run_retrieval(model, pool_set_of(pool, queries), corpus,
+                                               cutoff)
+        assert_same_run(run, expected)
+        for q in queries:
+            assert run.rankings[q] == tuple_sort_knn(ids, matrix, store.vector(q), cutoff,
+                                                     metric, pool - {q}, chunks)
+
+    @pytest.mark.parametrize("metric", METRIC_NAMES)
+    def test_several_blocks_and_groups_real_valued(self, metric, monkeypatch):
+        rng = np.random.default_rng(11)
+        n, dim = 1300, 24
+        ids = [f"v{i:05d}" for i in rng.permutation(n)]
+        matrix = rng.standard_normal((n, dim)).astype(np.float32)
+        matrix[4] = 0.0
+        matrix[900] = matrix[2]
+        corpus = Corpus([make_article(i) for i in ids])
+        pool = set(rng.choice(ids, size=1200, replace=False).tolist())
+        queries = sorted(rng.choice(ids, size=9, replace=False).tolist())
+        # three 512-row blocks, and query groups of two
+        monkeypatch.setattr(dense, "_SCORE_BUDGET", 8 * len(pool) * 2)
+        store = EmbeddingStore(ids, matrix)
+        for chunks in (1, 4):
+            model = DenseModel(store, metric, chunks=chunks)
+            run = run_retrieval(model, pool_set_of(pool, queries), corpus, 40)
+            assert_same_run(run, per_query_run_retrieval(model, pool_set_of(pool, queries),
+                                                         corpus, 40))
+            for q in queries:
+                assert run.rankings[q] == tuple_sort_knn(ids, matrix, store.vector(q), 40,
+                                                         metric, pool - {q}, chunks)
+
+
+def run_outcome(run, *args):
+    """The run, or the KeyError's message, so raising and returning both
+    compare with ==."""
+    try:
+        return run(*args)
+    except KeyError as exc:
+        return str(exc)
+
+
+class TestRunRetrievalErrors:
+    def _store(self, ids):
+        return EmbeddingStore(ids, np.arange(2 * len(ids), dtype=np.float32).reshape(-1, 2))
+
+    def test_missing_query_embedding(self):
+        corpus = Corpus([make_article(i) for i in ("a", "b", "c", "q")])
+        model = DenseModel(self._store(["a", "b", "c"]))
+        pool_set = pool_set_of({"a", "b"}, ["a", "q"])
+        with pytest.raises(KeyError, match="query"):
+            run_retrieval(model, pool_set, corpus, 5)
+        assert (run_outcome(run_retrieval, model, pool_set, corpus, 5)
+                == run_outcome(per_query_run_retrieval, model, pool_set, corpus, 5))
+
+    def test_pool_id_without_embedding_row(self):
+        corpus = Corpus([make_article(i) for i in ("a", "b", "c")])
+        model = DenseModel(self._store(["a", "b", "c"]))
+        pool_set = pool_set_of({"a", "ghost"}, ["b", "c"])
+        with pytest.raises(KeyError, match="pool id 'ghost' has no embedding row"):
+            run_retrieval(model, pool_set, corpus, 5)
+        assert (run_outcome(run_retrieval, model, pool_set, corpus, 5)
+                == run_outcome(per_query_run_retrieval, model, pool_set, corpus, 5))
+
+    def test_no_queries_ranks_nothing(self):
+        corpus = Corpus([make_article(i) for i in ("a", "b")])
+        for model in (DenseModel(self._store(["a", "b"])), Bm25Model(build_index(corpus))):
+            run = run_retrieval(model, pool_set_of({"a", "ghost"}, []), corpus, 5)
+            assert run.rankings == {}
+
+
+class CountingStub(RetrievalModel):
+    """Overrides only `rank`, recording each call's query and candidates."""
+
+    name = "stub"
+
+    def __init__(self):
+        self.calls = []
+
+    def rank(self, query, candidates, k):
+        self.calls.append((query.id, candidates))
+        return [(d, 1.0) for d in sorted(candidates)][:k]
+
+
+def test_rank_only_stub_gets_one_rank_call_per_query():
+    corpus = Corpus([make_article(i) for i in ("a", "b", "c", "q1", "q2")])
+    pool_set = pool_set_of({"a", "b", "q1"}, ["q2", "q1"])
+    stub = CountingStub()
+    run = run_retrieval(stub, pool_set, corpus, 10)
+    assert stub.calls == [("q1", frozenset({"a", "b"})), ("q2", frozenset({"a", "b", "q1"}))]
+    assert run.rankings == {"q1": [("a", 1.0), ("b", 1.0)],
+                            "q2": [("a", 1.0), ("b", 1.0), ("q1", 1.0)]}

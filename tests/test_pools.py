@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from citebench.corpus import (Corpus, UnknownFieldError, build_citation_graph,
@@ -238,3 +240,105 @@ class TestPoolFile:
         assert loaded.positives == pool.positives
         assert loaded.setup == "field" and loaded.field == "Med"
         assert loaded.seed == 5 and loaded.query_year == pool.query_year
+
+    def test_dataset_pool_roundtrip_without_field(self, tmp_path):
+        corpus = grid_corpus()
+        pool = build_dataset_pool(corpus, build_citation_graph(corpus), ["Q1", "Q2"], size=40,
+                                  seed=3)
+        path = tmp_path / "d.json"
+        write_pool_json(pool, path)
+        assert "field" not in json.loads(path.read_text(encoding="utf-8"))
+        assert read_pool_json(path) == pool
+
+
+def _field_pool_obj():
+    corpus = grid_corpus()
+    pool = build_field_pool(corpus, build_citation_graph(corpus), "Med", ["Q1", "Q2"], size=9,
+                            seed=5)
+    return pool
+
+
+def _without(key):
+    def edit(obj):
+        del obj[key]
+    return edit
+
+
+def _setting(key, value):
+    def edit(obj):
+        obj[key] = value
+    return edit
+
+
+def _query_setting(key, value):
+    def edit(obj):
+        obj["queries"][0][key] = value
+    return edit
+
+
+def _duplicate_pool_id(obj):
+    obj["pool_ids"].append(obj["pool_ids"][0])
+
+
+def _duplicate_query(obj):
+    obj["queries"].append(dict(obj["queries"][0]))
+
+
+def _outside_positive(obj):
+    obj["queries"][0]["positives"].append("NOT-IN-POOL")
+
+
+BAD_POOL_FILES = {
+    **{f"missing-{key}": (_without(key), f"missing key '{key}'")
+       for key in ("setup", "field", "seed", "query_year", "target_size", "shortfall",
+                   "pool_ids", "queries")},
+    "setup-int": (_setting("setup", 1), "setup must be a string"),
+    "field-int": (_setting("field", 7), "field must be a string"),
+    "seed-str": (_setting("seed", "5"), "seed must be an integer"),
+    "seed-bool": (_setting("seed", True), "seed must be an integer"),
+    "query-year-float": (_setting("query_year", 2019.0), "query_year must be an integer"),
+    "query-year-bool": (_setting("query_year", False), "query_year must be an integer"),
+    "target-size-null": (_setting("target_size", None), "target_size must be an integer"),
+    "shortfall-int": (_setting("shortfall", 0), "shortfall must be a boolean"),
+    "pool-ids-str": (_setting("pool_ids", "O1O2"), "pool_ids must be a list of strings"),
+    "pool-ids-int": (_setting("pool_ids", [1, 2]), "pool_ids must be a list of strings"),
+    "queries-object": (_setting("queries", {"Q1": []}), "queries must be a list"),
+    "query-not-object": (_setting("queries", [["Q1", []]]), "each query must be an object"),
+    "query-id-int": (_query_setting("query_id", 1), "each query must be an object"),
+    "query-id-missing": (_query_setting("query_id", None), "each query must be an object"),
+    "positives-str": (_query_setting("positives", "O1"), "each query must be an object"),
+    "duplicate-pool-id": (_duplicate_pool_id, "duplicate pool ids"),
+    "duplicate-query": (_duplicate_query, "duplicate query id 'Q1'"),
+    "positive-outside-pool": (_outside_positive, "positives outside pool_ids"),
+}
+
+
+class TestStrictPoolReader:
+    @pytest.mark.parametrize("case", sorted(BAD_POOL_FILES))
+    def test_bad_pool_file_named(self, tmp_path, case):
+        edit, message = BAD_POOL_FILES[case]
+        path = tmp_path / "pool.json"
+        write_pool_json(_field_pool_obj(), path)
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        edit(obj)
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(ValueError, match=message) as err:
+            read_pool_json(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("text", ["{", "", "[]", "null"])
+    def test_malformed_or_non_object_named(self, tmp_path, text):
+        path = tmp_path / "pool.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match="malformed JSON|must be a JSON object") as err:
+            read_pool_json(path)
+        assert str(path) in str(err.value)
+
+    def test_field_optional_for_dataset_setup(self, tmp_path):
+        path = tmp_path / "pool.json"
+        write_pool_json(_field_pool_obj(), path)
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        obj["setup"] = "dataset"
+        del obj["field"]
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        assert read_pool_json(path).field is None
