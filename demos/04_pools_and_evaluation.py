@@ -21,8 +21,8 @@ graph = build_citation_graph(corpus)
 corpus = prefilter(corpus, graph).corpus
 graph = build_citation_graph(corpus)
 
-plan = SamplingPlan(queries_per_unit=15, rng_seed=5, query_year=2019,
-                    pool_sizes=(500, 1000, 2000), repetitions=3)
+plan = SamplingPlan(queries_per_unit=15, rng_seed=5, query_year=2019, repetitions=3)
+pool_sizes = (500, 1000, 2000)
 queries = sample_queries(corpus, graph, plan)
 qrels = {q: set(graph.outgoing[q]) for q in queries}
 print(f"sampled {len(queries)} query articles from {plan.query_year}; "
@@ -36,7 +36,7 @@ models = {
 # --- dataset-level pools of growing size, three repetitions each -------------
 print("\ndataset-level (mean over 3 repetitions, values x100):")
 print(f"{'size':>6} {'model':>6} {'MAP':>6} {'nDCG':>6} {'R@30':>6}")
-for size in plan.pool_sizes:
+for size in pool_sizes:
     builder = lambda seed: build_dataset_pool(corpus, graph, queries, size, seed)
     for name, model in models.items():
         means = {"map": [], "ndcg": [], "recall@30": []}

@@ -38,8 +38,11 @@ for FIELD in Med CS; do
     --size 250 --queries 4 --repetitions 1 --seed 97 --out "out/pools_$FIELD"
 done
 
+# tune takes its cutoff from a --config file: keys are flag dest names and
+# values JSON-typed, so this equals passing --cutoff 100
+printf '{"cutoff": 100}\n' > tune_config.json
 python3 -m citebench tune --corpus "$PREF" --pool out/pools_Med/pool_field_Med_250_rep0.json \
-  --cutoff 100 --out out/tune
+  --config tune_config.json --out out/tune
 
 RUNS=()
 for FIELD in Med CS; do

@@ -17,7 +17,7 @@ from .lexical import (AnalyzerConfig, Bm25Index, Bm25Params, analyze, build_inde
 from .dense import EmbeddingStore, knn, load_embeddings, save_embeddings
 from .metrics import (MetricsReport, average_precision, evaluate_run, jaccard, ndcg,
                       recall_at_k)
-from .pools import (CandidatePool, PoolSet, SamplingPlan, build_dataset_pool,
+from .pools import (PoolSet, SamplingPlan, build_dataset_pool,
                     build_field_pool, read_pool_json, repeat_pools, sample_queries,
                     write_pool_json)
 from .benchgen import (Benchmark, BenchmarkEntry, BenchmarkParams, build_benchmark,

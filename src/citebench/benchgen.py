@@ -81,12 +81,6 @@ class Benchmark:
             return list(self.manifest["types"])
         return list(self.entries[0].negatives) if self.entries else []
 
-    def by_field(self) -> dict[str, list[BenchmarkEntry]]:
-        grouped: dict[str, list[BenchmarkEntry]] = {}
-        for entry in self.entries:
-            grouped.setdefault(entry.field, []).append(entry)
-        return grouped
-
     def pair_count(self) -> int:
         return sum(
             len(e.positives) + sum(len(ids) for ids in e.negatives.values())
@@ -314,7 +308,8 @@ def build_benchmark(corpus: Corpus, graph: CitationGraph,
                 dropped[abbrev] = dropped.get(abbrev, 0) + 1
             else:
                 entries.append(entry)
-    manifest = {
+    benchmark = Benchmark(entries, {})
+    benchmark.manifest = {
         "seed": seed,
         "models": list(chosen),
         "types": type_order,
@@ -322,11 +317,9 @@ def build_benchmark(corpus: Corpus, graph: CitationGraph,
         "corpus_hash": corpus.content_hash(),
         "entries": len(entries),
         "dropped": {k: dropped[k] for k in sorted(dropped)},
-        "pairs": sum(
-            len(e.positives) + sum(len(ids) for ids in e.negatives.values()) for e in entries
-        ),
+        "pairs": benchmark.pair_count(),
     }
-    return Benchmark(entries, manifest)
+    return benchmark
 
 
 def _build_entry(corpus, graph, query_id, abbrev, chosen, per_model, params, seed, most_cited):

@@ -1,10 +1,12 @@
 """Command-line pipeline frontend.
 
-A JSON config file supplies defaults; flags win. All randomness flows from
-an explicit --seed (there is no wall-clock seeding anywhere), so identical
-config plus seed reproduces a byte-identical output tree. Every artifact
-gets a sibling ``<name>.manifest.json`` embedding the tool version and a
-hash of the resolved configuration (output paths excluded from the hash).
+A JSON --config file sets flags by dest name with JSON-typed values; flags
+win. An unset flag gets its library default, or its entry in _CLI_DEFAULTS.
+All randomness flows from an explicit --seed (there is no wall-clock
+seeding anywhere), so identical config plus seed reproduces a
+byte-identical output tree. Every artifact gets a sibling
+``<name>.manifest.json`` embedding the tool version and a hash of the
+resolved configuration (output paths excluded from the hash).
 
 Subcommands: ingest, prefilter, pool, tune, run, eval, benchgen, breakdown,
 report. Errors exit nonzero with a machine-readable JSON object on stderr.
@@ -23,15 +25,19 @@ from .benchgen import (Benchmark, BenchmarkParams, build_benchmark,
 from .corpus import (PrefilterRules, build_citation_graph, load_corpus,
                      prefilter, write_corpus_jsonl, FIELD_ABBREVS)
 from .dense import load_embeddings
-from .harness import (Bm25Model, DenseModel, RetrievalModel, candidate_type_breakdown,
-                      emit_report, rank_benchmark, run_retrieval, score_benchmark_rankings)
+from .harness import (DEFAULT_CUTOFF, Bm25Model, DenseModel, RetrievalModel,
+                      candidate_type_breakdown, emit_report, rank_benchmark, run_retrieval,
+                      score_benchmark_rankings)
 from .lexical import Bm25Params, build_index, default_tuning_grid, tune_params
 from .metrics import evaluate_run, read_run_tsv, write_run_tsv
 from .pools import (SamplingPlan, build_dataset_pool, build_field_pool,
                     read_pool_json, repeat_pools, sample_queries, write_pool_json)
-from .util import canonical_json, stable_digest
+from .util import canonical_json, is_str_list, stable_digest
 
 _METRIC_DISPLAY = {"map": "MAP", "ndcg": "nDCG"}
+
+# defaults of flags that no library parameter has
+_CLI_DEFAULTS = {"queries": 200, "cutoff": DEFAULT_CUTOFF, "model": "bm25"}
 
 
 def _display_metric(key: str) -> str:
@@ -42,21 +48,42 @@ def _display_metric(key: str) -> str:
     return key
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
+def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: malformed JSON: {exc}") from None
+
+
+def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Give each unset flag its --config value: keys are flag dests, values
+    of the flag's JSON type (bools are not ints, repeatable flags take lists).
+    An int for a float flag becomes the float the flag would parse, so a
+    config hashes like the same flags; no other value is converted."""
+    if args.config is None:
+        return
+    config = _read_json(args.config)
     if not isinstance(config, dict):
-        raise ValueError("config file must hold a JSON object")
-    return config
-
-
-def _merge_config(args: argparse.Namespace, config: dict) -> None:
-    # flags win over config values; config fills everything left at None
+        raise ValueError(f"{args.config}: config file must hold a JSON object")
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {a.dest: a for a in subparsers.choices[args.command]._actions
+             if a.option_strings and a.dest not in ("config", "help")}
     for key, value in config.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, value)
+        action = flags.get(key)
+        if action is None:
+            raise ValueError(f"{args.config}: key {key!r} is not a flag of {args.command}")
+        if isinstance(action, argparse._AppendAction):
+            takes, ok = "a non-empty list of strings", is_str_list(value) and value != []
+        else:
+            kind = bool if action.nargs == 0 else action.type or str
+            kinds = (int, float) if kind is float else (kind,)
+            takes = action.choices or " or ".join(k.__name__ for k in kinds)
+            ok = type(value) in kinds and value in (action.choices or [value])
+        if not ok:
+            raise ValueError(f"{args.config}: key {key!r} takes {takes}, got {value!r}")
+        if getattr(args, key) is None:
+            setattr(args, key, float(value) if action.type is float else value)
 
 
 def _config_hash(args: argparse.Namespace) -> str:
@@ -66,15 +93,13 @@ def _config_hash(args: argparse.Namespace) -> str:
 
 
 def _write_manifest(out_dir: Path, artifact: str, args: argparse.Namespace) -> None:
-    manifest = {
+    _write_json(out_dir / f"{artifact}.manifest.json", {
         "tool": "citebench",
         "version": __version__,
         "command": args.command,
         "config_hash": _config_hash(args),
         "seed": getattr(args, "seed", None),
-    }
-    path = out_dir / f"{artifact}.manifest.json"
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    })
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -93,54 +118,68 @@ def _require(args: argparse.Namespace, *names: str) -> None:
             raise ValueError(f"--{name.replace('_', '-')} is required for {args.command}")
 
 
-def _parse_embeddings(specs: list[str] | None) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for spec in specs or []:
-        if "=" not in spec:
-            raise ValueError(f"--embeddings takes NAME=PATH, got {spec!r}")
-        name, path = spec.split("=", 1)
-        out[name] = path
-    return out
+def _given(args: argparse.Namespace, **params: str) -> dict:
+    """{parameter: flag value} for the flags that were set; the callee's defaults do the rest."""
+    return {param: getattr(args, flag) for param, flag in params.items()
+            if getattr(args, flag) is not None}
+
+
+def _flag(args: argparse.Namespace, name: str):
+    """The flag's value, or its CLI-only default when it was not set."""
+    value = getattr(args, name)
+    return _CLI_DEFAULTS[name] if value is None else value
+
+
+def _name_paths(specs: list[str], flag: str, *, unique: bool) -> list[tuple[str, str]]:
+    """NAME=PATH specs as (name, path) pairs; with `unique`, a repeated NAME is an error."""
+    pairs: list[tuple[str, str]] = []
+    for spec in specs:
+        name, sep, path = spec.partition("=")
+        if not sep:
+            raise ValueError(f"{flag} takes NAME=PATH, got {spec!r}")
+        if unique and any(name == seen for seen, _ in pairs):
+            raise ValueError(f"{flag} names {name!r} more than once")
+        pairs.append((name, path))
+    return pairs
 
 
 def _single_pool(args: argparse.Namespace) -> str:
-    pools = args.pool if isinstance(args.pool, list) else [args.pool]
-    if len(pools) > 1:
+    if len(args.pool) > 1:
         raise ValueError(f"{args.command} takes one --pool; extra pools given: "
-                         f"{', '.join(pools[1:])}")
-    return pools[0]
+                         f"{', '.join(args.pool[1:])}")
+    return args.pool[0]
 
 
-def _tuned_params(index, corpus, pool_set, objective: str, cutoff: int) -> Bm25Params:
+def _tuned_params(index, corpus, pool_set, **options) -> Bm25Params:
     validation = [(corpus.article(q).text, set(pool_set.positives[q]))
                   for q in sorted(pool_set.positives)]
     return tune_params(index, validation, default_tuning_grid(), pool=pool_set.members(),
-                       objective=objective, cutoff=cutoff)
+                       **options)
 
 
 def _build_model(args: argparse.Namespace, corpus, index=None) -> RetrievalModel:
     """The model named by --model; a BM25 model uses `index` when given."""
-    embeddings = _parse_embeddings(getattr(args, "embeddings", None))
-    name = args.model or "bm25"
+    embeddings = dict(_name_paths(args.embeddings or [], "--embeddings", unique=True))
+    name = _flag(args, "model")
     if name in embeddings:
         vec_path = embeddings[name]
         store = load_embeddings(vec_path, vec_path + ".json")
-        return DenseModel(store, metric=args.metric or "cosine", name=name,
-                          chunks=args.threads or 1)
+        return DenseModel(store, name=name, **_given(args, metric="metric", chunks="threads"))
     if name == "bm25":
-        params = _bm25_params(args)
-        return Bm25Model(build_index(corpus) if index is None else index, params)
+        return Bm25Model(build_index(corpus) if index is None else index, _bm25_params(args))
     raise ValueError(f"unknown model {name!r}: not 'bm25' and no --embeddings entry")
 
 
 def _bm25_params(args: argparse.Namespace) -> Bm25Params:
-    k1, b = args.k1, args.b
-    if getattr(args, "params", None):
-        with open(args.params, "r", encoding="utf-8") as fh:
-            stored = json.load(fh)
-        k1 = stored["k1"] if k1 is None else k1
-        b = stored["b"] if b is None else b
-    return Bm25Params(k1=0.9 if k1 is None else k1, b=0.4 if b is None else b)
+    """k1 and b from their flags, else from the --params file, else Bm25Params' defaults."""
+    params = _given(args, k1="k1", b="b")
+    if args.params is not None:
+        stored = _read_json(args.params)
+        if not (isinstance(stored, dict)
+                and {type(stored.get(k)) for k in ("k1", "b")} <= {int, float}):
+            raise ValueError(f"{args.params}: a params file must hold numeric k1 and b")
+        params = {"k1": stored["k1"], "b": stored["b"], **params}
+    return Bm25Params(**params)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +190,7 @@ def _bm25_params(args: argparse.Namespace) -> Bm25Params:
 def cmd_ingest(args: argparse.Namespace) -> int:
     _require(args, "corpus", "out")
     out = _out_dir(args)
-    corpus = load_corpus(args.corpus, reject_budget=args.reject_budget or 0)
+    corpus = load_corpus(args.corpus, **_given(args, reject_budget="reject_budget"))
     graph = build_citation_graph(corpus)
     summary = {
         "articles": len(corpus),
@@ -169,12 +208,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_prefilter(args: argparse.Namespace) -> int:
     _require(args, "corpus", "out")
     out = _out_dir(args)
-    corpus = load_corpus(args.corpus, reject_budget=args.reject_budget or 0)
+    corpus = load_corpus(args.corpus, **_given(args, reject_budget="reject_budget"))
     graph = build_citation_graph(corpus)
-    rules = PrefilterRules(
-        min_abstract_chars=30 if args.min_abstract_chars is None else args.min_abstract_chars,
-        min_citations=3 if args.min_citations is None else args.min_citations,
-    )
+    rules = PrefilterRules(**_given(args, min_abstract_chars="min_abstract_chars",
+                                    min_citations="min_citations"))
     result = prefilter(corpus, graph, rules)
     write_corpus_jsonl(result.corpus, out / "prefiltered.jsonl")
     summary = {
@@ -196,16 +233,10 @@ def cmd_pool(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     corpus = load_corpus(args.corpus)
     graph = build_citation_graph(corpus)
-    exclusion = frozenset()
+    options = _given(args, query_year="query_year", repetitions="repetitions")
     if args.exclude:
-        exclusion = frozenset(Path(args.exclude).read_text(encoding="utf-8").split())
-    plan = SamplingPlan(
-        queries_per_unit=200 if args.queries is None else args.queries,
-        rng_seed=args.seed,
-        query_year=2019 if args.query_year is None else args.query_year,
-        repetitions=3 if args.repetitions is None else args.repetitions,
-        exclusion_ids=exclusion,
-    )
+        options["exclusion_ids"] = frozenset(Path(args.exclude).read_text(encoding="utf-8").split())
+    plan = SamplingPlan(queries_per_unit=_flag(args, "queries"), rng_seed=args.seed, **options)
     field = args.field if args.setup == "field" else None
     queries = sample_queries(corpus, graph, plan, field=field)
     if args.setup == "field":
@@ -231,11 +262,11 @@ def cmd_tune(args: argparse.Namespace) -> int:
     pool_set = read_pool_json(_single_pool(args))
     out = _out_dir(args)
     corpus = load_corpus(args.corpus)
-    best = _tuned_params(build_index(corpus), corpus, pool_set, args.objective or "map",
-                         500 if args.cutoff is None else args.cutoff)
+    best = _tuned_params(build_index(corpus), corpus, pool_set, cutoff=_flag(args, "cutoff"),
+                         **_given(args, objective="objective"))
     _write_json(out / "bm25_params.json", {"k1": best.k1, "b": best.b})
     _write_manifest(out, "bm25_params", args)
-    print(f"tune: best k1={best.k1} b={best.b} ({args.objective or 'map'})")
+    print(f"tune: best k1={best.k1} b={best.b}")
     return 0
 
 
@@ -249,7 +280,7 @@ def _check_tune_flags(args: argparse.Namespace) -> None:
     a flag that would make it rank otherwise is an error, not ignored."""
     if args.benchmark is not None:
         raise ValueError("run --tune tunes on a --pool and cannot be used with --benchmark")
-    if (args.model or "bm25") != "bm25":
+    if _flag(args, "model") != "bm25":
         raise ValueError(f"run --tune tunes BM25 only, not --model {args.model}")
     for name in ("k1", "b", "params"):
         if getattr(args, name) is not None:
@@ -265,11 +296,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     pool_set = read_pool_json(_single_pool(args)) if args.pool else None
     out = _out_dir(args)
     corpus = load_corpus(args.corpus)
-    cutoff = 500 if args.cutoff is None else args.cutoff
+    cutoff = _flag(args, "cutoff")
     index = None
     if args.tune:
         index = build_index(corpus)
-        tuned = _tuned_params(index, corpus, pool_set, "map", cutoff)
+        tuned = _tuned_params(index, corpus, pool_set, cutoff=cutoff)
         args.k1, args.b = tuned.k1, tuned.b
     model = _build_model(args, corpus, index)
     if pool_set is not None:
@@ -287,39 +318,37 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     _require(args, "run", "out")
     out = _out_dir(args)
-    runs = args.run if isinstance(args.run, list) else [args.run]
     if args.benchmark:
-        if len(runs) != 1:
+        if len(args.run) != 1:
             raise ValueError("benchmark evaluation takes exactly one --run")
         benchmark = _benchmark_with_manifest(args.benchmark)
-        rankings = read_run_tsv(runs[0])
-        report = score_benchmark_rankings(rankings, benchmark, recall_cutoff=5)
+        rankings = read_run_tsv(args.run[0])
+        report = score_benchmark_rankings(rankings, benchmark)
         rows = {abbr: report.per_field[abbr] for abbr in FIELD_ABBREVS if abbr in report.per_field}
         rows["AVG"] = report.macro
-        stem = f"eval_{Path(runs[0]).stem}"
+        stem = f"eval_{Path(args.run[0]).stem}"
         _write_json(out / f"{stem}.json",
                     {"per_field": report.per_field, "avg": report.macro})
         table = {r: {_display_metric(m): v for m, v in vals.items()} for r, vals in rows.items()}
-        emit_report(table, out / f"{stem}.tsv", fmt="tsv", row_header="Field")
+        emit_report(table, out / f"{stem}.tsv", row_header="Field")
         _write_manifest(out, stem, args)
         macro = {_display_metric(m): round(v, 4) for m, v in report.macro.items()}
         print(f"eval: {stem} AVG {macro}")
         return 0
-    pools = args.pool if isinstance(args.pool, list) else ([args.pool] if args.pool else [])
-    if len(pools) != len(runs):
+    if len(args.pool or []) != len(args.run):
         raise ValueError("eval needs one --pool per --run")
-    cutoff = 30 if args.recall_cutoff is None else args.recall_cutoff
     repetitions = []
-    for run_path, pool_path in zip(runs, pools):
+    for run_path, pool_path in zip(args.run, args.pool):
         rankings = read_run_tsv(run_path)
         pool_set = read_pool_json(pool_path)
         qrels = {q: set(pos) for q, pos in pool_set.positives.items()}
-        repetitions.append(evaluate_run(rankings, qrels, cutoff).aggregates)
+        report = evaluate_run(rankings, qrels, **_given(args, recall_cutoff="recall_cutoff"))
+        repetitions.append(report.aggregates)
     names = list(repetitions[0])
     n = len(repetitions)
     mean = {m: sum(rep[m] for rep in repetitions) / n for m in names}
     std = {m: (sum((rep[m] - mean[m]) ** 2 for rep in repetitions) / n) ** 0.5 for m in names}
-    stem = f"eval_{Path(runs[0]).stem}"
+    stem = f"eval_{Path(args.run[0]).stem}"
     _write_json(out / f"{stem}.json",
                 {"repetitions": repetitions, "mean": mean, "std": std})
     _write_manifest(out, stem, args)
@@ -342,22 +371,16 @@ def cmd_benchgen(args: argparse.Namespace) -> int:
             raise ValueError(f"duplicate field {pool_set.field!r} across pool files")
         queries_by_field[pool_set.field] = pool_set.queries()
     model_runs: dict[str, dict] = {}
-    for spec in args.run:
-        if "=" not in spec:
-            raise ValueError(f"benchgen --run takes NAME=PATH, got {spec!r}")
-        name, path = spec.split("=", 1)
+    for name, path in _name_paths(args.run, "--run", unique=False):
         rankings = read_run_tsv(path)
         merged = model_runs.setdefault(name, {})
         overlap = merged.keys() & rankings.keys()
         if overlap:
             raise ValueError(f"run {name!r}: duplicate queries across files: {sorted(overlap)[:3]}")
         merged.update(rankings)
-    params = BenchmarkParams(
-        positives_per_query=5 if args.positives is None else args.positives,
-        negatives_per_type=10 if args.negatives is None else args.negatives,
-        model_pool_depth=200 if args.depth is None else args.depth,
-        most_cited_top=200 if args.top is None else args.top,
-    )
+    params = BenchmarkParams(**_given(args, positives_per_query="positives",
+                                      negatives_per_type="negatives",
+                                      model_pool_depth="depth", most_cited_top="top"))
     benchmark = build_benchmark(corpus, graph, queries_by_field, model_runs, params, args.seed)
     benchmark.manifest["config_hash"] = _config_hash(args)
     benchmark.manifest["version"] = __version__
@@ -375,11 +398,11 @@ def cmd_breakdown(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
     benchmark = _benchmark_with_manifest(args.benchmark)
     model = _build_model(args, corpus)
-    table = candidate_type_breakdown(model, benchmark, corpus, recall_cutoff=5)
+    table = candidate_type_breakdown(model, benchmark, corpus)
     stem = f"breakdown_{model.name}"
     _write_json(out / f"{stem}.json", table)
     display = {t: {_display_metric(m): v for m, v in vals.items()} for t, vals in table.items()}
-    emit_report(display, out / f"{stem}.tsv", fmt="tsv", row_header="Type")
+    emit_report(display, out / f"{stem}.tsv", row_header="Type")
     _write_manifest(out, stem, args)
     print(f"breakdown: {model.name} over {len(table)} candidate types -> {stem}.tsv")
     return 0
@@ -388,14 +411,8 @@ def cmd_breakdown(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     _require(args, "eval", "out")
     out = _out_dir(args)
-    fmt = args.format or "tsv"
-    models: dict[str, dict] = {}
-    for spec in args.eval:
-        if "=" not in spec:
-            raise ValueError(f"report --eval takes NAME=PATH, got {spec!r}")
-        name, path = spec.split("=", 1)
-        with open(path, "r", encoding="utf-8") as fh:
-            models[name] = json.load(fh)
+    models = {name: _read_json(path)
+              for name, path in _name_paths(args.eval, "--eval", unique=True)}
     table: dict[str, dict[str, float]] = {}
     row_keys = [*FIELD_ABBREVS, "AVG"]
     for row in row_keys:
@@ -408,9 +425,8 @@ def cmd_report(args: argparse.Namespace) -> int:
                 cells[f"{name} {_display_metric(metric_key)}"] = value
         if cells:
             table[row] = cells
-    suffix = "md" if fmt == "markdown" else "tsv"
-    path = out / f"report.{suffix}"
-    emit_report(table, path, fmt=fmt, row_header="Field")
+    path = out / f"report.{'md' if args.format == 'markdown' else 'tsv'}"
+    emit_report(table, path, row_header="Field", **_given(args, fmt="format"))
     _write_manifest(out, "report", args)
     print(f"report: {len(table)} rows x {len(next(iter(table.values())) if table else [])} columns -> {path.name}")
     return 0
@@ -521,7 +537,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _merge_config(args, _load_config(args.config))
+        _merge_config(args, parser)
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}

@@ -121,9 +121,6 @@ class Corpus:
     def article(self, article_id: str) -> Article:
         return self._articles[article_id]
 
-    def get(self, article_id: str) -> Article | None:
-        return self._articles.get(article_id)
-
     def ids(self):
         return self._articles.keys()
 
@@ -216,12 +213,6 @@ class CitationGraph:
     incoming: dict[str, frozenset[str]]
     dangling: int
 
-    def out_citations(self, article_id: str) -> frozenset[str]:
-        return self.outgoing.get(article_id, frozenset())
-
-    def in_citations(self, article_id: str) -> frozenset[str]:
-        return self.incoming.get(article_id, frozenset())
-
     def in_degree(self, article_id: str) -> int:
         return len(self.incoming.get(article_id, ()))
 
@@ -245,8 +236,6 @@ def build_citation_graph(corpus: Corpus) -> CitationGraph:
 class PrefilterRules:
     min_abstract_chars: int = 30
     min_citations: int = 3
-    require_year: bool = True
-    require_title: bool = True
 
     def __post_init__(self) -> None:
         if self.min_abstract_chars < 0 or self.min_citations < 0:
@@ -262,10 +251,6 @@ class PrefilterResult:
     corpus: Corpus
     removed: dict[str, int]
 
-    @property
-    def total_removed(self) -> int:
-        return sum(self.removed.values())
-
 
 def prefilter(corpus: Corpus, graph: CitationGraph, rules: PrefilterRules = PrefilterRules()) -> PrefilterResult:
     """Drop articles with a missing/zero year, empty title, short abstract, or
@@ -278,9 +263,9 @@ def prefilter(corpus: Corpus, graph: CitationGraph, rules: PrefilterRules = Pref
     survivors: list[Article] = []
     removed = {rule: 0 for rule in PREFILTER_RULES}
     for art in corpus:
-        if rules.require_year and not art.year:
+        if not art.year:
             removed["missing_year"] += 1
-        elif rules.require_title and not art.title.strip():
+        elif not art.title.strip():
             removed["empty_title"] += 1
         elif len(art.abstract) < rules.min_abstract_chars:
             removed["short_abstract"] += 1

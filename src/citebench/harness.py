@@ -12,6 +12,9 @@ from .benchgen import Benchmark
 from .corpus import Article, Corpus, FIELD_ABBREVS
 from .pools import PoolSet
 
+# ranking depth of a pool run when the caller names none
+DEFAULT_CUTOFF = 500
+
 
 class RetrievalModel(ABC):
     """Ranks candidate article ids for a query article.
@@ -100,7 +103,7 @@ class RetrievalRun:
 
 
 def run_retrieval(model: RetrievalModel, pool_set: PoolSet, corpus: Corpus,
-                  cutoff: int = 500) -> RetrievalRun:
+                  cutoff: int = DEFAULT_CUTOFF) -> RetrievalRun:
     """Rank the shared pool for every pool query, in query id order, with one
     `rank_pool` call; a query is never its own candidate. The cutoff
     truncates each ranking."""

@@ -47,11 +47,6 @@ class AnalyzerConfig:
 
     lowercase: bool = True
     stopwords: frozenset[str] | None = None
-    stemming: str | None = None  # reserved; only None is supported
-
-    def __post_init__(self) -> None:
-        if self.stemming is not None:
-            raise ValueError("stemming is reserved and must be None")
 
 
 def analyze(text: str, config: AnalyzerConfig = AnalyzerConfig()) -> list[str]:

@@ -109,7 +109,7 @@ def evaluate_run(run, qrels: Mapping[str, set], recall_cutoff: int = 30) -> Metr
 
 
 # ---------------------------------------------------------------------------
-# run / qrels file formats
+# run file format
 # ---------------------------------------------------------------------------
 
 
@@ -161,26 +161,3 @@ def read_run_tsv(path) -> dict[str, list[tuple[str, float]]]:
             raise ValueError(f"duplicate doc ids for query {q!r} in {path}")
         rankings[q] = [(doc, score) for _, doc, score in items]
     return rankings
-
-
-def write_qrels_tsv(qrels: Mapping[str, set], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for q in sorted(qrels):
-            for doc in sorted(qrels[q]):
-                fh.write(f"{q}\t{doc}\n")
-
-
-def read_qrels_tsv(path) -> dict[str, set[str]]:
-    qrels: dict[str, set[str]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 2 tab-separated columns, "
-                                 f"got {len(parts)}")
-            q, doc = parts
-            qrels.setdefault(q, set()).add(doc)
-    return qrels

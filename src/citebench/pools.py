@@ -21,16 +21,11 @@ from .util import is_str_list
 DATASET_LEVEL = "dataset"
 FIELD_LEVEL = "field"
 
-# desk-scale defaults
-DEFAULT_POOL_SIZES = (2_000, 5_000, 10_000, 20_000)
-
-
 @dataclass(frozen=True)
 class SamplingPlan:
     queries_per_unit: int
     rng_seed: int
     query_year: int = 2019
-    pool_sizes: tuple[int, ...] = DEFAULT_POOL_SIZES
     repetitions: int = 3
     exclusion_ids: frozenset[str] = frozenset()
 
@@ -39,8 +34,6 @@ class SamplingPlan:
             raise ValueError("queries_per_unit must be >= 1")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if any(size < 1 for size in self.pool_sizes):
-            raise ValueError("pool sizes must be positive")
 
 
 def sample_queries(corpus: Corpus, graph: CitationGraph, plan: SamplingPlan,
@@ -71,20 +64,6 @@ def sample_queries(corpus: Corpus, graph: CitationGraph, plan: SamplingPlan,
     return random.Random(plan.rng_seed).sample(eligible, plan.queries_per_unit)
 
 
-@dataclass(frozen=True)
-class CandidatePool:
-    """One query's view of a shared pool: its positives and everything else."""
-
-    query_id: str
-    positives: frozenset[str]
-    negatives: frozenset[str]
-    seed: int
-    setup: str
-    field: str | None
-    target_size: int
-    shortfall: bool
-
-
 @dataclass
 class PoolSet:
     """A shared candidate universe plus per-query positives."""
@@ -103,12 +82,6 @@ class PoolSet:
 
     def members(self) -> frozenset[str]:
         return frozenset(self.pool_ids)
-
-    def candidate_pool(self, query_id: str) -> CandidatePool:
-        pos = frozenset(self.positives[query_id])
-        neg = self.members() - pos - {query_id}
-        return CandidatePool(query_id, pos, neg, self.seed, self.setup, self.field,
-                             self.target_size, self.shortfall)
 
 
 def _query_year(corpus: Corpus, queries: Iterable[str]) -> int:

@@ -1,4 +1,6 @@
 import json
+import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -257,3 +259,140 @@ def test_run_tune_conflicting_flag_rejected(pipeline, capsys, extra, flag):
     message = json.loads(capsys.readouterr().err)["error"]["message"]
     assert "--tune" in message and flag in message
     assert not out.exists()
+
+
+def _error(capsys) -> str:
+    return json.loads(capsys.readouterr().err)["error"]["message"]
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("pool", {"query_yaer": 2015}, "query_yaer"),
+    ("pool", {"size": "300"}, "size"),
+    ("pool", {"size": True}, "size"),
+    ("tune", {"pool": "x.json"}, "pool"),
+    ("benchgen", {"pool": "x.json"}, "pool"),
+    ("prefilter", {"k1": 1.2}, "k1"),
+    ("run", {"metric": "manhattan"}, "metric"),
+    ("run", {"tune": 1}, "tune"),
+    ("eval", {"run": []}, "run"),
+    ("report", {"eval": ["a=b", 3]}, "eval"),
+    ("ingest", {"config": "other.json"}, "config"),
+], ids=["unknown-key", "str-for-int", "bool-for-int", "tune-str-for-list",
+        "benchgen-str-for-list", "flag-of-another-subcommand", "outside-choices",
+        "int-for-bool", "empty-list", "non-str-in-list", "config-key"])
+def test_config_rejects_bad_key_or_value(workspace, tmp_path, capsys, command, config, key):
+    _, _, pref_path, _ = workspace
+    path = tmp_path / "cfg.json"
+    # pool settings that run on their own, so only the bad entry can fail
+    runnable = {"corpus": pref_path, "setup": "field", "field": "Med", "size": 250, "seed": 3}
+    path.write_text(json.dumps({**runnable, **config} if command == "pool" else config))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    message = _error(capsys)
+    assert str(path) in message and repr(key) in message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["pool", "--corpus", "PREF", "--setup", "field", "--field", "Med", "--size", "250",
+      "--queries", "4", "--repetitions", "1", "--seed", "21"],
+     {"corpus": "PREF", "setup": "field", "field": "Med", "size": 250, "queries": 4,
+      "repetitions": 1, "seed": 21}),
+    # an int for the float flag --k1 hashes like --k1 1
+    (["run", "--corpus", "PREF", "--pool", "POOL", "--model", "dense_a", "--embeddings",
+      "EMB", "--metric", "dot", "--k1", "1", "--b", "0.5", "--cutoff", "50", "--threads", "2"],
+     {"corpus": "PREF", "pool": ["POOL"], "model": "dense_a", "embeddings": ["EMB"],
+      "metric": "dot", "k1": 1, "b": 0.5, "cutoff": 50, "threads": 2}),
+], ids=["pool", "run"])
+def test_config_gives_same_bytes_as_flags(pipeline, tmp_path, flags, config):
+    root, pref_path, emb, pools, run_files, _ = pipeline
+    paths = {"PREF": pref_path, "POOL": pools[0], "EMB": f"dense_a={emb['dense_a']}"}
+    command = flags[0]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: [paths.get(v, v) for v in value] if isinstance(value, list)
+                                else paths.get(value, value) for key, value in config.items()}))
+    assert main([paths.get(a, a) for a in flags] + ["--out", str(tmp_path / "flags")]) == 0
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "config")]) == 0
+    by_flags = sorted((tmp_path / "flags").iterdir())
+    by_config = sorted((tmp_path / "config").iterdir())
+    assert [p.name for p in by_flags] == [p.name for p in by_config]
+    assert any(p.name.endswith(".manifest.json") for p in by_flags)
+    for a, b in zip(by_flags, by_config):
+        assert a.read_bytes() == b.read_bytes(), a.name
+
+
+def test_config_list_flags_and_flag_precedence(pipeline, tmp_path):
+    root, pref_path, emb, pools, run_files, _ = pipeline
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"corpus": pref_path, "pool": [pools[1]], "cutoff": 100}))
+    # --pool given as a flag wins over the config's list
+    assert main(["tune", "--config", str(path), "--pool", pools[0],
+                 "--out", str(tmp_path / "tune")]) == 0
+    assert ((tmp_path / "tune" / "bm25_params.json").read_bytes()
+            == (root / "tune" / "bm25_params.json").read_bytes())
+    assert ((tmp_path / "tune" / "bm25_params.manifest.json").read_bytes()
+            == (root / "tune" / "bm25_params.manifest.json").read_bytes())
+
+
+@pytest.mark.parametrize("command", ["ingest", "report"])
+def test_malformed_json_names_its_path(workspace, tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    if command == "ingest":
+        argv = ["ingest", "--config", str(bad)]
+    else:
+        argv = ["report", "--eval", f"bm25={bad}"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    message = _error(capsys)
+    assert str(bad) in message and "malformed JSON" in message
+
+
+@pytest.mark.parametrize("params", [{"b": 0.4}, {"k1": "0.9", "b": 0.4}, {"k1": 0.9, "b": None},
+                                    [0.9, 0.4]],
+                         ids=["missing-k1", "str-k1", "null-b", "not-an-object"])
+def test_params_file_needs_numeric_k1_and_b(pipeline, tmp_path, capsys, params):
+    root, pref_path, emb, pools, run_files, _ = pipeline
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    assert main(["run", "--corpus", pref_path, "--pool", pools[0], "--params", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    message = _error(capsys)
+    assert str(path) in message and "k1 and b" in message
+
+
+@pytest.mark.parametrize("flag", ["--embeddings", "--eval", "--run"])
+def test_name_path_spec_without_name_rejected(pipeline, tmp_path, capsys, flag):
+    root, pref_path, emb, pools, run_files, bench_path = pipeline
+    command = {"--embeddings": "run", "--eval": "report", "--run": "benchgen"}[flag]
+    argv = [command, flag, "no-equals-sign", "--corpus", pref_path, "--seed", "1",
+            "--out", str(tmp_path / "out")]
+    if command != "report":
+        argv += ["--pool", pools[0]]
+    assert main(argv) == 1
+    assert f"{flag} takes NAME=PATH, got 'no-equals-sign'" in _error(capsys)
+
+
+@pytest.mark.parametrize("flag", ["--embeddings", "--eval"])
+def test_repeated_name_rejected(pipeline, tmp_path, capsys, flag):
+    root, pref_path, emb, pools, run_files, _ = pipeline
+    if flag == "--embeddings":
+        argv = ["run", "--corpus", pref_path, "--pool", pools[0], "--model", "dense_a",
+                "--embeddings", f"dense_a={emb['dense_a']}",
+                "--embeddings", f"dense_a={emb['dense_b']}"]
+    else:
+        argv = ["report", "--eval", "dense_a=a.json", "--eval", "dense_a=b.json"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert f"{flag} names 'dense_a' more than once" in _error(capsys)
+
+
+def test_demo_tune_config_equals_flag_form(tmp_path, monkeypatch):
+    demo = Path(__file__).resolve().parent.parent / "demos" / "run_cli_pipeline.sh"
+    work = tmp_path / "pipeline"
+    done = subprocess.run(["bash", str(demo), str(work)], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    monkeypatch.chdir(work)
+    assert main(["tune", "--corpus", "out/pref/prefiltered.jsonl",
+                 "--pool", "out/pools_Med/pool_field_Med_250_rep0.json", "--cutoff", "100",
+                 "--out", "out/tune_flags"]) == 0
+    for name in ("bm25_params.json", "bm25_params.manifest.json"):
+        assert (work / "out/tune" / name).read_bytes() == (work / "out/tune_flags" / name).read_bytes()

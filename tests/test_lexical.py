@@ -46,10 +46,6 @@ class TestAnalyze:
         cfg = AnalyzerConfig(lowercase=False, stopwords=frozenset({"the"}))
         assert analyze("The the Cat", cfg) == ["The", "Cat"]
 
-    def test_stemming_reserved(self):
-        with pytest.raises(ValueError):
-            AnalyzerConfig(stemming="porter")
-
 
 class TestBuildIndex:
     def test_single_doc_counts(self):

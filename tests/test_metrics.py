@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citebench.metrics import (average_precision, evaluate_run, jaccard, ndcg,
-                               read_qrels_tsv, read_run_tsv, recall_at_k, write_qrels_tsv,
-                               write_run_tsv)
+                               read_run_tsv, recall_at_k, write_run_tsv)
 from oracles import frac_average_precision, frac_recall_at_k, mp_ndcg
 
 
@@ -192,12 +191,6 @@ class TestFileFormats:
         with pytest.raises(ValueError, match="duplicate"):
             read_run_tsv(path)
 
-    def test_qrels_roundtrip(self, tmp_path):
-        qrels = {"q1": {"a", "b"}, "q2": {"c"}}
-        path = tmp_path / "qrels.tsv"
-        write_qrels_tsv(qrels, path)
-        assert read_qrels_tsv(path) == qrels
-
     @pytest.mark.parametrize("bad_line, message", [
         ("q1\tb\ttwo\t1.0", "rank 'two' is not an integer"),
         ("q1\tb\t2\thigh", "score 'high' is not a number"),
@@ -215,10 +208,3 @@ class TestFileFormats:
         path = tmp_path / "run.tsv"
         path.write_text("q1\ta\t1\t2.0\nq2\ta\t1\t2.0\n")
         assert read_run_tsv(path) == {"q1": [("a", 2.0)], "q2": [("a", 2.0)]}
-
-    @pytest.mark.parametrize("bad_line", ["q1", "q1\ta\textra"], ids=["one", "three"])
-    def test_qrels_bad_line_named(self, tmp_path, bad_line):
-        path = tmp_path / "qrels.tsv"
-        path.write_text(f"q1\ta\n\n{bad_line}\n")
-        with pytest.raises(ValueError, match="qrels.tsv:3: expected 2 tab-separated columns"):
-            read_qrels_tsv(path)

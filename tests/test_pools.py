@@ -4,6 +4,8 @@ import pytest
 
 from citebench.corpus import (Corpus, UnknownFieldError, build_citation_graph,
                               field_cited_set)
+from citebench.harness import Bm25Model, run_retrieval
+from citebench.lexical import build_index
 from citebench.pools import (SamplingPlan, build_dataset_pool, build_field_pool,
                              read_pool_json, repeat_pools, sample_queries, write_pool_json)
 from conftest import make_article
@@ -73,8 +75,6 @@ class TestSampleQueries:
             SamplingPlan(queries_per_unit=0, rng_seed=1)
         with pytest.raises(ValueError):
             SamplingPlan(queries_per_unit=1, rng_seed=1, repetitions=0)
-        with pytest.raises(ValueError):
-            SamplingPlan(queries_per_unit=1, rng_seed=1, pool_sizes=(0,))
 
 
 class TestDatasetPool:
@@ -138,7 +138,7 @@ class TestDatasetPool:
         assert a.pool_ids == b.pool_ids
         assert a.pool_ids != c.pool_ids
 
-    def test_candidate_pool_view_excludes_query(self):
+    def test_run_retrieval_excludes_query_from_own_ranking(self):
         # Q2 cites Q1, so Q1 sits in the shared pool; Q1 must not be its own candidate
         arts = [
             make_article("Q1", year=2019, cites=("O1", "O2", "O3")),
@@ -150,11 +150,10 @@ class TestDatasetPool:
         graph = build_citation_graph(corpus)
         pool = build_dataset_pool(corpus, graph, ["Q1", "Q2"], size=4, seed=0)
         assert "Q1" in pool.pool_ids
-        view1 = pool.candidate_pool("Q1")
-        assert "Q1" not in view1.positives | view1.negatives
-        view2 = pool.candidate_pool("Q2")
-        assert "Q1" in view2.positives
-        assert view1.positives.isdisjoint(view1.negatives)
+        # every article shares the default text, so BM25 ranks the whole pool
+        rankings = run_retrieval(Bm25Model(build_index(corpus)), pool, corpus).rankings
+        assert "Q1" not in [doc for doc, _ in rankings["Q1"]]
+        assert "Q1" in [doc for doc, _ in rankings["Q2"]]
 
     def test_positives_contained_in_pool(self, synth_prefiltered):
         corpus, graph = synth_prefiltered
@@ -174,8 +173,7 @@ class TestFieldPool:
         pool = build_field_pool(corpus, graph, "Med", queries, size=150, seed=2)
         fcs = field_cited_set(corpus, graph, "Med")
         for q in queries:
-            view = pool.candidate_pool(q)
-            assert view.negatives <= fcs
+            assert set(pool.pool_ids) - set(pool.positives[q]) - {q} <= fcs
 
     def test_exact_fill(self, synth_prefiltered):
         corpus, graph = synth_prefiltered
