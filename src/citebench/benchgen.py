@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 from .corpus import CitationGraph, Corpus, FIELD_ABBREVS, resolve_field
 from .metrics import jaccard
-from .util import derive_seed, is_str_list
+from .util import checked, derive_seed, parse_json, read_json
 
 GRAPH_TYPE = "graph"
 MOST_CITED_TYPE = "most_cited"
@@ -383,42 +383,31 @@ def write_benchmark_jsonl(benchmark: Benchmark, path, manifest_path=None) -> Non
 
 
 def read_benchmark_jsonl(path, manifest_path=None) -> Benchmark:
-    """Read a benchmark file; errors name `path:line`. Each line is an
-    object with string `query_id` and `field`, `positives` a list of
-    strings and `negatives` an object of lists of strings."""
+    """Read a benchmark file; errors name `path:line` or the manifest path.
+    Each line is an object with string `query_id` and `field`, `positives`
+    a list of strings and `negatives` an object of lists of strings, keyed by
+    the manifest's `types` (a list of strings) or else the first entry's."""
+    manifest = {} if manifest_path is None else checked(
+        read_json(manifest_path), manifest_path, "benchmark manifest")
+    if "types" in manifest:
+        checked(manifest, manifest_path, "benchmark manifest", types="a list of strings")
+    types = manifest.get("types")
     entries = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             where = f"{path}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{where}: malformed JSON: {exc}") from None
-            entries.append(_parse_entry(obj, where))
-    manifest: dict = {}
-    if manifest_path is not None:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            try:
-                manifest = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{manifest_path}: malformed JSON: {exc}") from None
+            entry = _parse_entry(parse_json(line, where), where)
+            types = list(entry.negatives) if types is None else types
+            if sorted(entry.negatives) != sorted(types):
+                raise ValueError(f"{where}: negative groups {sorted(entry.negatives)} "
+                                 f"are not the benchmark types {sorted(types)}")
+            entries.append(entry)
     return Benchmark(entries, manifest)
 
 
 def _parse_entry(obj, where: str) -> BenchmarkEntry:
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where}: entry must be a JSON object")
-    for key in ("query_id", "field", "positives", "negatives"):
-        if key not in obj:
-            raise ValueError(f"{where}: missing key {key!r}")
-    for key in ("query_id", "field"):
-        if not isinstance(obj[key], str):
-            raise ValueError(f"{where}: {key} must be a string")
-    if not is_str_list(obj["positives"]):
-        raise ValueError(f"{where}: positives must be a list of strings")
-    negatives = obj["negatives"]
-    if not isinstance(negatives, dict) or not all(map(is_str_list, negatives.values())):
-        raise ValueError(f"{where}: negatives must be an object of lists of strings")
-    return BenchmarkEntry(obj["query_id"], obj["field"], obj["positives"], negatives)
+    checked(obj, where, "entry", query_id="a string", field="a string",
+            positives="a list of strings", negatives="an object of lists of strings")
+    return BenchmarkEntry(obj["query_id"], obj["field"], obj["positives"], obj["negatives"])

@@ -32,7 +32,7 @@ from .lexical import Bm25Params, build_index, default_tuning_grid, tune_params
 from .metrics import evaluate_run, read_run_tsv, write_run_tsv
 from .pools import (SamplingPlan, build_dataset_pool, build_field_pool,
                     read_pool_json, repeat_pools, sample_queries, write_pool_json)
-from .util import canonical_json, is_str_list, stable_digest
+from .util import canonical_json, checked, is_str_list, read_json, stable_digest
 
 _METRIC_DISPLAY = {"map": "MAP", "ndcg": "nDCG"}
 
@@ -48,14 +48,6 @@ def _display_metric(key: str) -> str:
     return key
 
 
-def _read_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: malformed JSON: {exc}") from None
-
-
 def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     """Give each unset flag its --config value: keys are flag dests, values
     of the flag's JSON type (bools are not ints, repeatable flags take lists).
@@ -63,9 +55,7 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     config hashes like the same flags; no other value is converted."""
     if args.config is None:
         return
-    config = _read_json(args.config)
-    if not isinstance(config, dict):
-        raise ValueError(f"{args.config}: config file must hold a JSON object")
+    config = checked(read_json(args.config), args.config, "config file")
     (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     flags = {a.dest: a for a in subparsers.choices[args.command]._actions
              if a.option_strings and a.dest not in ("config", "help")}
@@ -174,10 +164,8 @@ def _bm25_params(args: argparse.Namespace) -> Bm25Params:
     """k1 and b from their flags, else from the --params file, else Bm25Params' defaults."""
     params = _given(args, k1="k1", b="b")
     if args.params is not None:
-        stored = _read_json(args.params)
-        if not (isinstance(stored, dict)
-                and {type(stored.get(k)) for k in ("k1", "b")} <= {int, float}):
-            raise ValueError(f"{args.params}: a params file must hold numeric k1 and b")
+        stored = checked(read_json(args.params), args.params, "params file",
+                         k1="a number", b="a number")
         params = {"k1": stored["k1"], "b": stored["b"], **params}
     return Bm25Params(**params)
 
@@ -317,15 +305,17 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     _require(args, "run", "out")
+    if args.benchmark and args.pool is not None:
+        raise ValueError("eval --benchmark scores the benchmark's own candidates; drop --pool")
     out = _out_dir(args)
     if args.benchmark:
         if len(args.run) != 1:
             raise ValueError("benchmark evaluation takes exactly one --run")
         benchmark = _benchmark_with_manifest(args.benchmark)
         rankings = read_run_tsv(args.run[0])
-        report = score_benchmark_rankings(rankings, benchmark)
-        rows = {abbr: report.per_field[abbr] for abbr in FIELD_ABBREVS if abbr in report.per_field}
-        rows["AVG"] = report.macro
+        report = score_benchmark_rankings(rankings, benchmark,
+                                          **_given(args, recall_cutoff="recall_cutoff"))
+        rows = {**report.per_field, "AVG": report.macro}  # per_field is in FIELD_ABBREVS order
         stem = f"eval_{Path(args.run[0]).stem}"
         _write_json(out / f"{stem}.json",
                     {"per_field": report.per_field, "avg": report.macro})
@@ -408,11 +398,18 @@ def cmd_breakdown(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_eval(path: str) -> dict:
+    try:
+        return checked(read_json(path), path, "eval file", per_field="an object", avg="an object")
+    except ValueError as exc:
+        raise ValueError(f"{exc}; report takes benchmark eval files") from None
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     _require(args, "eval", "out")
-    out = _out_dir(args)
-    models = {name: _read_json(path)
+    models = {name: _read_eval(path)
               for name, path in _name_paths(args.eval, "--eval", unique=True)}
+    out = _out_dir(args)
     table: dict[str, dict[str, float]] = {}
     row_keys = [*FIELD_ABBREVS, "AVG"]
     for row in row_keys:

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .util import id_ranks, is_str_list, rank_rows
+from .util import checked, id_ranks, rank_rows, read_json
 
 METRICS = ("cosine", "dot", "euclidean")
 
@@ -87,23 +87,16 @@ def load_embeddings(vector_path, manifest_path) -> EmbeddingStore:
     [str, ...]}; errors name the manifest path. The vector file must hold
     exactly count*dim little-endian float32s.
     """
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise EmbeddingError(f"{manifest_path}: malformed JSON: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise EmbeddingError(f"{manifest_path}: manifest must be a JSON object")
-    for key in ("dim", "count", "ids"):
-        if key not in manifest:
-            raise EmbeddingError(f"{manifest_path}: missing key {key!r}")
+    try:
+        manifest = checked(read_json(manifest_path), manifest_path, "manifest",
+                           dim=None, count=None, ids="a list of strings")
+    except ValueError as exc:
+        raise EmbeddingError(str(exc)) from None
     dim, count, ids = manifest["dim"], manifest["count"], manifest["ids"]
     for key, value, least in (("dim", dim, 1), ("count", count, 0)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        if type(value) is not int or value < least:
             raise EmbeddingError(f"{manifest_path}: {key} must be an integer >= {least}, "
                                  f"got {value!r}")
-    if not is_str_list(ids):
-        raise EmbeddingError(f"{manifest_path}: ids must be a list of strings")
     if len(ids) != count:
         raise EmbeddingError(f"{manifest_path}: manifest lists {len(ids)} ids but count={count}")
     data = np.fromfile(vector_path, dtype="<f4")
@@ -134,13 +127,11 @@ def _scores(v: np.ndarray, q: np.ndarray, metric: str,
     if metric == "euclidean":
         diff = v - q
         return np.sqrt((diff * diff).sum(axis=1))
-    if metric == "cosine":
-        dots = (v * q).sum(axis=1)
-        q_norm = math.sqrt(float((q * q).sum()))
-        denom = row_norms * q_norm
-        safe = np.where(denom > 0.0, denom, 1.0)
-        return np.where(denom > 0.0, dots / safe, 0.0)
-    raise ValueError(f"unknown metric {metric!r}")
+    dots = (v * q).sum(axis=1)  # cosine, the one metric left after _check
+    q_norm = math.sqrt(float((q * q).sum()))
+    denom = row_norms * q_norm
+    safe = np.where(denom > 0.0, denom, 1.0)
+    return np.where(denom > 0.0, dots / safe, 0.0)
 
 
 def _check(k: int, metric: str) -> None:

@@ -120,28 +120,16 @@ class BenchmarkReport:
     per_query: dict[str, dict[str, float]]
 
 
-def _aggregate_by_field(per_query: dict[str, dict[str, float]],
-                        field_of: dict[str, str], metric_names: Sequence[str]) -> BenchmarkReport:
-    per_field: dict[str, dict[str, float]] = {}
-    for abbrev in FIELD_ABBREVS:
-        queries = [q for q, f in field_of.items() if f == abbrev]
-        if not queries:
-            continue
-        per_field[abbrev] = {
-            m: sum(per_query[q][m] for q in queries) / len(queries) for m in metric_names
-        }
-    macro = {
-        m: (sum(vals[m] for vals in per_field.values()) / len(per_field) if per_field else 0.0)
-        for m in metric_names
-    }
-    return BenchmarkReport(per_field, macro, per_query)
+def _benchmark_metrics(recall_cutoff: int) -> dict:
+    """A closed benchmark's metrics by name: AP and recall at the cutoff."""
+    return {m: metrics.metric_named(m) for m in ("map", f"recall@{recall_cutoff}")}
 
 
 def score_benchmark_rankings(rankings: Mapping[str, Sequence], benchmark: Benchmark,
                              recall_cutoff: int = 5) -> BenchmarkReport:
     """Score precomputed per-entry rankings (e.g. a run file) against a
-    benchmark's positives."""
-    recall_key = f"recall@{recall_cutoff}"
+    benchmark's positives: per-field means, macro-averaged over fields."""
+    scorers = _benchmark_metrics(recall_cutoff)
     per_query: dict[str, dict[str, float]] = {}
     field_of: dict[str, str] = {}
     for entry in benchmark.entries:
@@ -149,12 +137,19 @@ def score_benchmark_rankings(rankings: Mapping[str, Sequence], benchmark: Benchm
             raise ValueError(f"benchmark query {entry.query_id!r} is missing from the run")
         ranked = rankings[entry.query_id]
         positives = frozenset(entry.positives)
-        per_query[entry.query_id] = {
-            "map": metrics.average_precision(ranked, positives),
-            recall_key: metrics.recall_at_k(ranked, positives, recall_cutoff),
-        }
+        per_query[entry.query_id] = {m: f(ranked, positives) for m, f in scorers.items()}
         field_of[entry.query_id] = entry.field
-    return _aggregate_by_field(per_query, field_of, ("map", recall_key))
+    per_field: dict[str, dict[str, float]] = {}
+    for abbrev in FIELD_ABBREVS:
+        queries = [q for q, f in field_of.items() if f == abbrev]
+        if queries:
+            per_field[abbrev] = {m: sum(per_query[q][m] for q in queries) / len(queries)
+                                 for m in scorers}
+    macro = {
+        m: (sum(vals[m] for vals in per_field.values()) / len(per_field) if per_field else 0.0)
+        for m in scorers
+    }
+    return BenchmarkReport(per_field, macro, per_query)
 
 
 def rank_benchmark(model: RetrievalModel, benchmark: Benchmark, corpus: Corpus,
@@ -190,21 +185,19 @@ def candidate_type_breakdown(model: RetrievalModel, benchmark: Benchmark, corpus
     because `RetrievalModel.rank` orders a subset as it orders the full set.
     The full pool is ranked whole, so filtering never loses a candidate.
     """
-    recall_key = f"recall@{recall_cutoff}"
+    scorers = _benchmark_metrics(recall_cutoff)
     types = benchmark.negative_types()
     rankings = rank_benchmark(model, benchmark, corpus)
-    sums = {t: {"map": 0.0, recall_key: 0.0} for t in types}
+    sums = {t: dict.fromkeys(scorers, 0.0) for t in types}
     for entry in benchmark.entries:
         positives = frozenset(entry.positives)
         ranked = rankings[entry.query_id]
         for t in types:
             keep = positives | frozenset(entry.negatives[t])
             subset = [item for item in ranked if item[0] in keep]
-            sums[t]["map"] += metrics.average_precision(subset, positives)
-            sums[t][recall_key] += metrics.recall_at_k(subset, positives, recall_cutoff)
-    count = len(benchmark.entries)
-    if count == 0:
-        return {t: {"map": 0.0, recall_key: 0.0} for t in types}
+            for m, f in scorers.items():
+                sums[t][m] += f(subset, positives)
+    count = max(len(benchmark.entries), 1)  # no entries: every sum stays 0.0
     return {t: {m: v / count for m, v in vals.items()} for t, vals in sums.items()}
 
 

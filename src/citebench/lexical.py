@@ -100,20 +100,6 @@ class Bm25Index:
         self._row = {doc_id: i for i, doc_id in enumerate(self.ids)}
         self._inner: dict[float, np.ndarray] = {}
 
-    @property
-    def postings(self) -> dict[str, dict[str, int]]:
-        """term -> {doc id: tf}, rebuilt from the arrays on each access."""
-        ids, ptr = self.ids, self.indptr.tolist()
-        rows, tfs = self.rows.tolist(), self.tfs.tolist()
-        return {term: {ids[r]: int(tf) for r, tf in zip(rows[ptr[t]:ptr[t + 1]],
-                                                        tfs[ptr[t]:ptr[t + 1]])}
-                for term, t in self.vocab.items()}
-
-    @property
-    def doc_lengths(self) -> dict[str, int]:
-        """doc id -> token count, rebuilt from the arrays on each access."""
-        return dict(zip(self.ids, self.lengths.tolist()))
-
     @cached_property
     def id_rank(self) -> np.ndarray:
         return id_ranks(self.ids)
@@ -267,19 +253,10 @@ def default_tuning_grid() -> list[Bm25Params]:
     ]
 
 
-def _objective(ranked_ids: list[str], positives, name: str) -> float:
-    if name == "map":
-        return metrics.average_precision(ranked_ids, positives)
-    if name == "ndcg":
-        return metrics.ndcg(ranked_ids, positives)
-    if name.startswith("recall@"):
-        return metrics.recall_at_k(ranked_ids, positives, int(name.split("@", 1)[1]))
-    raise ValueError(f"unknown objective {name!r}")
-
-
 def tune_params(index: Bm25Index, validation: list[tuple[str, set]], grid: list[Bm25Params],
-                *, pool=None, objective: str = "map", cutoff: int | None = None) -> Bm25Params:
-    """Grid point maximizing the mean objective over validation queries.
+                *, pool=None, objective: str = metrics.DEFAULT_OBJECTIVE,
+                cutoff: int | None = None) -> Bm25Params:
+    """Grid point maximizing the mean objective (a metric name) over validation queries.
 
     `validation` pairs query text with the query's positive id set. Ties
     break toward smaller (b, k1). Each query is analyzed, restricted to the
@@ -290,6 +267,7 @@ def tune_params(index: Bm25Index, validation: list[tuple[str, set]], grid: list[
         raise ValueError("empty parameter grid")
     if not validation:
         raise ValueError("empty validation set")
+    objective_of = metrics.metric_named(objective)
     k = cutoff if cutoff is not None else (len(pool) if pool is not None else index.N)
     mask = None if pool is None else index._pool_mask(pool)
     prepared = [(_query_terms(index, analyze(text, index.analyzer), mask), positives)
@@ -299,8 +277,7 @@ def tune_params(index: Bm25Index, validation: list[tuple[str, set]], grid: list[
     for params in grid:
         total = 0.0
         for terms, positives in prepared:
-            ranked = _ranked(index, terms, params, k)
-            total += _objective([doc for doc, _ in ranked], positives, objective)
+            total += objective_of(_ranked(index, terms, params, k), positives)
         mean = total / len(validation)
         key = (-mean, params.b, params.k1)
         if best_key is None or key < best_key:

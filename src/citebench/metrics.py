@@ -8,9 +8,13 @@ penalized for what they failed to retrieve.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
+
+# the metric that BM25 tuning maximizes when the caller names none
+DEFAULT_OBJECTIVE = "map"
 
 
 def _ranked_ids(ranked: Sequence) -> list[str]:
@@ -71,6 +75,16 @@ def jaccard(a, b) -> float:
     return inter / (len(a) + len(b) - inter)
 
 
+def metric_named(name: str) -> Callable[[Sequence, object], float]:
+    """The metric "map", "ndcg" or "recall@K" (K >= 1) names, as f(ranked, relevant)."""
+    k = name.removeprefix("recall@")
+    if k != name and k.isdecimal() and int(k) >= 1:
+        return functools.partial(recall_at_k, k=int(k))
+    if name in ("map", "ndcg"):
+        return average_precision if name == "map" else ndcg
+    raise ValueError(f"unknown metric {name!r}: expected map, ndcg or recall@K with K >= 1")
+
+
 @dataclass
 class MetricsReport:
     """Aggregate metric values plus the per-query values they average."""
@@ -90,20 +104,15 @@ def evaluate_run(run, qrels: Mapping[str, set], recall_cutoff: int = 30) -> Metr
     for q in rankings:
         if q not in qrels:
             raise ValueError(f"query {q!r} in run is missing from qrels")
-    recall_key = f"recall@{recall_cutoff}"
+    scorers = {name: metric_named(name) for name in ("map", "ndcg", f"recall@{recall_cutoff}")}
     per_query: dict[str, dict[str, float]] = {}
     for q in sorted(qrels):
-        relevant = qrels[q]
         ranked = rankings.get(q, [])
-        per_query[q] = {
-            "map": average_precision(ranked, relevant),
-            "ndcg": ndcg(ranked, relevant),
-            recall_key: recall_at_k(ranked, relevant, recall_cutoff),
-        }
+        per_query[q] = {name: f(ranked, qrels[q]) for name, f in scorers.items()}
     n = len(per_query)
     aggregates = {
         name: (sum(vals[name] for vals in per_query.values()) / n if n else 0.0)
-        for name in ("map", "ndcg", recall_key)
+        for name in scorers
     }
     return MetricsReport(aggregates, per_query)
 

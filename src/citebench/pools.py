@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import CitationGraph, Corpus, FieldLabel, field_cited_set, resolve_field
-from .util import is_str_list
+from .util import checked, read_json
 
 DATASET_LEVEL = "dataset"
 FIELD_LEVEL = "field"
@@ -193,51 +193,24 @@ def read_pool_json(path) -> PoolSet:
     distinct strings, and `queries` a list of {"query_id": str, "positives":
     [str, ...]} objects with distinct query ids and positives in `pool_ids`.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: malformed JSON: {exc}") from None
-
-    def fail(message: str):
-        raise ValueError(f"{path}: {message}")
-
-    if not isinstance(obj, dict):
-        fail("pool file must be a JSON object")
-    required = ["setup", "seed", "query_year", "target_size", "shortfall", "pool_ids", "queries"]
-    if obj.get("setup") == FIELD_LEVEL:
-        required.append("field")
-    for key in required:
-        if key not in obj:
-            fail(f"missing key {key!r}")
-    for key in ("setup", "field"):
-        if key in obj and not isinstance(obj[key], str):
-            fail(f"{key} must be a string")
-    for key in ("seed", "query_year", "target_size"):
-        if isinstance(obj[key], bool) or not isinstance(obj[key], int):
-            fail(f"{key} must be an integer, got {obj[key]!r}")
-    if not isinstance(obj["shortfall"], bool):
-        fail(f"shortfall must be a boolean, got {obj['shortfall']!r}")
+    obj = checked(read_json(path), path, "pool file", setup="a string", seed="an integer",
+                  query_year="an integer", target_size="an integer", shortfall="a boolean",
+                  pool_ids="a list of strings", queries="a list")
+    if obj["setup"] == FIELD_LEVEL or "field" in obj:
+        checked(obj, path, "pool file", field="a string")
     pool_ids = obj["pool_ids"]
-    if not is_str_list(pool_ids):
-        fail("pool_ids must be a list of strings")
     members = set(pool_ids)
     if len(members) != len(pool_ids):
-        fail("duplicate pool ids")
-    if not isinstance(obj["queries"], list):
-        fail("queries must be a list")
+        raise ValueError(f"{path}: duplicate pool ids")
     positives: dict[str, list[str]] = {}
     for entry in obj["queries"]:
-        if not (isinstance(entry, dict) and isinstance(entry.get("query_id"), str)
-                and is_str_list(entry.get("positives"))):
-            fail("each query must be an object with a string query_id and a list of "
-                 "string positives")
+        checked(entry, path, "each query", query_id="a string", positives="a list of strings")
         q = entry["query_id"]
         if q in positives:
-            fail(f"duplicate query id {q!r}")
+            raise ValueError(f"{path}: duplicate query id {q!r}")
         outside = [p for p in entry["positives"] if p not in members]
         if outside:
-            fail(f"query {q!r} has positives outside pool_ids: {outside[:3]}")
+            raise ValueError(f"{path}: query {q!r} has positives outside pool_ids: {outside[:3]}")
         positives[q] = entry["positives"]
     return PoolSet(
         setup=obj["setup"],

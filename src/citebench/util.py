@@ -1,4 +1,4 @@
-"""Shared helpers: canonical JSON, stable hashing, seed derivation, top-k ranking."""
+"""Shared helpers: JSON input files, canonical JSON, hashing, seeds, top-k ranking."""
 
 from __future__ import annotations
 
@@ -22,6 +22,49 @@ def canonical_json(obj: Any) -> str:
 def is_str_list(value) -> bool:
     """True for a list whose items are all strings: the shape of id lists in input files."""
     return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
+# checked()'s shapes, by the words its errors use; integers and numbers are never bools
+_SHAPES = {
+    "a string": lambda v: isinstance(v, str),
+    "an integer": lambda v: type(v) is int,
+    "a number": lambda v: type(v) in (int, float),
+    "a boolean": lambda v: isinstance(v, bool),
+    "a list": lambda v: isinstance(v, list),
+    "a list of strings": is_str_list,
+    "an object": lambda v: isinstance(v, dict),
+    "an object of lists of strings": lambda v: isinstance(v, dict)
+    and all(map(is_str_list, v.values())),
+}
+
+
+def parse_json(text: str, where) -> Any:
+    """Decode JSON text; malformed JSON raises ValueError naming `where`."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where}: malformed JSON: {exc}") from None
+
+
+def read_json(path) -> Any:
+    """Decode a JSON file; malformed JSON raises ValueError naming the path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_json(fh.read(), path)
+
+
+def checked(obj, where, what: str, **shapes: str | None) -> dict:
+    """Return `obj` if it is a JSON object holding every key of `shapes`, each
+    value of its shape (None takes any value). Otherwise raise ValueError
+    naming `where`; missing keys are reported before wrong shapes."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: {what} must be a JSON object")
+    for key in shapes:
+        if key not in obj:
+            raise ValueError(f"{where}: missing key {key!r}")
+    for key, shape in shapes.items():
+        if shape is not None and not _SHAPES[shape](obj[key]):
+            raise ValueError(f"{where}: {key} must be {shape}")
+    return obj
 
 
 def stable_digest(*parts: str) -> str:

@@ -427,3 +427,35 @@ class TestReadBenchmark:
         manifest.write_text('{"types": [')
         with pytest.raises(ValueError, match="b.manifest.json: malformed JSON"):
             read_benchmark_jsonl(path, manifest)
+
+    @pytest.mark.parametrize("manifest_text, message", [
+        ("[]", "b.manifest.json: benchmark manifest must be a JSON object"),
+        ('{"types": "graph"}', "b.manifest.json: types must be a list of strings"),
+        ('{"types": ["graph", 1]}', "b.manifest.json: types must be a list of strings"),
+        ('{"types": ["randm"]}', r"b.jsonl:1: negative groups \['graph'\] are not the "
+                                 r"benchmark types \['randm'\]"),
+        ('{"types": ["graph", "random"]}', "b.jsonl:1: negative groups"),
+        ('{"types": ["graph", "graph"]}', "b.jsonl:1: negative groups"),
+    ], ids=["not-object", "types-str", "types-int", "misspelt", "missing-group", "repeated"])
+    def test_bad_manifest_types_named(self, tmp_path, manifest_text, message):
+        path, manifest = tmp_path / "b.jsonl", tmp_path / "b.manifest.json"
+        path.write_text(f"{GOOD_LINE}\n")
+        manifest.write_text(manifest_text)
+        with pytest.raises(ValueError, match=message):
+            read_benchmark_jsonl(path, manifest)
+
+    def test_groups_differ_from_first_entry(self, tmp_path):
+        path = tmp_path / "b.jsonl"
+        other = GOOD_LINE.replace('"graph"', '"random"')
+        path.write_text(f"{GOOD_LINE}\n{other}\n")
+        with pytest.raises(ValueError, match=r"b.jsonl:2: negative groups \['random'\]"):
+            read_benchmark_jsonl(path)
+
+    def test_manifest_types_in_any_order(self, tmp_path):
+        path, manifest = tmp_path / "b.jsonl", tmp_path / "b.manifest.json"
+        line = GOOD_LINE.replace('{"graph":["b"]}', '{"graph":["b"],"random":["c"]}')
+        path.write_text(f"{line}\n{line.replace('q1', 'q2')}\n")
+        manifest.write_text('{"types": ["random", "graph"]}')
+        bench = read_benchmark_jsonl(path, manifest)
+        assert bench.negative_types() == ["random", "graph"]
+        assert [e.query_id for e in bench.entries] == ["q1", "q2"]

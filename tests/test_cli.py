@@ -198,6 +198,68 @@ def test_run_eval_breakdown_report_on_benchmark(pipeline, capsys):
     assert (md_out / "report.md").read_text().startswith("| Field |")
 
 
+def _bench_run(pipeline, tmp_path) -> str:
+    root, pref_path, emb, pools, run_files, bench_path = pipeline
+    assert main(["run", "--corpus", pref_path, "--benchmark", bench_path, "--model", "bm25",
+                 "--out", str(tmp_path / "benchrun")]) == 0
+    return str(tmp_path / "benchrun" / "run_bm25.tsv")
+
+
+def test_eval_benchmark_takes_recall_cutoff(pipeline, tmp_path):
+    *_, bench_path = pipeline
+    run_path = _bench_run(pipeline, tmp_path)
+    out = tmp_path / "eval"
+    assert main(["eval", "--run", run_path, "--benchmark", bench_path, "--recall-cutoff", "10",
+                 "--out", str(out)]) == 0
+    data = json.loads((out / "eval_run_bm25.json").read_text())
+    assert set(data["avg"]) == {"map", "recall@10"}
+    assert (out / "eval_run_bm25.tsv").read_text().splitlines()[0] == "Field\tMAP\tR@10"
+
+
+def test_eval_benchmark_rejects_pool(pipeline, tmp_path, capsys):
+    root, pref_path, emb, pools, run_files, bench_path = pipeline
+    out = tmp_path / "eval"
+    assert main(["eval", "--run", _bench_run(pipeline, tmp_path), "--benchmark", bench_path,
+                 "--pool", pools[0], "--out", str(out)]) == 1
+    assert "--pool" in _error(capsys)
+    assert not out.exists()
+
+
+def test_report_rejects_pool_eval_file(pipeline, tmp_path, capsys):
+    root, pref_path, emb, pools, run_files, _ = pipeline
+    assert main(["eval", "--run", run_files["bm25"][0], "--pool", pools[0],
+                 "--out", str(tmp_path / "eval")]) == 0
+    pool_eval = tmp_path / "eval" / "eval_run_bm25.json"
+    out = tmp_path / "report"
+    assert main(["report", "--eval", f"bm25={pool_eval}", "--out", str(out)]) == 1
+    message = _error(capsys)
+    assert message.startswith(f"{pool_eval}: missing key 'per_field'")
+    assert "report takes benchmark eval files" in message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("types, expected", [
+    (["m1", "m2", "m3", "graph", "most_cited", "randm"], "are not the benchmark types"),
+    ("graph", "types must be a list of strings"),
+], ids=["misspelt-type", "types-str"])
+def test_breakdown_rejects_bad_manifest_types(pipeline, tmp_path, capsys, types, expected):
+    root, pref_path, emb, pools, run_files, bench_path = pipeline
+    bench = tmp_path / "benchmark.jsonl"
+    bench.write_bytes(Path(bench_path).read_bytes())
+    (tmp_path / "benchmark.manifest.json").write_text(json.dumps({"types": types}))
+    assert main(["breakdown", "--corpus", pref_path, "--benchmark", str(bench),
+                 "--model", "bm25", "--out", str(tmp_path / "out")]) == 1
+    message = _error(capsys)
+    assert str(tmp_path / "benchmark.") in message and expected in message
+
+
+def test_tune_rejects_unknown_objective(pipeline, tmp_path, capsys):
+    root, pref_path, emb, pools, run_files, _ = pipeline
+    assert main(["tune", "--corpus", pref_path, "--pool", pools[0], "--objective", "recall@x",
+                 "--out", str(tmp_path / "tune")]) == 1
+    assert "unknown metric 'recall@x'" in _error(capsys)
+
+
 def test_run_needs_pool_xor_benchmark(workspace, capsys):
     root, _, pref_path, _ = workspace
     rc = main(["run", "--corpus", pref_path, "--out", str(root / "nothing")])
@@ -347,17 +409,20 @@ def test_malformed_json_names_its_path(workspace, tmp_path, capsys, command):
     assert str(bad) in message and "malformed JSON" in message
 
 
-@pytest.mark.parametrize("params", [{"b": 0.4}, {"k1": "0.9", "b": 0.4}, {"k1": 0.9, "b": None},
-                                    [0.9, 0.4]],
-                         ids=["missing-k1", "str-k1", "null-b", "not-an-object"])
-def test_params_file_needs_numeric_k1_and_b(pipeline, tmp_path, capsys, params):
+@pytest.mark.parametrize("params, expected", [
+    ({"b": 0.4}, "missing key 'k1'"),
+    ({"k1": "0.9", "b": 0.4}, "k1 must be a number"),
+    ({"k1": 0.9, "b": None}, "b must be a number"),
+    ({"k1": True, "b": 0.4}, "k1 must be a number"),
+    ([0.9, 0.4], "params file must be a JSON object"),
+], ids=["missing-k1", "str-k1", "null-b", "bool-k1", "not-an-object"])
+def test_params_file_needs_numeric_k1_and_b(pipeline, tmp_path, capsys, params, expected):
     root, pref_path, emb, pools, run_files, _ = pipeline
     path = tmp_path / "params.json"
     path.write_text(json.dumps(params))
     assert main(["run", "--corpus", pref_path, "--pool", pools[0], "--params", str(path),
                  "--out", str(tmp_path / "out")]) == 1
-    message = _error(capsys)
-    assert str(path) in message and "k1 and b" in message
+    assert _error(capsys) == f"{path}: {expected}"
 
 
 @pytest.mark.parametrize("flag", ["--embeddings", "--eval", "--run"])

@@ -199,14 +199,19 @@ class TestIndexFormat:
         with pytest.raises(ValueError, match="corrupt index header"):
             load_index(path)
 
-    def test_dict_views_are_read_only(self):
+    def test_arrays_are_read_only(self, tmp_path):
         ix = self._index()
-        assert ix.postings["beta"] == {"doc2": 2}
-        assert ix.doc_lengths == {"doc2": 3, "doc0": 2, "doc1": 0, "Δ": 1}
-        with pytest.raises(AttributeError):
-            ix.postings = {}
-        with pytest.raises(AttributeError):
-            ix.doc_lengths = {}
+        assert ix.lengths.tolist() == [3, 2, 0, 1]
+        t = ix.vocab["beta"]
+        assert ix.rows[ix.indptr[t]:ix.indptr[t + 1]].tolist() == [0]
+        assert ix.tfs[ix.indptr[t]:ix.indptr[t + 1]].tolist() == [2.0]
+        save_index(ix, tmp_path / "index.bin")
+        for index in (ix, load_index(tmp_path / "index.bin")):
+            for name in ("lengths", "indptr", "rows", "tfs"):
+                arr = getattr(index, name)
+                assert not arr.flags.writeable, name
+                with pytest.raises(ValueError):
+                    arr[0] = 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from citebench.corpus import Corpus
@@ -8,11 +9,23 @@ from citebench.lexical import (AnalyzerConfig, Bm25Params, analyze, build_index,
                                default_tuning_grid, idf, load_index, save_index, score,
                                search, tune_params)
 from conftest import make_article
-from oracles import frac_average_precision, naive_bm25_rank
+from oracles import dict_bm25_index, frac_average_precision, naive_bm25_rank
 
 
 def corpus_from_texts(texts: dict[str, str]) -> Corpus:
     return Corpus([make_article(i, title=t, abstract="") for i, t in texts.items()])
+
+
+def assert_csr_holds(ix, postings, doc_lengths):
+    """The index's CSR arrays hold the dict index: ids and lengths in corpus
+    order, terms first-seen, each term's rows ascending with their tfs."""
+    assert ix.ids == list(doc_lengths)
+    assert ix.lengths.tolist() == list(doc_lengths.values())
+    assert list(ix.vocab) == list(postings)
+    for term, t in ix.vocab.items():
+        span = slice(ix.indptr[t], ix.indptr[t + 1])
+        assert [ix.ids[r] for r in ix.rows[span].tolist()] == list(postings[term])
+        assert ix.tfs[span].tolist() == list(postings[term].values())
 
 
 class TestAnalyze:
@@ -50,8 +63,10 @@ class TestAnalyze:
 class TestBuildIndex:
     def test_single_doc_counts(self):
         ix = build_index(corpus_from_texts({"d": "a b a"}))
-        assert ix.postings["a"] == {"d": 2}
-        assert ix.postings["b"] == {"d": 1}
+        assert ix.vocab == {"a": 0, "b": 1}
+        assert ix.indptr.tolist() == [0, 1, 2]
+        assert ix.rows.tolist() == [0, 0] and ix.tfs.tolist() == [2.0, 1.0]
+        assert ix.lengths.tolist() == [3]
         assert ix.avgdl == 3.0
 
     def test_avgdl_mean(self):
@@ -64,15 +79,17 @@ class TestBuildIndex:
         texts = {f"d{i:02d}": " ".join(rng.choices(vocab, k=rng.randint(1, 12)))
                  for i in range(20)}
         ix = build_index(corpus_from_texts(texts))
+        postings, doc_lengths = dict_bm25_index({d: text.split() for d, text in texts.items()})
+        assert_csr_holds(ix, postings, doc_lengths)
         for term in vocab:
             expected = {}
             for doc_id, text in texts.items():
                 count = sum(1 for w in text.split() if w == term)
                 if count:
                     expected[doc_id] = count
-            assert dict(ix.postings.get(term, {})) == expected
+            assert postings.get(term, {}) == expected
         for doc_id, text in texts.items():
-            assert ix.doc_lengths[doc_id] == len(text.split())
+            assert doc_lengths[doc_id] == len(text.split())
 
     def test_empty_corpus(self):
         with pytest.raises(ValueError):
@@ -266,8 +283,9 @@ class TestPersistence:
         loaded = load_index(path)
         assert loaded.N == ix.N
         assert loaded.avgdl == ix.avgdl  # bit-identical
-        assert loaded.doc_lengths == ix.doc_lengths
-        assert loaded.postings == ix.postings
+        assert loaded.ids == ix.ids and loaded.vocab == ix.vocab
+        for name in ("lengths", "indptr", "rows", "tfs"):
+            assert np.array_equal(getattr(loaded, name), getattr(ix, name)), name
         assert loaded.analyzer == ix.analyzer
         params = Bm25Params(1.4, 0.3)
         for _ in range(5):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citebench.metrics import (average_precision, evaluate_run, jaccard, ndcg,
+from citebench.metrics import (average_precision, evaluate_run, jaccard, metric_named, ndcg,
                                read_run_tsv, recall_at_k, write_run_tsv)
 from oracles import frac_average_precision, frac_recall_at_k, mp_ndcg
 
@@ -208,3 +208,27 @@ class TestFileFormats:
         path = tmp_path / "run.tsv"
         path.write_text("q1\ta\t1\t2.0\nq2\ta\t1\t2.0\n")
         assert read_run_tsv(path) == {"q1": [("a", 2.0)], "q2": [("a", 2.0)]}
+
+
+class TestMetricNamed:
+    @settings(max_examples=100, deadline=None)
+    @given(ranked=st.lists(st.sampled_from("abcdefgh"), unique=True),
+           relevant=st.sets(st.sampled_from("abcdefghij"), min_size=1),
+           k=st.integers(1, 12), pairs=st.booleans())
+    def test_equals_direct_calls(self, ranked, relevant, k, pairs):
+        if pairs:
+            ranked = [(doc, float(-i)) for i, doc in enumerate(ranked)]
+        assert metric_named("map")(ranked, relevant) == average_precision(ranked, relevant)
+        assert metric_named("ndcg")(ranked, relevant) == ndcg(ranked, relevant)
+        assert (metric_named(f"recall@{k}")(ranked, relevant)
+                == recall_at_k(ranked, relevant, k))
+
+    @pytest.mark.parametrize("name", ["ndgc", "recall@x", "recall@0", "recall@-1", "recall@",
+                                      "recall5", "MAP", "precision@5", ""])
+    def test_bad_name_rejected(self, name):
+        with pytest.raises(ValueError, match=f"unknown metric {name!r}"):
+            metric_named(name)
+
+    def test_evaluate_run_rejects_bad_cutoff(self):
+        with pytest.raises(ValueError, match="'recall@0'"):
+            evaluate_run({}, {}, recall_cutoff=0)

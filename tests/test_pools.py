@@ -274,6 +274,12 @@ def _query_setting(key, value):
     return edit
 
 
+def _query_without(key):
+    def edit(obj):
+        del obj["queries"][0][key]
+    return edit
+
+
 def _duplicate_pool_id(obj):
     obj["pool_ids"].append(obj["pool_ids"][0])
 
@@ -301,10 +307,10 @@ BAD_POOL_FILES = {
     "pool-ids-str": (_setting("pool_ids", "O1O2"), "pool_ids must be a list of strings"),
     "pool-ids-int": (_setting("pool_ids", [1, 2]), "pool_ids must be a list of strings"),
     "queries-object": (_setting("queries", {"Q1": []}), "queries must be a list"),
-    "query-not-object": (_setting("queries", [["Q1", []]]), "each query must be an object"),
-    "query-id-int": (_query_setting("query_id", 1), "each query must be an object"),
-    "query-id-missing": (_query_setting("query_id", None), "each query must be an object"),
-    "positives-str": (_query_setting("positives", "O1"), "each query must be an object"),
+    "query-not-object": (_setting("queries", [["Q1", []]]), "each query must be a JSON object"),
+    "query-id-int": (_query_setting("query_id", 1), "query_id must be a string"),
+    "query-id-missing": (_query_without("query_id"), "missing key 'query_id'"),
+    "positives-str": (_query_setting("positives", "O1"), "positives must be a list of strings"),
     "duplicate-pool-id": (_duplicate_pool_id, "duplicate pool ids"),
     "duplicate-query": (_duplicate_query, "duplicate query id 'Q1'"),
     "positive-outside-pool": (_outside_positive, "positives outside pool_ids"),
