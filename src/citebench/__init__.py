@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .corpus import (Article, CitationGraph, Corpus, FieldLabel, FIELDS, FIELD_ABBREVS,
                      FIELD_NAMES, PrefilterRules, build_citation_graph, field_cited_set,
                      load_corpus, prefilter, resolve_field, write_corpus_jsonl)
-from .lexical import (AnalyzerConfig, Bm25Index, Bm25Params, analyze, build_index,
+from .lexical import (Bm25Index, Bm25Params, analyze, build_index,
                       default_tuning_grid, idf, load_index, save_index, score, search,
                       tune_params)
 from .dense import EmbeddingStore, knn, load_embeddings, save_embeddings

@@ -24,6 +24,7 @@ import functools
 import json
 import random
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -56,6 +57,11 @@ class BenchmarkParams:
     most_cited_top: int = 200
     model_count: int = 3
 
+    def __post_init__(self) -> None:
+        for name, value in asdict(self).items():
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+
 
 @dataclass
 class BenchmarkEntry:
@@ -75,6 +81,13 @@ class BenchmarkEntry:
 class Benchmark:
     entries: list[BenchmarkEntry]
     manifest: dict
+
+    def __post_init__(self) -> None:
+        # evaluation keys rankings by query id, so two entries for one id
+        # would both be scored with one of their rankings
+        repeated = [q for q, n in Counter(e.query_id for e in self.entries).items() if n > 1]
+        if repeated:
+            raise ValueError(f"benchmark query {repeated[0]!r} has more than one entry")
 
     def negative_types(self) -> list[str]:
         if "types" in self.manifest:
@@ -277,8 +290,6 @@ def build_benchmark(corpus: Corpus, graph: CitationGraph,
     for field_key, queries in queries_by_field.items():
         for q in queries:
             if q in field_of:
-                # evaluation keys rankings by query id, so two entries for one
-                # id would both be scored with one of their rankings
                 raise ValueError(f"query {q!r} is listed for fields {field_of[q]!r} "
                                  f"and {field_key!r}; benchmark query ids must be unique")
             field_of[q] = field_key
@@ -288,7 +299,7 @@ def build_benchmark(corpus: Corpus, graph: CitationGraph,
         for name, run in model_runs.items()
     }
     chosen = select_diverse_models(per_model, params.model_count)
-    type_order = list(chosen) + [GRAPH_TYPE, MOST_CITED_TYPE, RANDOM_TYPE]
+    types = [*chosen, *RESERVED_TYPES]
 
     by_abbrev = {resolve_field(key).abbrev: key for key in queries_by_field}
     # computed on the first query that reaches the most-cited step, so a
@@ -302,7 +313,7 @@ def build_benchmark(corpus: Corpus, graph: CitationGraph,
             continue
         field_key = by_abbrev[abbrev]
         for q in sorted(queries_by_field[field_key]):
-            entry = _build_entry(corpus, graph, q, abbrev, chosen, per_model, params, seed,
+            entry = _build_entry(corpus, graph, q, abbrev, types, per_model, params, seed,
                                  most_cited)
             if entry is None:
                 dropped[abbrev] = dropped.get(abbrev, 0) + 1
@@ -312,7 +323,7 @@ def build_benchmark(corpus: Corpus, graph: CitationGraph,
     benchmark.manifest = {
         "seed": seed,
         "models": list(chosen),
-        "types": type_order,
+        "types": types,
         "params": asdict(params),
         "corpus_hash": corpus.content_hash(),
         "entries": len(entries),
@@ -322,7 +333,7 @@ def build_benchmark(corpus: Corpus, graph: CitationGraph,
     return benchmark
 
 
-def _build_entry(corpus, graph, query_id, abbrev, chosen, per_model, params, seed, most_cited):
+def _build_entry(corpus, graph, query_id, abbrev, types, per_model, params, seed, most_cited):
     try:
         positives = sorted(
             sample_positives(graph, query_id, params.positives_per_query,
@@ -330,32 +341,25 @@ def _build_entry(corpus, graph, query_id, abbrev, chosen, per_model, params, see
         )
     except QueryRejected:
         return None
-    exclude = {query_id} | set(positives) | set(graph.outgoing.get(query_id, frozenset()))
+    # the positives are among the query's cited articles
+    exclude = {query_id} | set(graph.outgoing.get(query_id, frozenset()))
+    n = params.negatives_per_type
     groups: dict[str, list[str]] = {}
-    for label in chosen:
-        sel = model_based_negatives(query_id, per_model[label].get(query_id, []),
-                                    params.negatives_per_type, exclude,
-                                    derive_seed(seed, query_id, "model", label))
+    for label in types:
+        if label == GRAPH_TYPE:
+            sel = graph_negatives(graph, query_id, n, exclude)
+        elif label == MOST_CITED_TYPE:
+            sel = _sample(_eligible(most_cited(abbrev), query_id, exclude), n,
+                          derive_seed(seed, query_id, label))
+        elif label == RANDOM_TYPE:
+            sel = random_negatives(corpus, query_id, n, exclude, derive_seed(seed, query_id, label))
+        else:
+            sel = model_based_negatives(query_id, per_model[label].get(query_id, []), n, exclude,
+                                        derive_seed(seed, query_id, "model", label))
         if sel.shortfall:
             return None
         groups[label] = sorted(sel.ids)
         exclude |= set(sel.ids)
-    sel = graph_negatives(graph, query_id, params.negatives_per_type, exclude)
-    if sel.shortfall:
-        return None
-    groups[GRAPH_TYPE] = sorted(sel.ids)
-    exclude |= set(sel.ids)
-    sel = _sample(_eligible(most_cited(abbrev), query_id, exclude), params.negatives_per_type,
-                  derive_seed(seed, query_id, "most_cited"))
-    if sel.shortfall:
-        return None
-    groups[MOST_CITED_TYPE] = sorted(sel.ids)
-    exclude |= set(sel.ids)
-    sel = random_negatives(corpus, query_id, params.negatives_per_type, exclude,
-                           derive_seed(seed, query_id, "random"))
-    if sel.shortfall:
-        return None
-    groups[RANDOM_TYPE] = sorted(sel.ids)
     return BenchmarkEntry(query_id, abbrev, positives, groups)
 
 
@@ -404,7 +408,10 @@ def read_benchmark_jsonl(path, manifest_path=None) -> Benchmark:
                 raise ValueError(f"{where}: negative groups {sorted(entry.negatives)} "
                                  f"are not the benchmark types {sorted(types)}")
             entries.append(entry)
-    return Benchmark(entries, manifest)
+    try:
+        return Benchmark(entries, manifest)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _parse_entry(obj, where: str) -> BenchmarkEntry:

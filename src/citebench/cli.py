@@ -38,6 +38,8 @@ _METRIC_DISPLAY = {"map": "MAP", "ndcg": "nDCG"}
 
 # defaults of flags that no library parameter has
 _CLI_DEFAULTS = {"queries": 200, "cutoff": DEFAULT_CUTOFF, "model": "bm25"}
+# the subcommands that read --threads: a dense model's row chunks
+_THREADED = ("run", "breakdown")
 
 
 def _display_metric(key: str) -> str:
@@ -535,6 +537,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _merge_config(args, parser)
+        if args.threads is not None and args.command not in _THREADED:
+            raise ValueError(f"{args.command} does not read --threads")
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}

@@ -13,7 +13,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
-from .util import canonical_json, stable_digest
+from .util import canonical_json, parse_json, stable_digest
 
 
 class CorpusError(ValueError):
@@ -173,7 +173,7 @@ def load_corpus(path, *, reject_budget: int = 0) -> Corpus:
     """Load a JSON Lines corpus (one article object per line, UTF-8).
 
     Malformed lines are rejected and counted; exceeding `reject_budget`
-    raises. Duplicate ids always raise regardless of the budget.
+    raises, naming `path:line`. A duplicate id always raises, naming the path.
     """
     articles: list[Article] = []
     rejected = 0
@@ -181,15 +181,19 @@ def load_corpus(path, *, reject_budget: int = 0) -> Corpus:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            where = f"{path}:{lineno}"
             try:
-                articles.append(parse_article(json.loads(line)))
-            except (json.JSONDecodeError, CorpusError) as exc:
+                articles.append(parse_article(parse_json(line, where)))
+            except ValueError as exc:
                 rejected += 1
                 if rejected > reject_budget:
-                    raise CorpusError(
-                        f"line {lineno}: {exc} (rejection budget {reject_budget} exceeded)"
-                    ) from exc
-    return Corpus(articles, rejected=rejected)
+                    # parse_json's errors name `where` already, parse_article's do not
+                    reason = f"{where}: {exc}" if isinstance(exc, CorpusError) else exc
+                    raise CorpusError(f"{reason} (rejection budget {reject_budget} exceeded)")
+    try:
+        return Corpus(articles, rejected=rejected)
+    except CorpusError as exc:
+        raise CorpusError(f"{path}: {exc}") from None
 
 
 def write_corpus_jsonl(corpus: Corpus, path) -> None:

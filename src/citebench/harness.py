@@ -14,6 +14,8 @@ from .pools import PoolSet
 
 # ranking depth of a pool run when the caller names none
 DEFAULT_CUTOFF = 500
+# the R@ cutoff of a closed benchmark, whose entries hold 5 positives
+BENCHMARK_RECALL_CUTOFF = 5
 
 
 class RetrievalModel(ABC):
@@ -50,11 +52,11 @@ class RetrievalModel(ABC):
 
 
 class Bm25Model(RetrievalModel):
-    def __init__(self, index: lexical.Bm25Index, params: lexical.Bm25Params | None = None,
-                 name: str = "bm25"):
+    name = "bm25"
+
+    def __init__(self, index: lexical.Bm25Index, params: lexical.Bm25Params | None = None):
         self.index = index
         self.params = params or lexical.Bm25Params()
-        self.name = name
 
     def rank(self, query: Article, candidates, k: int) -> list[tuple[str, float]]:
         return lexical.search(self.index, query.text, self.params, k=k, pool=candidates)
@@ -125,8 +127,13 @@ def _benchmark_metrics(recall_cutoff: int) -> dict:
     return {m: metrics.metric_named(m) for m in ("map", f"recall@{recall_cutoff}")}
 
 
+def _mean(rows: Sequence[Mapping[str, float]], names) -> dict[str, float]:
+    """Each name's mean over `rows`, summed in row order; 0.0 with no rows."""
+    return {m: sum(row[m] for row in rows) / len(rows) if rows else 0.0 for m in names}
+
+
 def score_benchmark_rankings(rankings: Mapping[str, Sequence], benchmark: Benchmark,
-                             recall_cutoff: int = 5) -> BenchmarkReport:
+                             recall_cutoff: int = BENCHMARK_RECALL_CUTOFF) -> BenchmarkReport:
     """Score precomputed per-entry rankings (e.g. a run file) against a
     benchmark's positives: per-field means, macro-averaged over fields."""
     scorers = _benchmark_metrics(recall_cutoff)
@@ -143,13 +150,8 @@ def score_benchmark_rankings(rankings: Mapping[str, Sequence], benchmark: Benchm
     for abbrev in FIELD_ABBREVS:
         queries = [q for q, f in field_of.items() if f == abbrev]
         if queries:
-            per_field[abbrev] = {m: sum(per_query[q][m] for q in queries) / len(queries)
-                                 for m in scorers}
-    macro = {
-        m: (sum(vals[m] for vals in per_field.values()) / len(per_field) if per_field else 0.0)
-        for m in scorers
-    }
-    return BenchmarkReport(per_field, macro, per_query)
+            per_field[abbrev] = _mean([per_query[q] for q in queries], scorers)
+    return BenchmarkReport(per_field, _mean(list(per_field.values()), scorers), per_query)
 
 
 def rank_benchmark(model: RetrievalModel, benchmark: Benchmark, corpus: Corpus,
@@ -159,24 +161,21 @@ def rank_benchmark(model: RetrievalModel, benchmark: Benchmark, corpus: Corpus,
     items; with no cutoff the whole pool is ranked."""
     rankings: dict[str, list[tuple[str, float]]] = {}
     for entry in benchmark.entries:
-        if entry.query_id in rankings:
-            raise ValueError(f"benchmark query {entry.query_id!r} has more than one entry")
         candidates = frozenset(entry.candidate_ids())
         k = len(candidates) if cutoff is None else min(cutoff, len(candidates))
         rankings[entry.query_id] = model.rank(corpus.article(entry.query_id), candidates, k)
     return rankings
 
 
-def evaluate_benchmark(model: RetrievalModel, benchmark: Benchmark, corpus: Corpus,
-                       recall_cutoff: int = 5) -> BenchmarkReport:
+def evaluate_benchmark(model: RetrievalModel, benchmark: Benchmark,
+                       corpus: Corpus) -> BenchmarkReport:
     """Rank each entry's closed candidate pool and aggregate AP and recall
     per field, macro-averaged overall."""
-    return score_benchmark_rankings(rank_benchmark(model, benchmark, corpus), benchmark,
-                                    recall_cutoff)
+    return score_benchmark_rankings(rank_benchmark(model, benchmark, corpus), benchmark)
 
 
-def candidate_type_breakdown(model: RetrievalModel, benchmark: Benchmark, corpus: Corpus,
-                             recall_cutoff: int = 5) -> dict[str, dict[str, float]]:
+def candidate_type_breakdown(model: RetrievalModel, benchmark: Benchmark,
+                             corpus: Corpus) -> dict[str, dict[str, float]]:
     """For each candidate type, score each entry's subset pool (positives
     plus that type's negatives) and average AP and recall over all entries.
 
@@ -185,20 +184,18 @@ def candidate_type_breakdown(model: RetrievalModel, benchmark: Benchmark, corpus
     because `RetrievalModel.rank` orders a subset as it orders the full set.
     The full pool is ranked whole, so filtering never loses a candidate.
     """
-    scorers = _benchmark_metrics(recall_cutoff)
+    scorers = _benchmark_metrics(BENCHMARK_RECALL_CUTOFF)
     types = benchmark.negative_types()
     rankings = rank_benchmark(model, benchmark, corpus)
-    sums = {t: dict.fromkeys(scorers, 0.0) for t in types}
+    per_type: dict[str, list[dict[str, float]]] = {t: [] for t in types}
     for entry in benchmark.entries:
         positives = frozenset(entry.positives)
         ranked = rankings[entry.query_id]
         for t in types:
             keep = positives | frozenset(entry.negatives[t])
             subset = [item for item in ranked if item[0] in keep]
-            for m, f in scorers.items():
-                sums[t][m] += f(subset, positives)
-    count = max(len(benchmark.entries), 1)  # no entries: every sum stays 0.0
-    return {t: {m: v / count for m, v in vals.items()} for t, vals in sums.items()}
+            per_type[t].append({m: f(subset, positives) for m, f in scorers.items()})
+    return {t: _mean(rows, scorers) for t, rows in per_type.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ per-document sums with one np.add.at. That adds one element at a time in
 index order, so each document's sum starts from 0.0 and takes its terms in
 query-token order with score()'s operations: every returned score equals
 score() exactly.
-Indexes persist as format version 2: a JSON header (analyzer, doc ids,
-terms) followed by the raw CSR arrays.
+Indexes persist as format version 3: a JSON header (doc ids, terms)
+followed by the raw CSR arrays.
 """
 
 from __future__ import annotations
@@ -41,22 +41,9 @@ from .util import id_ranks, rank_rows
 _WORD = re.compile(r"\w+")
 
 
-@dataclass(frozen=True)
-class AnalyzerConfig:
-    """Deterministic text analysis shared by documents and queries."""
-
-    lowercase: bool = True
-    stopwords: frozenset[str] | None = None
-
-
-def analyze(text: str, config: AnalyzerConfig = AnalyzerConfig()) -> list[str]:
-    """Unicode word tokens in document order, lowercased and stop-filtered per config."""
-    if config.lowercase:
-        text = text.lower()
-    tokens = _WORD.findall(text)
-    if config.stopwords:
-        tokens = [t for t in tokens if t not in config.stopwords]
-    return tokens
+def analyze(text: str) -> list[str]:
+    """Lowercased Unicode word tokens in text order, for documents and queries alike."""
+    return _WORD.findall(text.lower())
 
 
 @dataclass(frozen=True)
@@ -81,15 +68,13 @@ class Bm25Index:
     and search are pure.
     """
 
-    def __init__(self, ids: list[str], lengths, vocab: dict[str, int], indptr, rows, tfs,
-                 analyzer: AnalyzerConfig):
+    def __init__(self, ids: list[str], lengths, vocab: dict[str, int], indptr, rows, tfs):
         self.ids = list(ids)
         self.lengths = np.asarray(lengths, dtype=np.int64)
         self.vocab = vocab
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.rows = np.asarray(rows, dtype=np.int32)
         self.tfs = np.asarray(tfs, dtype=np.float64)
-        self.analyzer = analyzer
         if (self.lengths.shape != (len(self.ids),) or self.indptr.shape != (len(vocab) + 1,)
                 or self.rows.shape != self.tfs.shape or self.indptr[-1] != self.rows.size):
             raise ValueError("inconsistent index arrays")
@@ -118,7 +103,7 @@ class Bm25Index:
         return mask
 
 
-def build_index(corpus: Corpus, config: AnalyzerConfig = AnalyzerConfig()) -> Bm25Index:
+def build_index(corpus: Corpus) -> Bm25Index:
     if len(corpus) == 0:
         raise ValueError("cannot index an empty corpus")
     ids: list[str] = []
@@ -127,7 +112,7 @@ def build_index(corpus: Corpus, config: AnalyzerConfig = AnalyzerConfig()) -> Bm
     # of distinct terms per document
     lengths, widths, term_of, tf_of = array("q"), array("q"), array("q"), array("q")
     for art in corpus:
-        tokens = analyze(art.text, config)
+        tokens = analyze(art.text)
         counts = Counter(tokens)
         ids.append(art.id)
         lengths.append(len(tokens))
@@ -141,8 +126,7 @@ def build_index(corpus: Corpus, config: AnalyzerConfig = AnalyzerConfig()) -> Bm
     indptr = np.zeros(len(vocab) + 1, dtype=np.int64)
     np.cumsum(np.bincount(terms, minlength=len(vocab)), out=indptr[1:])
     tfs = np.frombuffer(tf_of, dtype=np.int64)[order].astype(np.float64)
-    return Bm25Index(ids, np.frombuffer(lengths, dtype=np.int64), vocab, indptr, rows[order],
-                     tfs, config)
+    return Bm25Index(ids, np.frombuffer(lengths, dtype=np.int64), vocab, indptr, rows[order], tfs)
 
 
 def idf(index: Bm25Index, term: str) -> float:
@@ -225,8 +209,7 @@ def search(index: Bm25Index, query_text: str, params: Bm25Params = Bm25Params(),
     if k < 1:
         raise ValueError("k must be >= 1")
     mask = None if pool is None else index._pool_mask(pool)
-    return _ranked(index, _query_terms(index, analyze(query_text, index.analyzer), mask),
-                   params, k)
+    return _ranked(index, _query_terms(index, analyze(query_text), mask), params, k)
 
 
 def search_pool(index: Bm25Index, queries, pool, params: Bm25Params = Bm25Params(),
@@ -239,7 +222,7 @@ def search_pool(index: Bm25Index, queries, pool, params: Bm25Params = Bm25Params
     if k < 1:
         raise ValueError("k must be >= 1")
     mask = index._pool_mask(pool)
-    return {qid: _ranked(index, _query_terms(index, analyze(text, index.analyzer), mask),
+    return {qid: _ranked(index, _query_terms(index, analyze(text), mask),
                          params, k, exclude=index._row.get(qid))
             for qid, text in queries}
 
@@ -267,10 +250,12 @@ def tune_params(index: Bm25Index, validation: list[tuple[str, set]], grid: list[
         raise ValueError("empty parameter grid")
     if not validation:
         raise ValueError("empty validation set")
+    if cutoff is not None and cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     objective_of = metrics.metric_named(objective)
     k = cutoff if cutoff is not None else (len(pool) if pool is not None else index.N)
     mask = None if pool is None else index._pool_mask(pool)
-    prepared = [(_query_terms(index, analyze(text, index.analyzer), mask), positives)
+    prepared = [(_query_terms(index, analyze(text), mask), positives)
                 for text, positives in validation]
     best_key = None
     best_params = None
@@ -286,25 +271,20 @@ def tune_params(index: Bm25Index, validation: list[tuple[str, set]], grid: list[
 
 
 # ---------------------------------------------------------------------------
-# binary index persistence, format version 2: magic, version and header
+# binary index persistence, format version 3: magic, version and header
 # length, a JSON header, then the raw little-endian arrays lengths (i8),
 # indptr (i8), tfs (f8) and rows (i4)
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"CBIX"
-_VERSION = 2
+_VERSION = 3
 _PREFIX = struct.Struct("<4sIQ")
 
 
 def save_index(index: Bm25Index, path) -> None:
     """Persist the index so that load_index(save_index(...)) ranks bit-identically."""
-    cfg = index.analyzer
-    header = json.dumps({
-        "lowercase": cfg.lowercase,
-        "stopwords": None if cfg.stopwords is None else sorted(cfg.stopwords),
-        "ids": index.ids,
-        "terms": list(index.vocab),
-    }, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    header = json.dumps({"ids": index.ids, "terms": list(index.vocab)},
+                        ensure_ascii=False, separators=(",", ":")).encode("utf-8")
     header += b" " * (-len(header) % 8)  # keeps every array 8-byte aligned
     with open(path, "wb") as fh:
         fh.write(_PREFIX.pack(_MAGIC, _VERSION, len(header)))
@@ -339,14 +319,12 @@ def load_index(path) -> Bm25Index:
         offset += arr.nbytes
         return arr
 
-    ids, terms, stopwords = header["ids"], header["terms"], header["stopwords"]
+    ids, terms = header["ids"], header["terms"]
     lengths = take("<i8", len(ids))
     indptr = take("<i8", len(terms) + 1)
     tfs = take("<f8", int(indptr[-1]))
     rows = take("<i4", int(indptr[-1]))
     if offset != len(data):
         raise ValueError(f"{path}: {len(data) - offset} trailing bytes after the index arrays")
-    config = AnalyzerConfig(lowercase=header["lowercase"],
-                            stopwords=None if stopwords is None else frozenset(stopwords))
     vocab = {term: t for t, term in enumerate(terms)}
-    return Bm25Index(ids, lengths, vocab, indptr, rows, tfs, config)
+    return Bm25Index(ids, lengths, vocab, indptr, rows, tfs)

@@ -15,7 +15,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import CitationGraph, Corpus, FieldLabel, field_cited_set, resolve_field
+from .corpus import Article, CitationGraph, Corpus, FieldLabel, field_cited_set, resolve_field
 from .util import checked, read_json
 
 DATASET_LEVEL = "dataset"
@@ -84,55 +84,12 @@ class PoolSet:
         return frozenset(self.pool_ids)
 
 
-def _query_year(corpus: Corpus, queries: Iterable[str]) -> int:
-    years = [corpus.article(q).year for q in queries if corpus.article(q).year is not None]
-    if not years:
-        raise ValueError("no query has a publication year")
-    return max(years)
-
-
-def _cited_union(graph: CitationGraph, queries: list[str]) -> set[str]:
-    cited: set[str] = set()
-    for q in queries:
-        cited |= graph.outgoing.get(q, frozenset())
-    return cited
-
-
-def _assemble(graph: CitationGraph, queries: list[str], cited_union: set[str], size: int,
-              seed: int, fill_population: list[str], setup: str, field_abbrev: str | None,
-              query_year: int) -> PoolSet:
-    if size < len(cited_union):
-        raise ValueError(
-            f"pool size {size} cannot hold the {len(cited_union)} articles cited by the queries"
-        )
-    need = size - len(cited_union)
-    if need > len(fill_population):
-        fill = list(fill_population)
-        shortfall = True
-    else:
-        fill = random.Random(seed).sample(fill_population, need)
-        shortfall = False
-    pool_ids = sorted(cited_union | set(fill))
-    positives = {q: sorted(graph.outgoing.get(q, frozenset())) for q in sorted(set(queries))}
-    return PoolSet(setup, field_abbrev, seed, query_year, size, shortfall, pool_ids, positives)
-
-
 def build_dataset_pool(corpus: Corpus, graph: CitationGraph, queries: Iterable[str],
                        size: int, seed: int) -> PoolSet:
     """Shared pool: all articles cited by any query, topped up to `size` with
     random corpus articles of year <= query year. Query articles themselves
     are never used as fill."""
-    queries = list(queries)
-    query_year = _query_year(corpus, queries)
-    cited = _cited_union(graph, queries)
-    qset = set(queries)
-    fill_population = sorted(
-        art.id for art in corpus
-        if art.id not in cited and art.id not in qset
-        and art.year is not None and art.year <= query_year
-    )
-    return _assemble(graph, queries, cited, size, seed, fill_population,
-                     DATASET_LEVEL, None, query_year)
+    return _build_pool(corpus, graph, queries, size, seed, corpus, DATASET_LEVEL, None)
 
 
 def build_field_pool(corpus: Corpus, graph: CitationGraph, field: str | FieldLabel,
@@ -141,18 +98,40 @@ def build_field_pool(corpus: Corpus, graph: CitationGraph, field: str | FieldLab
     set (articles cited by any article labeled with the field). A fill
     population smaller than needed sets the shortfall flag instead of failing."""
     label = resolve_field(field)
+    population = map(corpus.article, field_cited_set(corpus, graph, label))
+    return _build_pool(corpus, graph, queries, size, seed, population, FIELD_LEVEL, label.abbrev)
+
+
+def _build_pool(corpus: Corpus, graph: CitationGraph, queries: Iterable[str], size: int,
+                seed: int, population: Iterable[Article], setup: str,
+                field: str | None) -> PoolSet:
+    """The queries' cited union topped up to `size` with a seeded sample of
+    the population's articles that are not cited, not queries and not newer
+    than the latest query year (all of them, a shortfall, when too few)."""
     queries = list(queries)
-    query_year = _query_year(corpus, queries)
-    cited = _cited_union(graph, queries)
-    qset = set(queries)
-    fcs = field_cited_set(corpus, graph, label)
+    years = [corpus.article(q).year for q in queries if corpus.article(q).year is not None]
+    if not years:
+        raise ValueError("no query has a publication year")
+    query_year = max(years)
+    cited: set[str] = set()
+    for q in queries:
+        cited |= graph.outgoing.get(q, frozenset())
+    if size < len(cited):
+        raise ValueError(
+            f"pool size {size} cannot hold the {len(cited)} articles cited by the queries"
+        )
+    taken = cited.union(queries)
+    # filtered as it is read: the population may be the whole corpus
     fill_population = sorted(
-        i for i in fcs
-        if i not in cited and i not in qset
-        and corpus.article(i).year is not None and corpus.article(i).year <= query_year
+        art.id for art in population
+        if art.id not in taken and art.year is not None and art.year <= query_year
     )
-    return _assemble(graph, queries, cited, size, seed, fill_population,
-                     FIELD_LEVEL, label.abbrev, query_year)
+    need = size - len(cited)
+    shortfall = need > len(fill_population)
+    fill = fill_population if shortfall else random.Random(seed).sample(fill_population, need)
+    positives = {q: sorted(graph.outgoing.get(q, frozenset())) for q in sorted(set(queries))}
+    return PoolSet(setup, field, seed, query_year, size, shortfall, sorted(cited.union(fill)),
+                   positives)
 
 
 def repeat_pools(builder: Callable[[int], PoolSet], repetitions: int, base_seed: int) -> list[PoolSet]:

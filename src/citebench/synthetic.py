@@ -29,33 +29,33 @@ def _field_vocab(field_name: str, size: int = 24) -> list[str]:
 
 
 _SHARED_VOCAB = [f"common{i}" for i in range(60)]
+_DEFECT_RATE = 0.02
 
 
-def generate_corpus(n: int = 1000, seed: int = 0, *, year_min: int = 2008, year_max: int = 2021,
-                    fields: tuple[str, ...] = FIELD_NAMES, defect_rate: float = 0.02) -> Corpus:
-    """Generate n articles with citations flowing from newer to older years.
+def generate_corpus(n: int = 1000, seed: int = 0) -> Corpus:
+    """Generate n articles of 2008-2021 with citations flowing from newer to older years.
 
     Years are weighted toward the recent end so query-year cohorts are well
     populated, and each article mostly cites articles from its own primary
-    field. A small defect_rate of articles is broken on purpose (no year,
+    field. A _DEFECT_RATE share of articles is broken on purpose (no year,
     empty title, or short abstract).
     """
     rng = random.Random(seed)
-    years = list(range(year_min, year_max + 1))
-    year_weights = [1.0 + 0.3 * (y - year_min) for y in years]
-    vocab = {f: _field_vocab(f) for f in fields}
+    years = list(range(2008, 2022))
+    year_weights = [1.0 + 0.3 * (y - years[0]) for y in years]
+    vocab = {f: _field_vocab(f) for f in FIELD_NAMES}
 
     drafts = []
     for i in range(n):
         year = rng.choices(years, weights=year_weights, k=1)[0]
-        primary = rng.choice(fields)
+        primary = rng.choice(FIELD_NAMES)
         labels = {primary}
         if rng.random() < 0.2:
-            labels.add(rng.choice(fields))
+            labels.add(rng.choice(FIELD_NAMES))
         drafts.append((year, f"S{i:06d}", primary, frozenset(labels)))
     drafts.sort()  # by (year, id): citation targets precede their citers
 
-    by_field_prefix: dict[str, list[str]] = {f: [] for f in fields}
+    by_field_prefix: dict[str, list[str]] = {f: [] for f in FIELD_NAMES}
     all_prefix: list[str] = []
     articles: list[Article] = []
     for year, ident, primary, labels in drafts:
@@ -75,7 +75,7 @@ def generate_corpus(n: int = 1000, seed: int = 0, *, year_min: int = 2008, year_
         title = " ".join(rng.choices(words + _SHARED_VOCAB, k=rng.randint(4, 7)))
         abstract = " ".join(rng.choices(words + _SHARED_VOCAB, k=rng.randint(18, 28)))
         year_out: int | None = year
-        if rng.random() < defect_rate:
+        if rng.random() < _DEFECT_RATE:
             defect = rng.choice(("year", "title", "abstract"))
             if defect == "year":
                 year_out = None

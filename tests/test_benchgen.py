@@ -379,6 +379,13 @@ class TestBuildBenchmark:
         assert per_query == 65
         assert 19 * 200 * per_query == 247_000
 
+    @pytest.mark.parametrize("param", ["positives_per_query", "negatives_per_type",
+                                       "model_pool_depth", "most_cited_top", "model_count"])
+    def test_params_below_one_rejected(self, param):
+        with pytest.raises(ValueError, match=f"{param} must be >= 1, got 0"):
+            BenchmarkParams(**{param: 0})
+        assert getattr(BenchmarkParams(**{param: 1}), param) == 1
+
     def test_type_order_fixed(self, synth_prefiltered):
         corpus, graph, queries_by_field, model_runs = small_benchmark_inputs(synth_prefiltered)
         bench = build_benchmark(corpus, graph, queries_by_field, model_runs, seed=5)

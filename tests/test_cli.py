@@ -109,14 +109,18 @@ def pipeline(workspace):
             run_files.setdefault(model, []).append(str(out / f"run_{model}.tsv"))
 
     bench_out = root / "bench"
-    argv = ["benchgen", "--corpus", pref_path, "--seed", "31", "--out", str(bench_out)]
+    assert main([*_benchgen_argv(pref_path, pools, run_files), "--out", str(bench_out)]) == 0
+    return root, pref_path, emb, pools, run_files, str(bench_out / "benchmark.jsonl")
+
+
+def _benchgen_argv(pref_path, pools, run_files) -> list[str]:
+    argv = ["benchgen", "--corpus", pref_path, "--seed", "31"]
     for p in pools:
         argv += ["--pool", p]
     for model, files in run_files.items():
         for f in files:
             argv += ["--run", f"{model}={f}"]
-    assert main(argv) == 0
-    return root, pref_path, emb, pools, run_files, str(bench_out / "benchmark.jsonl")
+    return argv
 
 
 def test_eval_pool_mode_with_repetitions(pipeline, capsys):
@@ -142,13 +146,13 @@ def test_eval_unknown_query_fails_with_query_id(pipeline, tmp_path, capsys):
 
 def test_benchmark_shape(pipeline):
     *_, bench_path = pipeline
-    lines = [json.loads(l) for l in open(bench_path, encoding="utf-8")]
+    lines = [json.loads(l) for l in Path(bench_path).read_text(encoding="utf-8").splitlines()]
     assert len(lines) == 8  # 2 fields x 4 queries
     for obj in lines:
         assert len(obj["positives"]) == 5
         assert len(obj["negatives"]) == 6
         assert all(len(ids) == 10 for ids in obj["negatives"].values())
-    manifest = json.loads((open(bench_path[:-6] + ".manifest.json", encoding="utf-8")).read())
+    manifest = json.loads(Path(bench_path[:-6] + ".manifest.json").read_text(encoding="utf-8"))
     assert manifest["entries"] == 8
     assert manifest["pairs"] == 8 * 65
     assert len(manifest["models"]) == 3
@@ -168,10 +172,10 @@ def test_run_eval_breakdown_report_on_benchmark(pipeline, capsys):
         assert main(["eval", "--run", str(run_out / f"run_{model}.tsv"),
                      "--benchmark", bench_path, "--out", str(eval_out)]) == 0
         evals[model] = str(eval_out / f"eval_run_{model}.json")
-        data = json.loads(open(evals[model], encoding="utf-8").read())
+        data = json.loads(Path(evals[model]).read_text(encoding="utf-8"))
         assert set(data["per_field"]) == {"Med", "CS"}
         assert set(data["avg"]) == {"map", "recall@5"}
-        tsv = open(eval_out / f"eval_run_{model}.tsv", encoding="utf-8").read().splitlines()
+        tsv = (eval_out / f"eval_run_{model}.tsv").read_text(encoding="utf-8").splitlines()
         assert tsv[0] == "Field\tMAP\tR@5"
         assert tsv[-1].startswith("AVG\t")
 
@@ -461,3 +465,57 @@ def test_demo_tune_config_equals_flag_form(tmp_path, monkeypatch):
                  "--out", "out/tune_flags"]) == 0
     for name in ("bm25_params.json", "bm25_params.manifest.json"):
         assert (work / "out/tune" / name).read_bytes() == (work / "out/tune_flags" / name).read_bytes()
+
+
+@pytest.mark.parametrize("cutoff", ["0", "-3"])
+def test_tune_rejects_cutoff_below_one(pipeline, tmp_path, capsys, cutoff):
+    root, pref_path, emb, pools, run_files, _ = pipeline
+    assert main(["tune", "--corpus", pref_path, "--pool", pools[0], "--cutoff", cutoff,
+                 "--out", str(tmp_path / "tune")]) == 1
+    assert f"cutoff must be >= 1, got {cutoff}" in _error(capsys)
+    assert not (tmp_path / "tune" / "bm25_params.json").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "eval", "breakdown"])
+def test_benchmark_repeating_a_query_rejected(pipeline, tmp_path, capsys, command):
+    root, pref_path, emb, pools, run_files, bench_path = pipeline
+    lines = Path(bench_path).read_text(encoding="utf-8").splitlines(keepends=True)
+    bench = tmp_path / "benchmark.jsonl"
+    bench.write_text("".join([*lines, lines[0]]), encoding="utf-8")
+    argv = {"run": ["run", "--corpus", pref_path, "--model", "bm25"],
+            "eval": ["eval", "--run", _bench_run(pipeline, tmp_path)],
+            "breakdown": ["breakdown", "--corpus", pref_path, "--model", "bm25"]}[command]
+    out = tmp_path / "out"
+    assert main([*argv, "--benchmark", str(bench), "--out", str(out)]) == 1
+    message = _error(capsys)
+    query = json.loads(lines[0])["query_id"]
+    assert message.startswith(f"{bench}: benchmark query {query!r} has more than one entry")
+    assert not any(out.glob("*"))
+
+
+@pytest.mark.parametrize("flag, value, param", [
+    ("--positives", "0", "positives_per_query"),
+    ("--negatives", "-1", "negatives_per_type"),
+    ("--depth", "0", "model_pool_depth"),
+    ("--top", "0", "most_cited_top"),
+])
+def test_benchgen_rejects_counts_below_one(pipeline, tmp_path, capsys, flag, value, param):
+    root, pref_path, emb, pools, run_files, _ = pipeline
+    out = tmp_path / "bench"
+    assert main([*_benchgen_argv(pref_path, pools, run_files), flag, value,
+                 "--out", str(out)]) == 1
+    assert f"{param} must be >= 1, got {value}" in _error(capsys)
+    assert not (out / "benchmark.jsonl").exists()
+
+
+@pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("command",
+                         ["ingest", "prefilter", "pool", "tune", "eval", "benchgen", "report"])
+def test_threads_rejected_where_never_read(tmp_path, capsys, command, by_config):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"threads": 7}))
+    argv = [command, "--config", str(config)] if by_config else [command, "--threads", "7"]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert _error(capsys) == f"{command} does not read --threads"
+    assert not out.exists()

@@ -36,6 +36,18 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="duplicate"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("line, expected", [
+        ("{broken", ":2: malformed JSON"),
+        ('{"id": 3}', ":2: missing or invalid 'id' (rejection budget 0 exceeded)"),
+        (_record("A"), ": duplicate article id: 'A'"),
+    ], ids=["malformed-json", "bad-record", "duplicate-id"])
+    def test_errors_name_the_file_once(self, tmp_path, line, expected):
+        path = _write_lines(tmp_path / "c.jsonl", [_record("A"), line])
+        with pytest.raises(CorpusError) as info:
+            load_corpus(path)
+        assert str(info.value).startswith(f"{path}{expected}")
+        assert str(info.value).count(str(path)) == 1
+
     def test_truncated_line_within_budget(self, tmp_path):
         lines = [_record("A"), _record("B"), '{"id": "C", "title": "tru']
         path = _write_lines(tmp_path / "c.jsonl", lines)

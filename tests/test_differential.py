@@ -16,7 +16,7 @@ from citebench.benchgen import (BenchmarkParams, _SortedWithout, build_benchmark
 from citebench.corpus import Corpus, build_citation_graph, resolve_field
 from citebench.dense import EmbeddingStore, knn
 from citebench.harness import Bm25Model, DenseModel, RetrievalModel, run_retrieval
-from citebench.lexical import (AnalyzerConfig, Bm25Params, analyze, build_index, load_index,
+from citebench.lexical import (Bm25Params, analyze, build_index, load_index,
                                save_index, score, search, tune_params)
 from citebench.pools import DATASET_LEVEL, PoolSet
 from conftest import make_article
@@ -157,27 +157,21 @@ class TestIndexFormat:
     def _index(self):
         texts = {"doc2": "alpha beta beta", "doc0": "gamma alpha", "doc1": "", "Δ": "ünï code"}
         corpus = Corpus([make_article(i, title=t, abstract="") for i, t in texts.items()])
-        return build_index(corpus, AnalyzerConfig(stopwords=frozenset({"code"})))
+        return build_index(corpus)
 
-    def test_version_2_roundtrip(self, tmp_path):
+    def test_version_3_roundtrip(self, tmp_path):
         ix = self._index()
         path = tmp_path / "index.bin"
         save_index(ix, path)
-        assert path.read_bytes()[:8] == b"CBIX" + struct.pack("<I", 2)
+        assert path.read_bytes()[:8] == b"CBIX" + struct.pack("<I", 3)
         loaded = load_index(path)
         assert loaded.ids == ix.ids and loaded.vocab == ix.vocab
         for name in ("lengths", "indptr", "rows", "tfs"):
             a, b = getattr(loaded, name), getattr(ix, name)
             assert a.dtype == b.dtype and np.array_equal(a, b)
-        assert loaded.analyzer == ix.analyzer
         assert loaded.avgdl == ix.avgdl
-        for query in ("alpha", "beta alpha gamma", "ünï", "nothing"):
+        for query in ("alpha", "beta alpha gamma", "ünï", "code", "nothing"):
             assert search(loaded, query, k=10) == search(ix, query, k=10)
-
-    def test_no_stopwords_roundtrip(self, tmp_path):
-        ix = build_index(Corpus([make_article("d", title="x y", abstract="")]))
-        save_index(ix, tmp_path / "i.bin")
-        assert load_index(tmp_path / "i.bin").analyzer == AnalyzerConfig()
 
     def test_version_1_rejected(self, tmp_path):
         # header of a version-1 file: magic, version, analyzer flags, doc count
@@ -185,6 +179,16 @@ class TestIndexFormat:
         path.write_bytes(b"CBIX" + struct.pack("<I", 1) + struct.pack("<BBI", 1, 0, 0)
                          + struct.pack("<Q", 0) + struct.pack("<Q", 0))
         with pytest.raises(ValueError, match="unsupported index version 1"):
+            load_index(path)
+
+    def test_version_2_rejected(self, tmp_path):
+        # a version-2 file: magic, version, header length, then a header that
+        # also holds the analyzer settings
+        header = b'{"lowercase":true,"stopwords":null,"ids":[],"terms":[]}'
+        path = tmp_path / "v2.bin"
+        path.write_bytes(b"CBIX" + struct.pack("<IQ", 2, len(header)) + header
+                         + struct.pack("<q", 0))
+        with pytest.raises(ValueError, match="unsupported index version 2"):
             load_index(path)
 
     def test_truncated_file_rejected(self, tmp_path):
@@ -201,7 +205,7 @@ class TestIndexFormat:
 
     def test_arrays_are_read_only(self, tmp_path):
         ix = self._index()
-        assert ix.lengths.tolist() == [3, 2, 0, 1]
+        assert ix.lengths.tolist() == [3, 2, 0, 2]
         t = ix.vocab["beta"]
         assert ix.rows[ix.indptr[t]:ix.indptr[t + 1]].tolist() == [0]
         assert ix.tfs[ix.indptr[t]:ix.indptr[t + 1]].tolist() == [2.0]

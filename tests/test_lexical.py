@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from citebench.corpus import Corpus
-from citebench.lexical import (AnalyzerConfig, Bm25Params, analyze, build_index,
+from citebench.lexical import (Bm25Params, analyze, build_index,
                                default_tuning_grid, idf, load_index, save_index, score,
                                search, tune_params)
 from conftest import make_article
@@ -54,10 +54,6 @@ class TestAnalyze:
         if current:
             expected.append("".join(current))
         assert analyze(text) == expected
-
-    def test_stopwords_and_case_preservation(self):
-        cfg = AnalyzerConfig(lowercase=False, stopwords=frozenset({"the"}))
-        assert analyze("The the Cat", cfg) == ["The", "Cat"]
 
 
 class TestBuildIndex:
@@ -276,8 +272,7 @@ class TestPersistence:
         vocab = [f"term{i}" for i in range(15)]
         texts = {f"doc{i:02d}": " ".join(rng.choices(vocab, k=rng.randint(3, 20)))
                  for i in range(25)}
-        ix = build_index(corpus_from_texts(texts),
-                         AnalyzerConfig(stopwords=frozenset({"term0"})))
+        ix = build_index(corpus_from_texts(texts))
         path = tmp_path / "index.bin"
         save_index(ix, path)
         loaded = load_index(path)
@@ -286,7 +281,6 @@ class TestPersistence:
         assert loaded.ids == ix.ids and loaded.vocab == ix.vocab
         for name in ("lengths", "indptr", "rows", "tfs"):
             assert np.array_equal(getattr(loaded, name), getattr(ix, name)), name
-        assert loaded.analyzer == ix.analyzer
         params = Bm25Params(1.4, 0.3)
         for _ in range(5):
             query = " ".join(rng.choices(vocab, k=4))
