@@ -142,6 +142,14 @@ def _single_pool(args: argparse.Namespace) -> str:
     return args.pool[0]
 
 
+def _check_in_corpus(pool_path: str, pool_set, corpus) -> None:
+    """A query or pool id that the corpus lacks is an error naming the pool file."""
+    try:
+        corpus.numbering.rows([*pool_set.positives, *pool_set.pool_ids])
+    except KeyError as exc:
+        raise ValueError(f"{pool_path}: id {exc.args[0]!r} is not in the corpus") from None
+
+
 def _tuned_params(index, corpus, pool_set, **options) -> Bm25Params:
     validation = [(corpus.article(q).text, set(pool_set.positives[q]))
                   for q in sorted(pool_set.positives)]
@@ -149,17 +157,30 @@ def _tuned_params(index, corpus, pool_set, **options) -> Bm25Params:
                        **options)
 
 
-def _build_model(args: argparse.Namespace, corpus, index=None) -> RetrievalModel:
-    """The model named by --model; a BM25 model uses `index` when given."""
+def _model_spec(args: argparse.Namespace) -> tuple[str, str | None]:
+    """--model's name and, for a dense model, its vector path. A set model
+    flag that the backend never reads is an error: BM25 reads --k1, --b and
+    --params, a dense model --metric and --threads. Unset flags are not
+    checked, so every accepted command keeps its config_hash."""
     embeddings = dict(_name_paths(args.embeddings or [], "--embeddings", unique=True))
     name = _flag(args, "model")
-    if name in embeddings:
-        vec_path = embeddings[name]
+    if name not in embeddings and name != "bm25":
+        raise ValueError(f"unknown model {name!r}: not 'bm25' and no --embeddings entry")
+    vec_path = embeddings.get(name)
+    for flag in ("metric", "threads") if vec_path is None else ("k1", "b", "params"):
+        if getattr(args, flag) is not None:
+            raise ValueError(f"{args.command} --model {name} does not read --{flag}")
+    return name, vec_path
+
+
+def _build_model(args: argparse.Namespace, spec: tuple[str, str | None], corpus,
+                 index=None) -> RetrievalModel:
+    """The model of `spec` (from _model_spec); a BM25 model uses `index` when given."""
+    name, vec_path = spec
+    if vec_path is not None:
         store = load_embeddings(vec_path, vec_path + ".json")
         return DenseModel(store, name=name, **_given(args, metric="metric", chunks="threads"))
-    if name == "bm25":
-        return Bm25Model(build_index(corpus) if index is None else index, _bm25_params(args))
-    raise ValueError(f"unknown model {name!r}: not 'bm25' and no --embeddings entry")
+    return Bm25Model(build_index(corpus) if index is None else index, _bm25_params(args))
 
 
 def _bm25_params(args: argparse.Namespace) -> Bm25Params:
@@ -249,9 +270,11 @@ def cmd_pool(args: argparse.Namespace) -> int:
 
 def cmd_tune(args: argparse.Namespace) -> int:
     _require(args, "corpus", "pool", "out")
-    pool_set = read_pool_json(_single_pool(args))
-    out = _out_dir(args)
+    pool_path = _single_pool(args)
+    pool_set = read_pool_json(pool_path)
     corpus = load_corpus(args.corpus)
+    _check_in_corpus(pool_path, pool_set, corpus)
+    out = _out_dir(args)
     best = _tuned_params(build_index(corpus), corpus, pool_set, cutoff=_flag(args, "cutoff"),
                          **_given(args, objective="objective"))
     _write_json(out / "bm25_params.json", {"k1": best.k1, "b": best.b})
@@ -283,16 +306,19 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ValueError("run needs exactly one of --pool or --benchmark")
     if args.tune:
         _check_tune_flags(args)
+    spec = _model_spec(args)
     pool_set = read_pool_json(_single_pool(args)) if args.pool else None
-    out = _out_dir(args)
     corpus = load_corpus(args.corpus)
+    if pool_set is not None:
+        _check_in_corpus(args.pool[0], pool_set, corpus)
+    out = _out_dir(args)
     cutoff = _flag(args, "cutoff")
     index = None
     if args.tune:
         index = build_index(corpus)
         tuned = _tuned_params(index, corpus, pool_set, cutoff=cutoff)
         args.k1, args.b = tuned.k1, tuned.b
-    model = _build_model(args, corpus, index)
+    model = _build_model(args, spec, corpus, index)
     if pool_set is not None:
         rankings = run_retrieval(model, pool_set, corpus, cutoff).rankings
     else:
@@ -386,10 +412,11 @@ def cmd_benchgen(args: argparse.Namespace) -> int:
 
 def cmd_breakdown(args: argparse.Namespace) -> int:
     _require(args, "corpus", "benchmark", "out")
+    spec = _model_spec(args)
     out = _out_dir(args)
     corpus = load_corpus(args.corpus)
     benchmark = _benchmark_with_manifest(args.benchmark)
-    model = _build_model(args, corpus)
+    model = _build_model(args, spec, corpus)
     table = candidate_type_breakdown(model, benchmark, corpus)
     stem = f"breakdown_{model.name}"
     _write_json(out / f"{stem}.json", table)

@@ -13,7 +13,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
-from .util import canonical_json, parse_json, stable_digest
+from .util import Numbering, canonical_json, parse_json, stable_digest
 
 
 class CorpusError(ValueError):
@@ -99,39 +99,37 @@ class Article:
 
 
 class Corpus:
-    """Immutable id-to-article mapping in ingestion order."""
+    """Immutable articles in ingestion order; `numbering` gives each its row."""
 
     def __init__(self, articles: Iterable[Article], rejected: int = 0):
-        self._articles: dict[str, Article] = {}
-        for art in articles:
-            if art.id in self._articles:
-                raise CorpusError(f"duplicate article id: {art.id!r}")
-            self._articles[art.id] = art
+        self._articles = list(articles)
+        self.numbering = Numbering(art.id for art in self._articles)
+        self.numbering.check_unique(lambda i: CorpusError(f"duplicate article id: {i!r}"))
         self.rejected = rejected
 
     def __len__(self) -> int:
         return len(self._articles)
 
     def __iter__(self) -> Iterator[Article]:
-        return iter(self._articles.values())
+        return iter(self._articles)
 
     def __contains__(self, article_id: str) -> bool:
-        return article_id in self._articles
+        return article_id in self.numbering.row
 
     def article(self, article_id: str) -> Article:
-        return self._articles[article_id]
+        return self._articles[self.numbering.row[article_id]]
 
-    def ids(self):
-        return self._articles.keys()
+    def ids(self) -> list[str]:
+        return self.numbering.ids
 
     @cached_property
     def sorted_ids(self) -> tuple[str, ...]:
         """All article ids in ascending order."""
-        return tuple(sorted(self._articles))
+        return tuple(sorted(self.numbering.ids))
 
     def content_hash(self) -> str:
         """Order-independent digest of the full corpus content."""
-        parts = [canonical_json(_article_obj(self._articles[i])) for i in self.sorted_ids]
+        parts = [canonical_json(_article_obj(self.article(i))) for i in self.sorted_ids]
         return stable_digest(*parts)
 
 

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .util import checked, id_ranks, rank_rows, read_json
+from .util import Numbering, checked, read_json
 
 METRICS = ("cosine", "dot", "euclidean")
 
@@ -43,14 +43,13 @@ class EmbeddingStore:
             raise EmbeddingError("vector dimension must be >= 1")
         if len(ids) != vectors.shape[0]:
             raise EmbeddingError(f"{len(ids)} ids for {vectors.shape[0]} vector rows")
-        if len(set(ids)) != len(ids):
-            raise EmbeddingError("duplicate embedding ids")
+        self.numbering = Numbering(ids)
+        self.numbering.check_unique(lambda _: EmbeddingError("duplicate embedding ids"))
         if not np.isfinite(vectors).all():
             raise EmbeddingError("vectors contain NaN or Inf values")
-        self.ids = list(ids)
+        self.ids = self.numbering.ids
         self.vectors = vectors
         self.vectors.setflags(write=False)
-        self._row = {article_id: i for i, article_id in enumerate(self.ids)}
 
     @property
     def dim(self) -> int:
@@ -60,14 +59,10 @@ class EmbeddingStore:
         return len(self.ids)
 
     def __contains__(self, article_id: str) -> bool:
-        return article_id in self._row
+        return article_id in self.numbering.row
 
     def vector(self, article_id: str) -> np.ndarray:
-        return self.vectors[self._row[article_id]]
-
-    @cached_property
-    def id_rank(self) -> np.ndarray:
-        return id_ranks(self.ids)
+        return self.vectors[self.numbering.row[article_id]]
 
     @cached_property
     def row_norms(self) -> np.ndarray:
@@ -146,7 +141,7 @@ def _pool_rows(store: EmbeddingStore, pool) -> np.ndarray:
     if pool is None:
         return np.arange(len(store.ids), dtype=np.intp)
     try:
-        return np.array(sorted(store._row[i] for i in pool), dtype=np.intp)
+        return store.numbering.rows(pool)
     except KeyError as exc:
         raise KeyError(f"pool id {exc.args[0]!r} has no embedding row") from None
 
@@ -188,8 +183,7 @@ def knn(store: EmbeddingStore, query, k: int, metric: str = "cosine",
     if rows.size == 0:
         return []
     scores = _scan(store, rows, q[np.newaxis], metric, chunks)[0]
-    return rank_rows(store.ids, store.id_rank, rows, scores, k,
-                     descending=metric in ("cosine", "dot"))
+    return store.numbering.top(rows, scores, k, descending=metric in ("cosine", "dot"))
 
 
 def knn_pool(store: EmbeddingStore, query_ids: Sequence[str], pool, k: int,
@@ -205,11 +199,10 @@ def knn_pool(store: EmbeddingStore, query_ids: Sequence[str], pool, k: int,
     _check(k, metric)
     if not query_ids:
         return {}
-    query_rows = []
-    for q in query_ids:
-        if q not in store:
-            raise KeyError(f"no embedding row for query {q!r}")
-        query_rows.append(store._row[q])
+    try:
+        query_rows = [store.numbering.row[q] for q in query_ids]
+    except KeyError as exc:
+        raise KeyError(f"no embedding row for query {exc.args[0]!r}") from None
     rows = _pool_rows(store, pool)
     if rows.size == 0:
         return {q: [] for q in query_ids}
@@ -227,5 +220,5 @@ def knn_pool(store: EmbeddingStore, query_ids: Sequence[str], pool, k: int,
                 # scores are row-local, so dropping the query's own row after
                 # scoring equals scoring the pool without it
                 cand, scores = np.delete(rows, at), np.delete(scores, at)
-            out[q] = rank_rows(store.ids, store.id_rank, cand, scores, k, descending)
+            out[q] = store.numbering.top(cand, scores, k, descending)
     return out

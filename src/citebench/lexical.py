@@ -30,13 +30,12 @@ import struct
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import metrics
 from .corpus import Corpus
-from .util import id_ranks, rank_rows
+from .util import Numbering
 
 _WORD = re.compile(r"\w+")
 
@@ -61,15 +60,16 @@ class Bm25Params:
 class Bm25Index:
     """Inverted index with exact term frequencies, in CSR layout.
 
-    Row i is the i-th document in corpus order: `ids[i]` has `lengths[i]`
-    tokens. `vocab` numbers the terms in first-seen order; term t owns the
-    slice `indptr[t]:indptr[t + 1]` of `rows` (ascending int32 row numbers)
-    and of `tfs` (float64 term frequencies). Immutable after build; scoring
-    and search are pure.
+    Row i is document `ids[i]` of `numbering` (build_index shares its
+    corpus's), with `lengths[i]` tokens. `vocab` numbers the terms in
+    first-seen order; term t owns the slice `indptr[t]:indptr[t + 1]` of
+    `rows` (ascending int32 row numbers) and of `tfs` (float64 term
+    frequencies). Immutable after build; scoring and search are pure.
     """
 
-    def __init__(self, ids: list[str], lengths, vocab: dict[str, int], indptr, rows, tfs):
-        self.ids = list(ids)
+    def __init__(self, numbering: Numbering, lengths, vocab: dict[str, int], indptr, rows, tfs):
+        self.numbering = numbering
+        self.ids = numbering.ids
         self.lengths = np.asarray(lengths, dtype=np.int64)
         self.vocab = vocab
         self.indptr = np.asarray(indptr, dtype=np.int64)
@@ -82,12 +82,7 @@ class Bm25Index:
             arr.setflags(write=False)
         self.N = len(self.ids)
         self.avgdl = sum(self.lengths.tolist()) / self.N if self.N else 0.0
-        self._row = {doc_id: i for i, doc_id in enumerate(self.ids)}
         self._inner: dict[float, np.ndarray] = {}
-
-    @cached_property
-    def id_rank(self) -> np.ndarray:
-        return id_ranks(self.ids)
 
     def _length_norm(self, b: float) -> np.ndarray:
         """(1 - b) + b |D| / avgdl per row, cached per b."""
@@ -98,15 +93,13 @@ class Bm25Index:
 
     def _pool_mask(self, pool) -> np.ndarray:
         mask = np.zeros(self.N, dtype=bool)
-        row = self._row
-        mask[[row[i] for i in pool if i in row]] = True
+        mask[self.numbering.rows(filter(self.numbering.row.__contains__, pool))] = True
         return mask
 
 
 def build_index(corpus: Corpus) -> Bm25Index:
     if len(corpus) == 0:
         raise ValueError("cannot index an empty corpus")
-    ids: list[str] = []
     vocab: dict[str, int] = {}
     # one (term number, tf) pair per posting in corpus order, plus the number
     # of distinct terms per document
@@ -114,7 +107,6 @@ def build_index(corpus: Corpus) -> Bm25Index:
     for art in corpus:
         tokens = analyze(art.text)
         counts = Counter(tokens)
-        ids.append(art.id)
         lengths.append(len(tokens))
         widths.append(len(counts))
         term_of.extend([vocab.setdefault(term, len(vocab)) for term in counts])
@@ -122,11 +114,12 @@ def build_index(corpus: Corpus) -> Bm25Index:
     terms = np.frombuffer(term_of, dtype=np.int64)
     # a stable sort by term keeps each term's rows in ascending corpus order
     order = np.argsort(terms, kind="stable")
-    rows = np.repeat(np.arange(len(ids), dtype=np.int32), np.frombuffer(widths, dtype=np.int64))
+    rows = np.repeat(np.arange(len(corpus), dtype=np.int32), np.frombuffer(widths, dtype=np.int64))
     indptr = np.zeros(len(vocab) + 1, dtype=np.int64)
     np.cumsum(np.bincount(terms, minlength=len(vocab)), out=indptr[1:])
     tfs = np.frombuffer(tf_of, dtype=np.int64)[order].astype(np.float64)
-    return Bm25Index(ids, np.frombuffer(lengths, dtype=np.int64), vocab, indptr, rows[order], tfs)
+    return Bm25Index(corpus.numbering, np.frombuffer(lengths, dtype=np.int64), vocab, indptr,
+                     rows[order], tfs)
 
 
 def idf(index: Bm25Index, term: str) -> float:
@@ -138,7 +131,7 @@ def idf(index: Bm25Index, term: str) -> float:
 
 def score(index: Bm25Index, query_terms: list[str], doc_id: str, params: Bm25Params = Bm25Params()) -> float:
     """Score one document against an analyzed query token sequence."""
-    row = index._row.get(doc_id)
+    row = index.numbering.row.get(doc_id)
     if row is None:
         raise KeyError(f"unknown doc id {doc_id!r}")
     norm = params.k1 * (1.0 - params.b + params.b * int(index.lengths[row]) / index.avgdl)
@@ -197,14 +190,14 @@ def _ranked(index: Bm25Index, terms, params: Bm25Params, k: int,
     if exclude is not None:
         touched[exclude] = False
     hit = np.flatnonzero(touched)
-    return rank_rows(index.ids, index.id_rank, hit, acc[hit], k)
+    return index.numbering.top(hit, acc[hit], k)
 
 
 def search(index: Bm25Index, query_text: str, params: Bm25Params = Bm25Params(),
            k: int = 500, pool=None) -> list[tuple[str, float]]:
     """Top-k documents matching the query, optionally restricted to a pool
-    of doc ids. Descending score, ties by ascending doc id; every returned
-    score equals score() exactly.
+    of doc ids; pool ids the index lacks are skipped. Descending score,
+    ties by ascending doc id; every returned score equals score() exactly.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -223,7 +216,7 @@ def search_pool(index: Bm25Index, queries, pool, params: Bm25Params = Bm25Params
         raise ValueError("k must be >= 1")
     mask = index._pool_mask(pool)
     return {qid: _ranked(index, _query_terms(index, analyze(text), mask),
-                         params, k, exclude=index._row.get(qid))
+                         params, k, exclude=index.numbering.row.get(qid))
             for qid, text in queries}
 
 
@@ -319,12 +312,13 @@ def load_index(path) -> Bm25Index:
         offset += arr.nbytes
         return arr
 
-    ids, terms = header["ids"], header["terms"]
-    lengths = take("<i8", len(ids))
+    numbering, terms = Numbering(header["ids"]), header["terms"]
+    numbering.check_unique(lambda i: ValueError(f"{path}: index header repeats doc id {i!r}"))
+    lengths = take("<i8", len(numbering.ids))
     indptr = take("<i8", len(terms) + 1)
     tfs = take("<f8", int(indptr[-1]))
     rows = take("<i4", int(indptr[-1]))
     if offset != len(data):
         raise ValueError(f"{path}: {len(data) - offset} trailing bytes after the index arrays")
     vocab = {term: t for t, term in enumerate(terms)}
-    return Bm25Index(ids, lengths, vocab, indptr, rows, tfs)
+    return Bm25Index(numbering, lengths, vocab, indptr, rows, tfs)

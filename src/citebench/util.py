@@ -1,10 +1,11 @@
-"""Shared helpers: JSON input files, canonical JSON, hashing, seeds, top-k ranking."""
+"""Shared helpers: JSON input files, canonical JSON, hashing, seeds, row numbering."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -89,22 +90,39 @@ def derive_seed(master: int, *labels: str) -> int:
     return int.from_bytes(h.digest()[:8], "little")
 
 
-def id_ranks(ids: Sequence[str]) -> np.ndarray:
-    """Each row's position in ascending id order: the tie-break key of a ranking."""
-    order = sorted(range(len(ids)), key=ids.__getitem__)
-    ranks = np.empty(len(ids), dtype=np.intp)
-    ranks[order] = np.arange(len(ids), dtype=np.intp)
-    return ranks
+class Numbering:
+    """Row numbers for a list of ids, row i holding `ids[i]`: the id -> row map
+    and the tie-break order of a corpus, a BM25 index or an embedding store."""
 
+    def __init__(self, ids: Iterable[str]):
+        self.ids = list(ids)
+        self.row = dict(zip(self.ids, range(len(self.ids))))
 
-def rank_rows(ids: Sequence[str], id_rank: np.ndarray, rows: np.ndarray, scores: np.ndarray,
-              k: int, descending: bool = True) -> list[tuple[str, float]]:
-    """The k best (id, score) pairs of a candidate set given as row numbers.
+    def check_unique(self, error: Callable[[str], Exception]) -> None:
+        """Raise error(id) for the first id, in row order, that occurs more than once."""
+        if len(self.row) != len(self.ids):
+            raise error(next(i for r, i in enumerate(self.ids) if self.row[i] != r))
 
-    Best means highest score when `descending`, else lowest; ties break by
-    ascending id. One stable lexsort, so the order equals sorting
-    (id, score) tuples on (-score, id) or (score, id).
-    """
-    key = -scores if descending else scores
-    top = np.lexsort((id_rank[rows], key))[:k]
-    return list(zip([ids[r] for r in rows[top].tolist()], scores[top].tolist()))
+    @cached_property
+    def id_rank(self) -> np.ndarray:
+        """Each row's position in ascending id order: the tie-break key of a ranking."""
+        order = sorted(range(len(self.ids)), key=self.ids.__getitem__)
+        ranks = np.empty(len(self.ids), dtype=np.intp)
+        ranks[order] = np.arange(len(self.ids), dtype=np.intp)
+        return ranks
+
+    def rows(self, ids: Iterable[str]) -> np.ndarray:
+        """The rows of `ids` in ascending order; an unknown id raises KeyError naming it."""
+        return np.sort(np.fromiter(map(self.row.__getitem__, ids), dtype=np.intp))
+
+    def top(self, rows: np.ndarray, scores: np.ndarray, k: int,
+            descending: bool = True) -> list[tuple[str, float]]:
+        """The k best (id, score) pairs of a candidate set given as row numbers.
+
+        Best means highest score when `descending`, else lowest; ties break by
+        ascending id. One stable lexsort, so the order equals sorting
+        (id, score) tuples on (-score, id) or (score, id).
+        """
+        key = -scores if descending else scores
+        top = np.lexsort((self.id_rank[rows], key))[:k]
+        return list(zip([self.ids[r] for r in rows[top].tolist()], scores[top].tolist()))

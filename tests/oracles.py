@@ -124,6 +124,24 @@ def tuple_sort_knn(ids, vectors, query, k: int, metric: str, pool=None,
     return candidates[:k]
 
 
+def id_ranks(ids) -> np.ndarray:
+    """Each row's position in ascending id order: the tie-break key of a ranking."""
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    ranks = np.empty(len(ids), dtype=np.intp)
+    ranks[order] = np.arange(len(ids), dtype=np.intp)
+    return ranks
+
+
+def rank_rows(ids, id_rank: np.ndarray, rows: np.ndarray, scores: np.ndarray,
+              k: int, descending: bool = True) -> list[tuple[str, float]]:
+    """The top k that `Numbering.top` took over, kept as its reference: the
+    k best (id, score) pairs of the given rows, ties by ascending id, from
+    one stable lexsort."""
+    key = -scores if descending else scores
+    top = np.lexsort((id_rank[rows], key))[:k]
+    return list(zip([ids[r] for r in rows[top].tolist()], scores[top].tolist()))
+
+
 def per_query_run_retrieval(model, pool_set, corpus, cutoff: int = 500) -> RetrievalRun:
     """The run loop that one `rank_pool` call per run replaced, kept as its
     reference: one `rank` call per query, each against a fresh copy of the

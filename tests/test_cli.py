@@ -365,11 +365,15 @@ def test_config_rejects_bad_key_or_value(workspace, tmp_path, capsys, command, c
      {"corpus": "PREF", "setup": "field", "field": "Med", "size": 250, "queries": 4,
       "repetitions": 1, "seed": 21}),
     # an int for the float flag --k1 hashes like --k1 1
+    (["run", "--corpus", "PREF", "--pool", "POOL", "--model", "bm25", "--embeddings", "EMB",
+      "--k1", "1", "--b", "0.5", "--cutoff", "50"],
+     {"corpus": "PREF", "pool": ["POOL"], "model": "bm25", "embeddings": ["EMB"],
+      "k1": 1, "b": 0.5, "cutoff": 50}),
     (["run", "--corpus", "PREF", "--pool", "POOL", "--model", "dense_a", "--embeddings",
-      "EMB", "--metric", "dot", "--k1", "1", "--b", "0.5", "--cutoff", "50", "--threads", "2"],
+      "EMB", "--metric", "dot", "--cutoff", "50", "--threads", "2"],
      {"corpus": "PREF", "pool": ["POOL"], "model": "dense_a", "embeddings": ["EMB"],
-      "metric": "dot", "k1": 1, "b": 0.5, "cutoff": 50, "threads": 2}),
-], ids=["pool", "run"])
+      "metric": "dot", "cutoff": 50, "threads": 2}),
+], ids=["pool", "run", "run-dense"])
 def test_config_gives_same_bytes_as_flags(pipeline, tmp_path, flags, config):
     root, pref_path, emb, pools, run_files, _ = pipeline
     paths = {"PREF": pref_path, "POOL": pools[0], "EMB": f"dense_a={emb['dense_a']}"}
@@ -518,4 +522,67 @@ def test_threads_rejected_where_never_read(tmp_path, capsys, command, by_config)
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 1
     assert _error(capsys) == f"{command} does not read --threads"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("argv, flags, unread", [
+    (["run", "--pool", "POOL", "--model", "bm25"], {"threads": 7}, "threads"),
+    (["run", "--pool", "POOL", "--model", "bm25"], {"metric": "dot"}, "metric"),
+    (["run", "--pool", "POOL", "--model", "bm25", "--tune"], {"threads": 7}, "threads"),
+    (["run", "--pool", "POOL", "--model", "dense_a"],
+     {"k1": 1.0, "b": 0.5, "params": "PARAMS"}, "k1"),
+    (["run", "--pool", "POOL", "--model", "dense_a"], {"params": "PARAMS"}, "params"),
+    (["breakdown", "--benchmark", "BENCH", "--model", "bm25"],
+     {"threads": 3, "metric": "euclidean"}, "metric"),
+    (["breakdown", "--benchmark", "BENCH", "--model", "dense_a"], {"b": 0.5}, "b"),
+], ids=["run-bm25-threads", "run-bm25-metric", "run-tune-threads", "run-dense-k1-b-params",
+        "run-dense-params", "breakdown-bm25", "breakdown-dense"])
+def test_model_flag_the_backend_never_reads_rejected(pipeline, tmp_path, capsys, by_config,
+                                                     argv, flags, unread):
+    root, pref_path, emb, pools, run_files, bench_path = pipeline
+    paths = {"POOL": pools[0], "BENCH": bench_path,
+             "PARAMS": str(root / "tune" / "bm25_params.json")}
+    flags = {key: paths.get(value, value) for key, value in flags.items()}
+    command, model = argv[0], argv[argv.index("--model") + 1]
+    argv = [*(paths.get(a, a) for a in argv), "--corpus", pref_path,
+            "--embeddings", f"dense_a={emb['dense_a']}"]
+    if by_config:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(flags))
+        argv += ["--config", str(config)]
+    else:
+        for key, value in flags.items():
+            argv += [f"--{key}", str(value)]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert _error(capsys) == f"{command} --model {model} does not read --{unread}"
+    assert not out.exists()
+
+
+def _with_ghosts(pool_path, tmp_path, *, pool_ids=(), query_ids=()) -> str:
+    """A copy of the pool file with ids that no corpus holds added."""
+    obj = json.loads(Path(pool_path).read_text(encoding="utf-8"))
+    obj["pool_ids"] += list(pool_ids)
+    obj["queries"] += [{"query_id": q, "positives": []} for q in query_ids]
+    path = tmp_path / "ghost_pool.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("ghosts, named", [
+    ({"pool_ids": ["GHOST1", "GHOST2"]}, "GHOST1"),
+    ({"query_ids": ["GHOSTQ"]}, "GHOSTQ"),
+], ids=["pool-id", "query-id"])
+@pytest.mark.parametrize("command", ["tune", "run-bm25", "run-dense"])
+def test_pool_ids_outside_the_corpus_rejected(pipeline, tmp_path, capsys, ghosts, named,
+                                              command):
+    root, pref_path, emb, pools, run_files, _ = pipeline
+    pool_path = _with_ghosts(pools[0], tmp_path, **ghosts)
+    argv = {"tune": ["tune"], "run-bm25": ["run", "--model", "bm25"],
+            "run-dense": ["run", "--model", "dense_a",
+                          "--embeddings", f"dense_a={emb['dense_a']}"]}[command]
+    out = tmp_path / "out"
+    assert main([*argv, "--corpus", pref_path, "--pool", pool_path, "--out", str(out)]) == 1
+    assert _error(capsys) == f"{pool_path}: id {named!r} is not in the corpus"
     assert not out.exists()

@@ -3,6 +3,7 @@ the implementations they replaced (kept in oracles.py), compared with ==,
 never approx."""
 
 import random
+import re
 import struct
 
 import numpy as np
@@ -201,6 +202,16 @@ class TestIndexFormat:
             load_index(path)
         path.write_bytes(data[:40])
         with pytest.raises(ValueError, match="corrupt index header"):
+            load_index(path)
+
+    def test_repeated_doc_id_rejected(self, tmp_path):
+        path = tmp_path / "index.bin"
+        save_index(self._index(), path)
+        data = path.read_bytes()
+        # same length, so the header length in the prefix still holds
+        path.write_bytes(data.replace(b'"doc0"', b'"doc2"', 1))
+        message = f"{path}: index header repeats doc id 'doc2'"
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_index(path)
 
     def test_arrays_are_read_only(self, tmp_path):
