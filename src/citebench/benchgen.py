@@ -171,11 +171,18 @@ def _sample(eligible: Sequence[str], n: int, seed: int) -> Selection:
 def overlap_similarity(graph: CitationGraph, query_id: str, cited_id: str) -> float:
     """Fraction of the query's outgoing citations found among the cited
     article's combined incoming and outgoing citations."""
-    oc_q = graph.outgoing.get(query_id, frozenset())
-    if not oc_q:
+    cites = _cited_rows(graph, query_id)
+    row = graph.numbering.row.get(cited_id)
+    neighbourhood = [] if row is None else graph.outgoing.of(row) + graph.incoming.of(row)
+    return len(cites.intersection(neighbourhood)) / len(cites)
+
+
+def _cited_rows(graph: CitationGraph, query_id: str) -> set[int]:
+    row = graph.numbering.row.get(query_id)
+    cites = set() if row is None else set(graph.outgoing.of(row))
+    if not cites:
         raise ValueError(f"query {query_id!r} has no outgoing citations")
-    neighborhood = graph.outgoing.get(cited_id, frozenset()) | graph.incoming.get(cited_id, frozenset())
-    return len(oc_q & neighborhood) / len(oc_q)
+    return cites
 
 
 def graph_negatives(graph: CitationGraph, query_id: str, n: int, exclude) -> Selection:
@@ -183,16 +190,18 @@ def graph_negatives(graph: CitationGraph, query_id: str, n: int, exclude) -> Sel
     (ties by ascending id), collecting their citation neighbors that are not
     cited by the query, not the query, and not excluded. Within one cited
     article, neighbors are added in ascending id order."""
-    oc_q = graph.outgoing.get(query_id, frozenset())
-    if not oc_q:
-        raise ValueError(f"query {query_id!r} has no outgoing citations")
-    ordered = sorted(oc_q, key=lambda c: (-overlap_similarity(graph, query_id, c), c))
+    cites = _cited_rows(graph, query_id)
+    ids, query_row = graph.numbering.ids, graph.numbering.row[query_id]
+    # two runs in ascending id order; an article both citing and cited by c is in both
+    hoods = {c: graph.outgoing.of(c) + graph.incoming.of(c) for c in cites}
+    # the similarities share one denominator, so the overlaps order them alike
+    ordered = sorted(cites, key=lambda c: (-len(cites.intersection(hoods[c])), ids[c]))
     picked: list[str] = []
     seen: set[str] = set()
     for cited in ordered:
-        neighborhood = graph.outgoing.get(cited, frozenset()) | graph.incoming.get(cited, frozenset())
-        for neighbor in sorted(neighborhood):
-            if neighbor in oc_q or neighbor == query_id or neighbor in exclude or neighbor in seen:
+        # sorted() merges the two runs, and a repeated neighbour is skipped as seen
+        for neighbor in sorted([ids[r] for r in hoods[cited] if r not in cites and r != query_row]):
+            if neighbor in exclude or neighbor in seen:
                 continue
             picked.append(neighbor)
             seen.add(neighbor)
@@ -215,7 +224,8 @@ def _most_cited(corpus: Corpus, graph: CitationGraph, field, top: int) -> list[s
     labeled = [art.id for art in corpus if label.name in art.fields]
     if not labeled:
         raise ValueError(f"no articles labeled {label.name!r}")
-    return sorted(labeled, key=lambda i: (-graph.in_degree(i), i))[:top]
+    row, cited_by = corpus.numbering.row, graph.incoming.degrees(corpus).tolist()
+    return sorted(labeled, key=lambda i: (-cited_by[row[i]], i))[:top]
 
 
 def random_negatives(corpus: Corpus, query_id: str, n: int, exclude, seed: int) -> Selection:

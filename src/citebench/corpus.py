@@ -2,16 +2,19 @@
 
 A corpus is an id-keyed collection of articles (title, abstract, year, field
 labels, outgoing citations). The citation graph stores both directions of the
-citation relation restricted to ids present in the corpus; citation targets
-outside the corpus are dropped at build time and counted.
+citation relation as CSR arrays over corpus rows; citation targets outside
+the corpus are dropped at build time and counted.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
+
+import numpy as np
 
 from .util import Numbering, canonical_json, parse_json, stable_digest
 
@@ -202,17 +205,53 @@ def write_corpus_jsonl(corpus: Corpus, path) -> None:
             fh.write("\n")
 
 
+class Adjacency(Mapping):
+    """One direction of a citation graph as read-only int32 CSR arrays over
+    the rows of a corpus's numbering: row r's neighbours are
+    `rows[ptr[r]:ptr[r + 1]]`, in ascending id order, laid out from the edge
+    rows heads[i] -> tails[i] with one sort on (head, id rank of tail). As a
+    mapping, a read-only view from each id to its neighbours' ids."""
+
+    def __init__(self, numbering: Numbering, heads: np.ndarray, tails: np.ndarray):
+        n = len(numbering.ids)
+        self.numbering = numbering
+        self.ptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(heads, minlength=n), out=self.ptr[1:])
+        self.rows = tails[np.argsort(heads * n + numbering.id_rank[tails])].astype(np.int32)
+        self.ptr.flags.writeable = self.rows.flags.writeable = False
+
+    def __getitem__(self, article_id: str) -> frozenset[str]:
+        return frozenset(map(self.numbering.ids.__getitem__, self.of(self.numbering.row[article_id])))
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.numbering.ids)
+
+    def __len__(self) -> int:
+        return len(self.numbering.ids)
+
+    def of(self, row: int) -> list[int]:
+        """The neighbour rows of `row`, in ascending id order."""
+        return self.rows[self.ptr[row]:self.ptr[row + 1]].tolist()
+
+    def degrees(self, corpus: Corpus) -> np.ndarray:
+        """Neighbour counts by row of `corpus`, the corpus the graph was built from."""
+        if corpus.numbering is not self.numbering:
+            raise ValueError("the citation graph was built from another corpus")
+        return np.diff(self.ptr)
+
+
 @dataclass(frozen=True)
 class CitationGraph:
-    """Bidirectional citation adjacency over corpus ids.
+    """Bidirectional citation adjacency over the rows of a corpus's numbering.
 
-    `outgoing[a]` holds the ids cited by `a`, `incoming[a]` the ids citing
-    `a`; both directions are restricted to ids present in the corpus the
-    graph was built from. `dangling` counts dropped out-of-corpus targets.
+    `outgoing` holds the articles each article cites, `incoming` those citing
+    it, both within the corpus the graph was built from. `dangling` counts
+    the dropped citations of ids outside it.
     """
 
-    outgoing: dict[str, frozenset[str]]
-    incoming: dict[str, frozenset[str]]
+    numbering: Numbering
+    outgoing: Adjacency
+    incoming: Adjacency
     dangling: int
 
     def in_degree(self, article_id: str) -> int:
@@ -220,18 +259,18 @@ class CitationGraph:
 
 
 def build_citation_graph(corpus: Corpus) -> CitationGraph:
-    ids = set(corpus.ids())
-    outgoing: dict[str, frozenset[str]] = {}
-    incoming_sets: dict[str, set[str]] = {i: set() for i in corpus.ids()}
-    dangling = 0
-    for art in corpus:
-        kept = art.out_citations & ids
-        dangling += len(art.out_citations) - len(kept)
-        outgoing[art.id] = frozenset(kept)
-        for target in kept:
-            incoming_sets[target].add(art.id)
-    incoming = {i: frozenset(s) for i, s in incoming_sets.items()}
-    return CitationGraph(outgoing, incoming, dangling)
+    """Map every citation to its target's row once, drop and count the
+    targets outside the corpus, and sort the edges once per direction."""
+    numbering, n = corpus.numbering, len(corpus)
+    counts = np.fromiter((len(art.out_citations) for art in corpus), dtype=np.int64, count=n)
+    cited = chain.from_iterable(art.out_citations for art in corpus)
+    targets = np.fromiter(map(numbering.row.get, cited, repeat(-1)), dtype=np.int64,
+                          count=int(counts.sum()))
+    sources = np.repeat(np.arange(n, dtype=np.int64), counts)
+    kept = targets >= 0
+    sources, targets = sources[kept], targets[kept]
+    return CitationGraph(numbering, Adjacency(numbering, sources, targets),
+                         Adjacency(numbering, targets, sources), len(kept) - len(targets))
 
 
 @dataclass(frozen=True)
@@ -264,14 +303,14 @@ def prefilter(corpus: Corpus, graph: CitationGraph, rules: PrefilterRules = Pref
     """
     survivors: list[Article] = []
     removed = {rule: 0 for rule in PREFILTER_RULES}
-    for art in corpus:
+    for art, cited_by in zip(corpus, graph.incoming.degrees(corpus).tolist()):
         if not art.year:
             removed["missing_year"] += 1
         elif not art.title.strip():
             removed["empty_title"] += 1
         elif len(art.abstract) < rules.min_abstract_chars:
             removed["short_abstract"] += 1
-        elif graph.in_degree(art.id) < rules.min_citations:
+        elif cited_by < rules.min_citations:
             removed["few_incoming_citations"] += 1
         else:
             survivors.append(art)
@@ -282,8 +321,8 @@ def field_cited_set(corpus: Corpus, graph: CitationGraph, field: str | FieldLabe
     """Union of the citations of every article labeled with `field`,
     restricted to ids present in `corpus` (via the graph)."""
     label = resolve_field(field)
-    cited: set[str] = set()
-    for art in corpus:
-        if label.name in art.fields:
-            cited |= graph.outgoing.get(art.id, frozenset())
-    return cited
+    labeled = np.array([label.name in art.fields for art in corpus], dtype=bool)
+    # each edge's source is labeled or not: repeat each row's flag over its edges
+    out = graph.outgoing
+    cited = np.bincount(out.rows[np.repeat(labeled, out.degrees(corpus))], minlength=len(corpus))
+    return set(map(corpus.ids().__getitem__, np.flatnonzero(cited).tolist()))

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import metrics
 from .corpus import Corpus
-from .util import Numbering
+from .util import Numbering, checked
 
 _WORD = re.compile(r"\w+")
 
@@ -312,6 +312,7 @@ def load_index(path) -> Bm25Index:
         offset += arr.nbytes
         return arr
 
+    checked(header, path, "index header", ids="a list of strings", terms="a list of strings")
     numbering, terms = Numbering(header["ids"]), header["terms"]
     numbering.check_unique(lambda i: ValueError(f"{path}: index header repeats doc id {i!r}"))
     lengths = take("<i8", len(numbering.ids))

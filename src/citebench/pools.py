@@ -46,6 +46,7 @@ def sample_queries(corpus: Corpus, graph: CitationGraph, plan: SamplingPlan,
     """
     label = resolve_field(field) if field is not None else None
     eligible = []
+    cites, row = graph.outgoing.degrees(corpus), corpus.numbering.row
     for art in corpus:
         if art.year != plan.query_year:
             continue
@@ -53,7 +54,7 @@ def sample_queries(corpus: Corpus, graph: CitationGraph, plan: SamplingPlan,
             continue
         if art.id in plan.exclusion_ids:
             continue
-        if not graph.outgoing.get(art.id):
+        if not cites[row[art.id]]:
             continue
         eligible.append(art.id)
     eligible.sort()

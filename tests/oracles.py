@@ -11,7 +11,7 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -21,10 +21,12 @@ from mpmath import log as mplog
 from citebench import metrics
 from citebench.benchgen import (GRAPH_TYPE, MOST_CITED_TYPE, RANDOM_TYPE, Benchmark,
                                 BenchmarkEntry, BenchmarkParams, QueryRejected, Selection,
-                                graph_negatives, sample_positives, select_diverse_models,
+                                sample_positives, select_diverse_models,
                                 top_negatives_per_model)
-from citebench.corpus import FIELD_ABBREVS, _article_obj, resolve_field
+from citebench.corpus import (FIELD_ABBREVS, PREFILTER_RULES, Corpus, PrefilterResult,
+                              PrefilterRules, _article_obj, resolve_field)
 from citebench.harness import RetrievalRun
+from citebench.pools import FIELD_LEVEL, _build_pool
 from citebench.util import derive_seed, stable_digest
 
 
@@ -282,6 +284,119 @@ def brute_select_diverse(per_model: dict[str, dict[str, list[str]]], m: int) -> 
 
 
 # ---------------------------------------------------------------------------
+# the citation graph as it was before the CSR arrays, two dicts of frozensets
+# keyed by id, and the corpus-wide consumers as they read it
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DictCitationGraph:
+    outgoing: dict[str, frozenset[str]]
+    incoming: dict[str, frozenset[str]]
+    dangling: int
+
+    def in_degree(self, article_id: str) -> int:
+        return len(self.incoming.get(article_id, ()))
+
+
+def dict_citation_graph(corpus) -> DictCitationGraph:
+    ids = set(corpus.ids())
+    outgoing: dict[str, frozenset[str]] = {}
+    incoming_sets: dict[str, set[str]] = {i: set() for i in corpus.ids()}
+    dangling = 0
+    for art in corpus:
+        kept = art.out_citations & ids
+        dangling += len(art.out_citations) - len(kept)
+        outgoing[art.id] = frozenset(kept)
+        for target in kept:
+            incoming_sets[target].add(art.id)
+    incoming = {i: frozenset(s) for i, s in incoming_sets.items()}
+    return DictCitationGraph(outgoing, incoming, dangling)
+
+
+def dict_prefilter(corpus, graph, rules=PrefilterRules()) -> PrefilterResult:
+    survivors = []
+    removed = {rule: 0 for rule in PREFILTER_RULES}
+    for art in corpus:
+        if not art.year:
+            removed["missing_year"] += 1
+        elif not art.title.strip():
+            removed["empty_title"] += 1
+        elif len(art.abstract) < rules.min_abstract_chars:
+            removed["short_abstract"] += 1
+        elif graph.in_degree(art.id) < rules.min_citations:
+            removed["few_incoming_citations"] += 1
+        else:
+            survivors.append(art)
+    return PrefilterResult(Corpus(survivors), removed)
+
+
+def dict_field_cited_set(corpus, graph, field) -> set[str]:
+    label = resolve_field(field)
+    cited: set[str] = set()
+    for art in corpus:
+        if label.name in art.fields:
+            cited |= graph.outgoing.get(art.id, frozenset())
+    return cited
+
+
+def dict_sample_queries(corpus, graph, plan, field=None) -> list[str]:
+    label = resolve_field(field) if field is not None else None
+    eligible = []
+    for art in corpus:
+        if art.year != plan.query_year:
+            continue
+        if label is not None and label.name not in art.fields:
+            continue
+        if art.id in plan.exclusion_ids:
+            continue
+        if not graph.outgoing.get(art.id):
+            continue
+        eligible.append(art.id)
+    eligible.sort()
+    if len(eligible) < plan.queries_per_unit:
+        raise ValueError(
+            f"only {len(eligible)} eligible query articles, need {plan.queries_per_unit}"
+        )
+    return random.Random(plan.rng_seed).sample(eligible, plan.queries_per_unit)
+
+
+def dict_build_field_pool(corpus, graph, field, queries, size, seed):
+    """build_field_pool with the fill population from dict_field_cited_set;
+    the shared pool body reads the graph only through `outgoing.get`."""
+    label = resolve_field(field)
+    population = map(corpus.article, dict_field_cited_set(corpus, graph, label))
+    return _build_pool(corpus, graph, queries, size, seed, population, FIELD_LEVEL, label.abbrev)
+
+
+def dict_overlap_similarity(graph, query_id, cited_id) -> float:
+    oc_q = graph.outgoing.get(query_id, frozenset())
+    if not oc_q:
+        raise ValueError(f"query {query_id!r} has no outgoing citations")
+    neighborhood = graph.outgoing.get(cited_id, frozenset()) | graph.incoming.get(cited_id, frozenset())
+    return len(oc_q & neighborhood) / len(oc_q)
+
+
+def dict_graph_negatives(graph, query_id, n, exclude) -> Selection:
+    oc_q = graph.outgoing.get(query_id, frozenset())
+    if not oc_q:
+        raise ValueError(f"query {query_id!r} has no outgoing citations")
+    ordered = sorted(oc_q, key=lambda c: (-dict_overlap_similarity(graph, query_id, c), c))
+    picked: list[str] = []
+    seen: set[str] = set()
+    for cited in ordered:
+        neighborhood = graph.outgoing.get(cited, frozenset()) | graph.incoming.get(cited, frozenset())
+        for neighbor in sorted(neighborhood):
+            if neighbor in oc_q or neighbor == query_id or neighbor in exclude or neighbor in seen:
+                continue
+            picked.append(neighbor)
+            seen.add(neighbor)
+            if len(picked) == n:
+                return Selection(picked, False)
+    return Selection(picked, True)
+
+
+# ---------------------------------------------------------------------------
 # benchmark construction as it was before the per-field and per-corpus work
 # was hoisted out of the per-query loop: every query re-ranks its field and
 # re-sorts the whole corpus
@@ -333,7 +448,7 @@ def per_query_build_entry(corpus, graph, query_id, abbrev, chosen, per_model, pa
             return None
         groups[label] = sorted(sel.ids)
         exclude |= set(sel.ids)
-    sel = graph_negatives(graph, query_id, params.negatives_per_type, exclude)
+    sel = dict_graph_negatives(graph, query_id, params.negatives_per_type, exclude)
     if sel.shortfall:
         return None
     groups[GRAPH_TYPE] = sorted(sel.ids)
@@ -356,8 +471,8 @@ def per_query_build_entry(corpus, graph, query_id, abbrev, chosen, per_model, pa
 
 def per_query_build_benchmark(corpus, graph, queries_by_field, model_runs,
                               params=BenchmarkParams(), seed=0):
-    """build_benchmark with per_query_build_entry; the library supplies the
-    unchanged model selection, and the corpus hash is recomputed with
+    """build_benchmark with per_query_build_entry, reading a dict graph from
+    dict_citation_graph; the library supplies the unchanged model selection, and the corpus hash is recomputed with
     json.dumps over freshly sorted ids."""
     qrels = {q: graph.outgoing.get(q, frozenset())
              for queries in queries_by_field.values() for q in queries}

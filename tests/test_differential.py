@@ -13,17 +13,22 @@ from hypothesis import strategies as st
 
 from citebench import dense, metrics
 from citebench.benchgen import (BenchmarkParams, _SortedWithout, build_benchmark,
-                                most_cited_negatives, random_negatives)
-from citebench.corpus import Corpus, build_citation_graph, resolve_field
+                                graph_negatives, most_cited_negatives, overlap_similarity,
+                                random_negatives)
+from citebench.corpus import (Corpus, PrefilterRules, build_citation_graph, field_cited_set,
+                              prefilter, resolve_field)
 from citebench.dense import EmbeddingStore, knn
 from citebench.harness import Bm25Model, DenseModel, RetrievalModel, run_retrieval
 from citebench.lexical import (Bm25Params, analyze, build_index, load_index,
                                save_index, score, search, tune_params)
-from citebench.pools import DATASET_LEVEL, PoolSet
+from citebench.pools import (DATASET_LEVEL, PoolSet, SamplingPlan, build_dataset_pool,
+                             build_field_pool, sample_queries)
 from conftest import make_article
-from oracles import (dict_bm25_index, dict_bm25_search, per_query_build_benchmark,
-                     per_query_most_cited_negatives, per_query_random_negatives,
-                     per_query_run_retrieval, tuple_sort_knn)
+from oracles import (dict_bm25_index, dict_bm25_search, dict_build_field_pool,
+                     dict_citation_graph, dict_field_cited_set, dict_graph_negatives,
+                     dict_overlap_similarity, dict_prefilter, dict_sample_queries,
+                     per_query_build_benchmark, per_query_most_cited_negatives,
+                     per_query_random_negatives, per_query_run_retrieval, tuple_sort_knn)
 
 VOCAB = ["a", "b", "c", "d", "e", "f"]
 # ids whose sorted order differs from insertion order, mixed case included
@@ -214,6 +219,18 @@ class TestIndexFormat:
         with pytest.raises(ValueError, match=re.escape(message)):
             load_index(path)
 
+    @pytest.mark.parametrize("header, message", [
+        (b'{"terms":[]}', "missing key 'ids'"),
+        (b'[]', "index header must be a JSON object"),
+        (b'{"ids":["a",1],"terms":[]}', "ids must be a list of strings"),
+        (b'{"ids":[],"terms":{}}', "terms must be a list of strings"),
+    ])
+    def test_malformed_header_rejected(self, tmp_path, header, message):
+        path = tmp_path / "index.bin"
+        path.write_bytes(b"CBIX" + struct.pack("<IQ", 3, len(header)) + header)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            load_index(path)
+
     def test_arrays_are_read_only(self, tmp_path):
         ix = self._index()
         assert ix.lengths.tolist() == [3, 2, 0, 2]
@@ -322,8 +339,8 @@ class TestMostCitedAgainstPerQuery:
         exclude = set(data.draw(st.lists(st.sampled_from(ids + GHOSTS), unique=True)))
         got = outcome(most_cited_negatives, corpus, graph, field, query, n, top=top,
                       exclude=exclude, seed=seed)
-        assert got == outcome(per_query_most_cited_negatives, corpus, graph, field, query, n,
-                              top=top, exclude=exclude, seed=seed)
+        assert got == outcome(per_query_most_cited_negatives, corpus, dict_citation_graph(corpus),
+                              field, query, n, top=top, exclude=exclude, seed=seed)
 
 
 def benchmark_case(draw, corpus):
@@ -352,8 +369,8 @@ class TestBuildBenchmarkAgainstPerQuery:
         corpus, graph = graph_corpus
         queries_by_field, model_runs, params = benchmark_case(data.draw, corpus)
         got = outcome(build_benchmark, corpus, graph, queries_by_field, model_runs, params, seed)
-        assert got == outcome(per_query_build_benchmark, corpus, graph, queries_by_field,
-                              model_runs, params, seed)
+        assert got == outcome(per_query_build_benchmark, corpus, dict_citation_graph(corpus),
+                              queries_by_field, model_runs, params, seed)
 
     def test_synthetic_scale(self, synth_prefiltered):
         corpus, graph = synth_prefiltered
@@ -370,8 +387,8 @@ class TestBuildBenchmarkAgainstPerQuery:
                       for m in ("alpha", "beta", "gamma")}
         got = build_benchmark(corpus, graph, queries_by_field, model_runs, seed=11)
         assert got.entries
-        assert got == per_query_build_benchmark(corpus, graph, queries_by_field, model_runs,
-                                                seed=11)
+        assert got == per_query_build_benchmark(corpus, dict_citation_graph(corpus),
+                                                queries_by_field, model_runs, seed=11)
 
     def test_field_whose_queries_all_drop_needs_no_labels(self):
         # no article is labeled Chemistry; its queries cite too few articles
@@ -390,8 +407,8 @@ class TestBuildBenchmarkAgainstPerQuery:
                                  most_cited_top=20)
         got = build_benchmark(corpus, graph, queries_by_field, model_runs, params, seed=2)
         assert got.manifest["dropped"] == {"Ch": 1}
-        assert got == per_query_build_benchmark(corpus, graph, queries_by_field, model_runs,
-                                                params, seed=2)
+        assert got == per_query_build_benchmark(corpus, dict_citation_graph(corpus),
+                                                queries_by_field, model_runs, params, seed=2)
         # a query that does reach the most-cited step still needs labels
         articles += [make_article("strong", cites=cited)]
         corpus = Corpus(articles)
@@ -400,6 +417,121 @@ class TestBuildBenchmarkAgainstPerQuery:
                       for m in ("m1", "m2", "m3")}
         with pytest.raises(ValueError, match="no articles labeled 'Chemistry'"):
             build_benchmark(corpus, graph, {"Ch": ["strong"]}, model_runs, params, seed=2)
+
+
+# ---------------------------------------------------------------------------
+# the CSR citation graph and its consumers against the dict graph in oracles.py
+# ---------------------------------------------------------------------------
+
+# ids in an insertion order unlike their sorted one; ghosts are cited but absent
+GRAPH_IDS = ["m", "B7", "a1", "Z", "zz9", "d10", "d9", "d1", "10", "9", "Ω", "é"]
+GRAPH_GHOSTS = ["ghost", "A0", "zzz"]
+
+
+@st.composite
+def graph_corpora(draw):
+    """Corpora with dangling targets, self-citations, articles citing nothing
+    or never cited, and prefilter-relevant years, titles and abstracts."""
+    ids = draw(st.permutations(GRAPH_IDS))[:draw(st.integers(0, len(GRAPH_IDS)))]
+    articles = [
+        make_article(i, title=draw(st.sampled_from(["", "  ", "a title"])),
+                     abstract=draw(st.sampled_from(["", "short", "an abstract long enough"])),
+                     year=draw(st.sampled_from([None, 0, 2015, 2019])),
+                     fields=draw(st.lists(st.sampled_from(BENCH_FIELDS), unique=True)),
+                     cites=draw(st.lists(st.sampled_from(GRAPH_IDS + GRAPH_GHOSTS), unique=True)))
+        for i in ids
+    ]
+    return Corpus(articles)
+
+
+def neighbour_ids(adjacency, row):
+    return [adjacency.numbering.ids[r] for r in adjacency.of(row)]
+
+
+class TestCitationGraphAgainstDict:
+    @SETTINGS
+    @given(corpus=graph_corpora())
+    def test_graph_equals_dict_graph(self, corpus):
+        graph, oracle = build_citation_graph(corpus), dict_citation_graph(corpus)
+        assert graph.dangling == oracle.dangling
+        for got, want in ((graph.outgoing, oracle.outgoing), (graph.incoming, oracle.incoming)):
+            assert got == want and list(got) == list(want) and len(got) == len(want)
+            for i in [*corpus.ids(), *GRAPH_GHOSTS]:
+                assert (i in got) == (i in want)
+                assert got.get(i) == want.get(i)
+            for ghost in GRAPH_GHOSTS:
+                with pytest.raises(KeyError):
+                    got[ghost]
+            for row in range(len(corpus)):
+                assert neighbour_ids(got, row) == sorted(want[corpus.ids()[row]])
+            for arr in (got.ptr, got.rows):
+                assert arr.dtype == np.int32 and not arr.flags.writeable
+        for i in [*corpus.ids(), *GRAPH_GHOSTS]:
+            assert graph.in_degree(i) == oracle.in_degree(i)
+
+    @SETTINGS
+    @given(corpus=graph_corpora(), min_abstract=st.integers(0, 30),
+           min_citations=st.integers(0, 4))
+    def test_prefilter(self, corpus, min_abstract, min_citations):
+        rules = PrefilterRules(min_abstract, min_citations)
+        got = prefilter(corpus, build_citation_graph(corpus), rules)
+        want = dict_prefilter(corpus, dict_citation_graph(corpus), rules)
+        assert got.removed == want.removed and list(got.corpus) == list(want.corpus)
+
+    @SETTINGS
+    @given(corpus=graph_corpora())
+    def test_field_cited_set(self, corpus):
+        graph, oracle = build_citation_graph(corpus), dict_citation_graph(corpus)
+        for field in [*BENCH_FIELDS, "Art"]:
+            assert field_cited_set(corpus, graph, field) == dict_field_cited_set(
+                corpus, oracle, field)
+
+    @SETTINGS
+    @given(corpus=graph_corpora(), data=st.data())
+    def test_sample_queries_and_pools(self, corpus, data):
+        graph, oracle = build_citation_graph(corpus), dict_citation_graph(corpus)
+        ids = corpus.ids()
+        plan = SamplingPlan(queries_per_unit=data.draw(st.integers(1, 4)),
+                            rng_seed=data.draw(st.integers(0, 2**32)),
+                            query_year=data.draw(st.sampled_from([2015, 2019])),
+                            exclusion_ids=frozenset(data.draw(st.lists(st.sampled_from(
+                                ids + GRAPH_GHOSTS), unique=True))))
+        field = data.draw(st.sampled_from([None, *BENCH_FIELDS]))
+        assert outcome(sample_queries, corpus, graph, plan, field) == outcome(
+            dict_sample_queries, corpus, oracle, plan, field)
+        if not ids:
+            return
+        queries = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=4))
+        size, seed = data.draw(st.integers(0, len(ids))), data.draw(st.integers(0, 2**32))
+        assert outcome(build_dataset_pool, corpus, graph, queries, size, seed) == outcome(
+            build_dataset_pool, corpus, oracle, queries, size, seed)
+        field = data.draw(st.sampled_from(BENCH_FIELDS))
+        assert outcome(build_field_pool, corpus, graph, field, queries, size, seed) == outcome(
+            dict_build_field_pool, corpus, oracle, field, queries, size, seed)
+
+    @SETTINGS
+    @given(corpus=graph_corpora(), n=st.integers(1, 8), data=st.data())
+    def test_overlap_similarity_and_graph_negatives(self, corpus, n, data):
+        graph, oracle = build_citation_graph(corpus), dict_citation_graph(corpus)
+        everyone = [*corpus.ids(), *GRAPH_GHOSTS]
+        exclude = set(data.draw(st.lists(st.sampled_from(everyone), unique=True)))
+        for query in everyone:
+            for cited in everyone:
+                assert outcome(overlap_similarity, graph, query, cited) == outcome(
+                    dict_overlap_similarity, oracle, query, cited)
+            assert outcome(graph_negatives, graph, query, n, exclude) == outcome(
+                dict_graph_negatives, oracle, query, n, exclude)
+
+    def test_consumers_reject_a_graph_of_another_corpus(self):
+        corpus = Corpus([make_article("a", year=2019, fields=("Physics",), cites=["b"]),
+                         make_article("b", fields=("Physics",))])
+        other = build_citation_graph(Corpus(list(corpus)))
+        plan = SamplingPlan(queries_per_unit=1, rng_seed=0)
+        for call in (lambda: prefilter(corpus, other), lambda: sample_queries(corpus, other, plan),
+                     lambda: field_cited_set(corpus, other, "Phy"),
+                     lambda: most_cited_negatives(corpus, other, "Phy", "a", 1)):
+            with pytest.raises(ValueError, match="built from another corpus"):
+                call()
 
 
 # ---------------------------------------------------------------------------
