@@ -26,9 +26,9 @@ print(f"  cites {len(sample.out_citations)} articles")
 
 # --- citation graph --------------------------------------------------------
 graph = build_citation_graph(corpus)
-print(f"\ncitation graph: {sum(len(v) for v in graph.outgoing.values())} edges, "
+print(f"\ncitation graph: {len(graph.outgoing.rows)} edges, "
       f"{graph.dangling} dangling targets dropped")
-print(f"  {sample.id} is cited by {graph.in_degree(sample.id)} articles")
+print(f"  {sample.id} is cited by {len(graph.incoming.ids_of(sample.id))} articles")
 
 # --- prefiltering ----------------------------------------------------------
 # default rules: year present, title non-empty, abstract >= 30 chars,

@@ -17,7 +17,7 @@ index = build_index(corpus)
 print(f"indexed {index.N} documents, {len(index.vocab)} terms, avgdl={index.avgdl:.1f}")
 
 # --- scoring one (query, document) pair -------------------------------------
-query_article = next(a for a in corpus if a.year == 2019 and graph.outgoing[a.id])
+query_article = next(a for a in corpus if a.year == 2019 and graph.outgoing.ids_of(a.id))
 query_terms = analyze(query_article.text)
 some_doc = next(iter(corpus)).id
 params = Bm25Params(k1=0.9, b=0.4)
@@ -40,8 +40,8 @@ for doc, s in top:
 
 # --- tuning k1 and b ----------------------------------------------------------
 # validation pairs: query text with the query's cited set as positives
-queries = [a for a in corpus if a.year == 2019 and len(graph.outgoing[a.id]) >= 3][:10]
-validation = [(a.text, set(graph.outgoing[a.id]) & set(corpus.ids())) for a in queries]
+queries = [a for a in corpus if a.year == 2019 and len(graph.outgoing.ids_of(a.id)) >= 3][:10]
+validation = [(a.text, set(graph.outgoing.ids_of(a.id))) for a in queries]
 validation = [(t, p) for t, p in validation if p]
 best = tune_params(index, validation, default_tuning_grid(), pool=pool, cutoff=100)
 print(f"\ntuned parameters over {len(validation)} validation queries: "

@@ -24,7 +24,7 @@ graph = build_citation_graph(corpus)
 plan = SamplingPlan(queries_per_unit=15, rng_seed=5, query_year=2019, repetitions=3)
 pool_sizes = (500, 1000, 2000)
 queries = sample_queries(corpus, graph, plan)
-qrels = {q: set(graph.outgoing[q]) for q in queries}
+qrels = {q: set(graph.outgoing.ids_of(q)) for q in queries}
 print(f"sampled {len(queries)} query articles from {plan.query_year}; "
       f"positives per query: {statistics.mean(len(p) for p in qrels.values()):.1f} on average")
 
@@ -52,7 +52,7 @@ for size in pool_sizes:
 field = "Med"
 field_queries = sample_queries(corpus, graph,
                                SamplingPlan(queries_per_unit=8, rng_seed=6), field=field)
-field_qrels = {q: set(graph.outgoing[q]) for q in field_queries}
+field_qrels = {q: set(graph.outgoing.ids_of(q)) for q in field_queries}
 pool = build_field_pool(corpus, graph, field, field_queries, size=800, seed=200)
 print(f"\nfield-level pool for {field}: {len(pool.pool_ids)} candidates"
       f"{' (shortfall: field-cited set exhausted)' if pool.shortfall else ''}")

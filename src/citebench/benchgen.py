@@ -9,8 +9,8 @@ Four selection strategies feed six negative groups of ten:
     article with the highest citation-overlap similarity downward;
   * most_cited: sampled from the field's most-cited articles, ranked once
     per field and `build_benchmark` call;
-  * random: sampled from the whole prefiltered corpus, through a view of its
-    sorted ids that skips the excluded ones.
+  * random: sampled from the whole prefiltered corpus, as positions among
+    its sorted ids that skip the excluded ones.
 
 Groups are generated in a fixed order and each group excludes the query, its
 cited articles, and every previously chosen negative, so the 60 negatives
@@ -23,12 +23,13 @@ from __future__ import annotations
 import functools
 import json
 import random
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple
+
+import numpy as np
 
 from .corpus import CitationGraph, Corpus, FIELD_ABBREVS, resolve_field
 from .metrics import jaccard
@@ -160,7 +161,7 @@ def _eligible(candidates: Sequence[str], query_id: str, exclude) -> list[str]:
     return [d for d in candidates if d not in exclude and d != query_id]
 
 
-def _sample(eligible: Sequence[str], n: int, seed: int) -> Selection:
+def _sample(eligible: Sequence, n: int, seed: int) -> Selection:
     """Uniform sample of n of `eligible`, or all of it (a shortfall) when it
     holds fewer than n."""
     if len(eligible) < n:
@@ -229,49 +230,25 @@ def _most_cited(corpus: Corpus, graph: CitationGraph, field, top: int) -> list[s
 
 
 def random_negatives(corpus: Corpus, query_id: str, n: int, exclude, seed: int) -> Selection:
-    """Uniform sample of n ids from the whole corpus minus `exclude`."""
-    return _sample(_SortedWithout(corpus.sorted_ids, {query_id, *exclude}), n, seed)
-
-
-class _SortedWithout(Sequence):
-    """Read-only view of ascending `ids` without the members of `drop`.
-
-    Same length and order as the filtered list, so `random.sample` draws
-    the same ids from it, but built in O(|drop| log N) instead of O(N):
-    indexing skips the dropped positions by bisection.
-    """
-
-    def __init__(self, ids: Sequence[str], drop):
-        skip = set()
-        for d in drop:
-            pos = bisect_left(ids, d)
-            if pos < len(ids) and ids[pos] == d:
-                skip.add(pos)
-        self._ids = ids
-        self._skip = sorted(skip)
-        # kept ids before each dropped position; nondecreasing
-        self._kept_before = [pos - k for k, pos in enumerate(self._skip)]
-
-    def __len__(self) -> int:
-        return len(self._ids) - len(self._skip)
-
-    def __getitem__(self, i: int) -> str:
-        n = len(self)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError("index out of range")
-        return self._ids[i + bisect_right(self._kept_before, i)]
-
-    def __iter__(self):
-        skip = set(self._skip)
-        return (d for pos, d in enumerate(self._ids) if pos not in skip)
+    """Uniform sample of n ids from the whole corpus minus `exclude`: random.sample
+    reads its population only by len() and index, so sampling positions among the
+    kept ids and mapping them to ids equals sampling the filtered sorted list."""
+    numbering = corpus.numbering
+    drop = numbering.rows(d for d in {query_id, *exclude} if d in numbering.row)
+    dropped = np.sort(numbering.id_rank[drop])
+    # kept ids before each dropped rank; nondecreasing
+    kept_before = dropped - np.arange(len(dropped))
+    positions = _sample(range(len(corpus) - len(dropped)), n, seed)
+    ranks = np.array(positions.ids, dtype=np.intp)
+    ranks += np.searchsorted(kept_before, ranks, side="right")
+    return Selection(list(map(numbering.sorted_ids.__getitem__, ranks.tolist())),
+                     positions.shortfall)
 
 
 def sample_positives(graph: CitationGraph, query_id: str, n: int, seed: int) -> list[str]:
     """Uniform sample of n articles cited by the query; rejects the query
     (raises) when it cites fewer than n corpus articles."""
-    cited = sorted(graph.outgoing.get(query_id, frozenset()))
+    cited = graph.outgoing.ids_of(query_id)
     if len(cited) < n:
         raise QueryRejected(f"query {query_id!r} cites {len(cited)} articles, needs {n}")
     return random.Random(seed).sample(cited, n)
@@ -295,7 +272,7 @@ def build_benchmark(corpus: Corpus, graph: CitationGraph,
     for name in model_runs:
         if name in RESERVED_TYPES:
             raise ValueError(f"model run name {name!r} collides with a reserved type label")
-    qrels: dict[str, frozenset] = {}
+    qrels: dict[str, set[str]] = {}
     field_of: dict[str, str] = {}
     for field_key, queries in queries_by_field.items():
         for q in queries:
@@ -303,7 +280,7 @@ def build_benchmark(corpus: Corpus, graph: CitationGraph,
                 raise ValueError(f"query {q!r} is listed for fields {field_of[q]!r} "
                                  f"and {field_key!r}; benchmark query ids must be unique")
             field_of[q] = field_key
-            qrels[q] = graph.outgoing.get(q, frozenset())
+            qrels[q] = set(graph.outgoing.ids_of(q))
     per_model = {
         name: top_negatives_per_model(run, qrels, params.model_pool_depth)
         for name, run in model_runs.items()
@@ -352,7 +329,7 @@ def _build_entry(corpus, graph, query_id, abbrev, types, per_model, params, seed
     except QueryRejected:
         return None
     # the positives are among the query's cited articles
-    exclude = {query_id} | set(graph.outgoing.get(query_id, frozenset()))
+    exclude = {query_id, *graph.outgoing.ids_of(query_id)}
     n = params.negatives_per_type
     groups: dict[str, list[str]] = {}
     for label in types:

@@ -359,6 +359,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     for run_path, pool_path in zip(args.run, args.pool):
         rankings = read_run_tsv(run_path)
         pool_set = read_pool_json(pool_path)
+        outside = next((q for q in rankings if q not in pool_set.positives), None)
+        if outside is not None:
+            raise ValueError(f"{run_path}: query {outside!r} is not a query of {pool_path}")
         qrels = {q: set(pos) for q, pos in pool_set.positives.items()}
         report = evaluate_run(rankings, qrels, **_given(args, recall_cutoff="recall_cutoff"))
         repetitions.append(report.aggregates)
@@ -377,12 +380,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_benchgen(args: argparse.Namespace) -> int:
     _require(args, "corpus", "pool", "run", "seed", "out")
-    out = _out_dir(args)
     corpus = load_corpus(args.corpus)
     graph = build_citation_graph(corpus)
     queries_by_field: dict[str, list[str]] = {}
     for pool_path in args.pool:
         pool_set = read_pool_json(pool_path)
+        _check_in_corpus(pool_path, pool_set, corpus)
         if pool_set.field is None:
             raise ValueError(f"{pool_path}: benchgen needs field-level pools")
         if pool_set.field in queries_by_field:
@@ -402,6 +405,7 @@ def cmd_benchgen(args: argparse.Namespace) -> int:
     benchmark = build_benchmark(corpus, graph, queries_by_field, model_runs, params, args.seed)
     benchmark.manifest["config_hash"] = _config_hash(args)
     benchmark.manifest["version"] = __version__
+    out = _out_dir(args)
     write_benchmark_jsonl(benchmark, out / "benchmark.jsonl", out / "benchmark.manifest.json")
     dropped = sum(benchmark.manifest["dropped"].values())
     print(f"benchgen: {len(benchmark.entries)} entries "

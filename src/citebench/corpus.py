@@ -9,9 +9,8 @@ the corpus are dropped at build time and counted.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, repeat
 
 import numpy as np
@@ -125,14 +124,9 @@ class Corpus:
     def ids(self) -> list[str]:
         return self.numbering.ids
 
-    @cached_property
-    def sorted_ids(self) -> tuple[str, ...]:
-        """All article ids in ascending order."""
-        return tuple(sorted(self.numbering.ids))
-
     def content_hash(self) -> str:
         """Order-independent digest of the full corpus content."""
-        parts = [canonical_json(_article_obj(self.article(i))) for i in self.sorted_ids]
+        parts = [canonical_json(_article_obj(self.article(i))) for i in self.numbering.sorted_ids]
         return stable_digest(*parts)
 
 
@@ -205,12 +199,11 @@ def write_corpus_jsonl(corpus: Corpus, path) -> None:
             fh.write("\n")
 
 
-class Adjacency(Mapping):
+class Adjacency:
     """One direction of a citation graph as read-only int32 CSR arrays over
     the rows of a corpus's numbering: row r's neighbours are
     `rows[ptr[r]:ptr[r + 1]]`, in ascending id order, laid out from the edge
-    rows heads[i] -> tails[i] with one sort on (head, id rank of tail). As a
-    mapping, a read-only view from each id to its neighbours' ids."""
+    rows heads[i] -> tails[i] with one sort on (head, id rank of tail)."""
 
     def __init__(self, numbering: Numbering, heads: np.ndarray, tails: np.ndarray):
         n = len(numbering.ids)
@@ -220,18 +213,15 @@ class Adjacency(Mapping):
         self.rows = tails[np.argsort(heads * n + numbering.id_rank[tails])].astype(np.int32)
         self.ptr.flags.writeable = self.rows.flags.writeable = False
 
-    def __getitem__(self, article_id: str) -> frozenset[str]:
-        return frozenset(map(self.numbering.ids.__getitem__, self.of(self.numbering.row[article_id])))
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.numbering.ids)
-
-    def __len__(self) -> int:
-        return len(self.numbering.ids)
-
     def of(self, row: int) -> list[int]:
         """The neighbour rows of `row`, in ascending id order."""
         return self.rows[self.ptr[row]:self.ptr[row + 1]].tolist()
+
+    def ids_of(self, article_id: str) -> list[str]:
+        """The neighbours' ids of `article_id` in ascending order; [] for an
+        id outside the corpus."""
+        row = self.numbering.row.get(article_id)
+        return [] if row is None else list(map(self.numbering.ids.__getitem__, self.of(row)))
 
     def degrees(self, corpus: Corpus) -> np.ndarray:
         """Neighbour counts by row of `corpus`, the corpus the graph was built from."""
@@ -253,9 +243,6 @@ class CitationGraph:
     outgoing: Adjacency
     incoming: Adjacency
     dangling: int
-
-    def in_degree(self, article_id: str) -> int:
-        return len(self.incoming.get(article_id, ()))
 
 
 def build_citation_graph(corpus: Corpus) -> CitationGraph:

@@ -44,7 +44,7 @@ class EmbeddingStore:
         if len(ids) != vectors.shape[0]:
             raise EmbeddingError(f"{len(ids)} ids for {vectors.shape[0]} vector rows")
         self.numbering = Numbering(ids)
-        self.numbering.check_unique(lambda _: EmbeddingError("duplicate embedding ids"))
+        self.numbering.check_unique(lambda i: EmbeddingError(f"duplicate embedding id {i!r}"))
         if not np.isfinite(vectors).all():
             raise EmbeddingError("vectors contain NaN or Inf values")
         self.ids = self.numbering.ids
@@ -79,8 +79,9 @@ def load_embeddings(vector_path, manifest_path) -> EmbeddingStore:
     """Load vectors from a raw '<f4' file validated against its manifest.
 
     Manifest: JSON object {"dim": int >= 1, "count": int >= 0, "ids":
-    [str, ...]}; errors name the manifest path. The vector file must hold
-    exactly count*dim little-endian float32s.
+    [str, ...]}. The vector file must hold exactly count*dim little-endian
+    finite float32s. Errors name the file at fault: the manifest for its
+    keys and ids, the vector file for its size and values.
     """
     try:
         manifest = checked(read_json(manifest_path), manifest_path, "manifest",
@@ -97,9 +98,14 @@ def load_embeddings(vector_path, manifest_path) -> EmbeddingStore:
     data = np.fromfile(vector_path, dtype="<f4")
     if data.size != count * dim:
         raise EmbeddingError(
-            f"vector file holds {data.size} floats, manifest requires {count * dim}"
+            f"{vector_path}: vector file holds {data.size} floats, manifest requires {count * dim}"
         )
-    return EmbeddingStore(ids, data.reshape(count, dim))
+    try:
+        return EmbeddingStore(ids, data.reshape(count, dim))
+    except EmbeddingError as exc:
+        # the store checks the ids before the values
+        where = manifest_path if len(set(ids)) < len(ids) else vector_path
+        raise EmbeddingError(f"{where}: {exc}") from None
 
 
 def save_embeddings(ids: Sequence[str], vectors: np.ndarray, vector_path, manifest_path) -> None:

@@ -114,9 +114,8 @@ def _build_pool(corpus: Corpus, graph: CitationGraph, queries: Iterable[str], si
     if not years:
         raise ValueError("no query has a publication year")
     query_year = max(years)
-    cited: set[str] = set()
-    for q in queries:
-        cited |= graph.outgoing.get(q, frozenset())
+    positives = {q: graph.outgoing.ids_of(q) for q in sorted(set(queries))}
+    cited = set().union(*positives.values())
     if size < len(cited):
         raise ValueError(
             f"pool size {size} cannot hold the {len(cited)} articles cited by the queries"
@@ -130,7 +129,6 @@ def _build_pool(corpus: Corpus, graph: CitationGraph, queries: Iterable[str], si
     need = size - len(cited)
     shortfall = need > len(fill_population)
     fill = fill_population if shortfall else random.Random(seed).sample(fill_population, need)
-    positives = {q: sorted(graph.outgoing.get(q, frozenset())) for q in sorted(set(queries))}
     return PoolSet(setup, field, seed, query_year, size, shortfall, sorted(cited.union(fill)),
                    positives)
 

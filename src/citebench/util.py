@@ -111,6 +111,13 @@ class Numbering:
         ranks[order] = np.arange(len(self.ids), dtype=np.intp)
         return ranks
 
+    @cached_property
+    def sorted_ids(self) -> list[str]:
+        """All ids in ascending order: `id_rank`'s permutation inverted, not a second sort."""
+        order = np.empty_like(self.id_rank)
+        order[self.id_rank] = np.arange(len(self.ids), dtype=np.intp)
+        return list(map(self.ids.__getitem__, order.tolist()))
+
     def rows(self, ids: Iterable[str]) -> np.ndarray:
         """The rows of `ids` in ascending order; an unknown id raises KeyError naming it."""
         return np.sort(np.fromiter(map(self.row.__getitem__, ids), dtype=np.intp))

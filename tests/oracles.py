@@ -289,10 +289,18 @@ def brute_select_diverse(per_model: dict[str, dict[str, list[str]]], m: int) -> 
 # ---------------------------------------------------------------------------
 
 
+class DictAdjacency(dict):
+    """id -> frozenset of neighbour ids. `ids_of` answers as the library's
+    accessor does, so library code that takes a graph can read this one."""
+
+    def ids_of(self, article_id: str) -> list[str]:
+        return sorted(self.get(article_id, frozenset()))
+
+
 @dataclass(frozen=True)
 class DictCitationGraph:
-    outgoing: dict[str, frozenset[str]]
-    incoming: dict[str, frozenset[str]]
+    outgoing: DictAdjacency
+    incoming: DictAdjacency
     dangling: int
 
     def in_degree(self, article_id: str) -> int:
@@ -311,7 +319,7 @@ def dict_citation_graph(corpus) -> DictCitationGraph:
         for target in kept:
             incoming_sets[target].add(art.id)
     incoming = {i: frozenset(s) for i, s in incoming_sets.items()}
-    return DictCitationGraph(outgoing, incoming, dangling)
+    return DictCitationGraph(DictAdjacency(outgoing), DictAdjacency(incoming), dangling)
 
 
 def dict_prefilter(corpus, graph, rules=PrefilterRules()) -> PrefilterResult:
@@ -363,7 +371,7 @@ def dict_sample_queries(corpus, graph, plan, field=None) -> list[str]:
 
 def dict_build_field_pool(corpus, graph, field, queries, size, seed):
     """build_field_pool with the fill population from dict_field_cited_set;
-    the shared pool body reads the graph only through `outgoing.get`."""
+    the shared pool body reads the graph only through `outgoing.ids_of`."""
     label = resolve_field(field)
     population = map(corpus.article, dict_field_cited_set(corpus, graph, label))
     return _build_pool(corpus, graph, queries, size, seed, population, FIELD_LEVEL, label.abbrev)

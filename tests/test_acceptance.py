@@ -129,7 +129,7 @@ def _check_pool(pool, corpus, graph, queries):
     members = set(pool.pool_ids)
     cited_union = set()
     for q in queries:
-        cited_union |= graph.outgoing[q]
+        cited_union.update(graph.outgoing.ids_of(q))
         assert set(pool.positives[q]) <= members, "positives must sit in the pool"
     if pool.shortfall:
         assert len(pool.pool_ids) < pool.target_size
@@ -178,7 +178,7 @@ def full_benchmark(synth10k):
         name = resolve_field(abbrev).name
         eligible = sorted(
             a.id for a in corpus
-            if a.year == 2019 and name in a.fields and len(graph.outgoing[a.id]) >= 5
+            if a.year == 2019 and name in a.fields and len(graph.outgoing.ids_of(a.id)) >= 5
         )
         assert len(eligible) >= 5, f"fixture needs 5 eligible queries for {abbrev}"
         queries_by_field[abbrev] = rng.sample(eligible, 5)
@@ -215,8 +215,9 @@ def test_criterion_5_benchmark_structure(full_benchmark):
         assert len(union) == 60, "negative groups must be pairwise disjoint"
         assert union.isdisjoint(entry.positives)
         assert entry.query_id not in union | set(entry.positives)
-        assert union.isdisjoint(graph.outgoing[entry.query_id])
-        assert set(entry.positives) <= graph.outgoing[entry.query_id]
+        cited = set(graph.outgoing.ids_of(entry.query_id))
+        assert union.isdisjoint(cited)
+        assert set(entry.positives) <= cited
     # full-scale arithmetic, asserted symbolically
     assert 19 * 200 * (5 + 6 * 10) == 247_000
     _passed(5, "benchmark structure", "95 entries, 6175 pairs, 247000 symbolic")
@@ -309,30 +310,35 @@ def test_criterion_8_type_ordering_soft(full_benchmark):
 # -----------------------------------------------------------------------
 
 
-def _cli(cwd: Path, *argv: str) -> None:
+def _cli(cwd: Path, hash_seed: str, *argv: str) -> None:
     # The child runs in `cwd`, where a relative PYTHONPATH (such as `src`) no
     # longer resolves; put the directory of the imported package first.
     package_root = str(Path(citebench.__file__).resolve().parent.parent)
     inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, inherited])))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, inherited])),
+               PYTHONHASHSEED=hash_seed)
     result = subprocess.run([sys.executable, "-m", "citebench", *argv],
                             cwd=cwd, env=env, capture_output=True, text=True)
     assert result.returncode == 0, f"{argv}: {result.stderr}"
 
 
-def _run_pipeline(tree: Path) -> None:
+def _run_pipeline(tree: Path, hash_seed: str) -> None:
+    """Run every subcommand in `tree`, each child with PYTHONHASHSEED=hash_seed."""
+    def cli(*argv: str) -> None:
+        _cli(tree, hash_seed, *argv)
+
     corpus_rel = "../inputs/corpus.jsonl"
-    _cli(tree, "ingest", "--corpus", corpus_rel, "--out", "out/ingest")
-    _cli(tree, "prefilter", "--corpus", corpus_rel, "--out", "out/pref")
+    cli("ingest", "--corpus", corpus_rel, "--out", "out/ingest")
+    cli("prefilter", "--corpus", corpus_rel, "--out", "out/pref")
     pref = "out/pref/prefiltered.jsonl"
     pools = []
     for field in ("Med", "CS"):
-        _cli(tree, "pool", "--corpus", pref, "--setup", "field", "--field", field,
-             "--size", "250", "--queries", "4", "--repetitions", "1",
-             "--seed", "97", "--out", f"out/pools_{field}")
+        cli("pool", "--corpus", pref, "--setup", "field", "--field", field,
+            "--size", "250", "--queries", "4", "--repetitions", "1",
+            "--seed", "97", "--out", f"out/pools_{field}")
         pools.append(f"out/pools_{field}/pool_field_{field}_250_rep0.json")
-    _cli(tree, "tune", "--corpus", pref, "--pool", pools[0], "--cutoff", "100",
-         "--out", "out/tune")
+    cli("tune", "--corpus", pref, "--pool", pools[0], "--cutoff", "100",
+        "--out", "out/tune")
     run_specs = []
     for pool_path, field in zip(pools, ("Med", "CS")):
         for model in ("bm25", "dense_a", "dense_b"):
@@ -342,16 +348,16 @@ def _run_pipeline(tree: Path) -> None:
                 argv += ["--params", "out/tune/bm25_params.json"]
             else:
                 argv += ["--embeddings", f"{model}=../inputs/{model}.f32"]
-            _cli(tree, *argv)
+            cli(*argv)
             run_specs.append(f"{model}=out/run_{field}_{model}/run_{model}.tsv")
-    _cli(tree, "eval", "--run", "out/run_Med_bm25/run_bm25.tsv", "--pool", pools[0],
-         "--recall-cutoff", "30", "--out", "out/eval_pool")
+    cli("eval", "--run", "out/run_Med_bm25/run_bm25.tsv", "--pool", pools[0],
+        "--recall-cutoff", "30", "--out", "out/eval_pool")
     argv = ["benchgen", "--corpus", pref, "--seed", "98", "--out", "out/bench"]
     for p in pools:
         argv += ["--pool", p]
     for spec in run_specs:
         argv += ["--run", spec]
-    _cli(tree, *argv)
+    cli(*argv)
     bench = "out/bench/benchmark.jsonl"
     eval_specs = []
     for model in ("bm25", "dense_a"):
@@ -359,14 +365,14 @@ def _run_pipeline(tree: Path) -> None:
                 "--out", f"out/benchrun_{model}"]
         if model != "bm25":
             argv += ["--embeddings", f"{model}=../inputs/{model}.f32"]
-        _cli(tree, *argv)
-        _cli(tree, "eval", "--run", f"out/benchrun_{model}/run_{model}.tsv",
-             "--benchmark", bench, "--out", f"out/bencheval_{model}")
+        cli(*argv)
+        cli("eval", "--run", f"out/benchrun_{model}/run_{model}.tsv",
+            "--benchmark", bench, "--out", f"out/bencheval_{model}")
         eval_specs.append(f"{model}=out/bencheval_{model}/eval_run_{model}.json")
-    _cli(tree, "breakdown", "--corpus", pref, "--benchmark", bench, "--model", "bm25",
-         "--out", "out/breakdown")
-    _cli(tree, "report", *sum((["--eval", s] for s in eval_specs), []),
-         "--format", "tsv", "--out", "out/report")
+    cli("breakdown", "--corpus", pref, "--benchmark", bench, "--model", "bm25",
+        "--out", "out/breakdown")
+    cli("report", *sum((["--eval", s] for s in eval_specs), []),
+        "--format", "tsv", "--out", "out/report")
 
 
 def _tree_bytes(tree: Path) -> dict[str, bytes]:
@@ -390,10 +396,12 @@ def test_criterion_9_pipeline_determinism(tmp_path_factory):
 
     started = time.monotonic()
     trees = []
-    for name in ("tree_a", "tree_b"):
+    # two fixed, different hash seeds: an output that depends on set or dict
+    # order then differs between the trees on every run, not only by chance
+    for name, hash_seed in (("tree_a", "0"), ("tree_b", "1")):
         tree = base / name
         tree.mkdir()
-        _run_pipeline(tree)
+        _run_pipeline(tree, hash_seed)
         trees.append(tree)
     elapsed = time.monotonic() - started
 

@@ -177,8 +177,8 @@ class TestGraphNegatives:
                 make_article(i, cites=[b for a, b in edges if a == i]) for i in ids
             ])
             g = build_citation_graph(corpus)
-            out_map = {i: set(g.outgoing[i]) for i in ids}
-            in_map = {i: set(g.incoming[i]) for i in ids}
+            out_map = {i: set(g.outgoing.ids_of(i)) for i in ids}
+            in_map = {i: set(g.incoming.ids_of(i)) for i in ids}
             queries = [i for i in ids if out_map[i]]
             q = rng.choice(queries)
             exclude = set(rng.sample(ids, 2))
@@ -212,7 +212,7 @@ class TestMostCited:
         g = build_citation_graph(corpus)
         sel = most_cited_negatives(corpus, g, "Phy", "query", n=5, top=5, seed=3)
         labeled = [a.id for a in corpus if "Physics" in a.fields]
-        oracle_top = sorted(labeled, key=lambda i: (-len(g.incoming[i]), i))[:5]
+        oracle_top = sorted(labeled, key=lambda i: (-len(g.incoming.ids_of(i)), i))[:5]
         assert sorted(sel.ids) == sorted(oracle_top)
 
     def test_exclusion_shrinks_to_shortfall(self):
@@ -270,7 +270,7 @@ class TestSamplePositives:
     def test_subset_of_cited(self):
         g = self._graph(20)
         got = sample_positives(g, "q", 5, seed=2)
-        assert len(got) == 5 and set(got) <= g.outgoing["q"]
+        assert len(got) == 5 and set(got) <= set(g.outgoing.ids_of("q"))
 
 
 def small_benchmark_inputs(synth_prefiltered, fields=("Med", "CS"), queries_per_field=5):
@@ -282,7 +282,7 @@ def small_benchmark_inputs(synth_prefiltered, fields=("Med", "CS"), queries_per_
         name = resolve_field(abbrev).name
         eligible = sorted(
             a.id for a in corpus
-            if a.year == 2019 and name in a.fields and len(graph.outgoing[a.id]) >= 5
+            if a.year == 2019 and name in a.fields and len(graph.outgoing.ids_of(a.id)) >= 5
         )
         queries_by_field[abbrev] = eligible[:queries_per_field]
         assert len(queries_by_field[abbrev]) == queries_per_field
@@ -315,7 +315,7 @@ class TestBuildBenchmark:
             assert len(union) == 60  # pairwise disjoint
             assert union.isdisjoint(entry.positives)
             assert entry.query_id not in union | set(entry.positives)
-            cited = graph.outgoing[entry.query_id]
+            cited = set(graph.outgoing.ids_of(entry.query_id))
             assert union.isdisjoint(cited)  # no negative is cited by the query
             assert set(entry.positives) <= cited
             # model-based negatives come from each run's candidates
@@ -328,7 +328,7 @@ class TestBuildBenchmark:
         # swap in a query citing fewer than 5 articles
         weak = sorted(
             a.id for a in corpus
-            if "Medicine" in a.fields and 1 <= len(graph.outgoing[a.id]) < 5
+            if "Medicine" in a.fields and 1 <= len(graph.outgoing.ids_of(a.id)) < 5
         )
         assert weak, "fixture needs a weakly-citing query"
         queries_by_field["Med"] = queries_by_field["Med"][:4] + [weak[0]]

@@ -8,6 +8,8 @@ from citebench import cli, synthetic
 from citebench.cli import main
 from citebench.corpus import load_corpus, write_corpus_jsonl
 from citebench.dense import save_embeddings
+from citebench.metrics import read_run_tsv
+from citebench.pools import read_pool_json
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +144,15 @@ def test_eval_unknown_query_fails_with_query_id(pipeline, tmp_path, capsys):
     assert rc != 0
     err = json.loads(capsys.readouterr().err)
     assert "ghost_query" in err["error"]["message"]
+
+
+def test_eval_run_of_another_pool_names_both_files(pipeline, tmp_path, capsys):
+    root, pref_path, emb, pools, run_files, _ = pipeline
+    med_pool, cs_run = pools[0], run_files["bm25"][1]
+    med_queries = read_pool_json(med_pool).positives
+    outside = next(q for q in read_run_tsv(cs_run) if q not in med_queries)
+    assert main(["eval", "--run", cs_run, "--pool", med_pool, "--out", str(tmp_path)]) == 1
+    assert _error(capsys) == f"{cs_run}: query {outside!r} is not a query of {med_pool}"
 
 
 def test_benchmark_shape(pipeline):
@@ -584,5 +595,20 @@ def test_pool_ids_outside_the_corpus_rejected(pipeline, tmp_path, capsys, ghosts
                           "--embeddings", f"dense_a={emb['dense_a']}"]}[command]
     out = tmp_path / "out"
     assert main([*argv, "--corpus", pref_path, "--pool", pool_path, "--out", str(out)]) == 1
+    assert _error(capsys) == f"{pool_path}: id {named!r} is not in the corpus"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ghosts, named", [
+    ({"pool_ids": ["GHOST1", "GHOST2"]}, "GHOST1"),
+    ({"query_ids": ["GHOST"]}, "GHOST"),
+], ids=["pool-id", "query-id"])
+def test_benchgen_pool_ids_outside_the_corpus_rejected(pipeline, tmp_path, capsys, ghosts,
+                                                       named):
+    root, pref_path, emb, pools, run_files, _ = pipeline
+    pool_path = _with_ghosts(pools[0], tmp_path, **ghosts)
+    out = tmp_path / "out"
+    argv = _benchgen_argv(pref_path, [pool_path, pools[1]], run_files)
+    assert main([*argv, "--out", str(out)]) == 1
     assert _error(capsys) == f"{pool_path}: id {named!r} is not in the corpus"
     assert not out.exists()

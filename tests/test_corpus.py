@@ -96,14 +96,15 @@ class TestCitationGraph:
     def test_single_edge_transpose(self):
         corpus = Corpus([make_article("A", cites=("B",)), make_article("B")])
         g = build_citation_graph(corpus)
-        assert g.outgoing["A"] == frozenset({"B"})
-        assert g.incoming["B"] == frozenset({"A"})
-        assert g.incoming["A"] == frozenset()
+        assert g.outgoing.ids_of("A") == ["B"]
+        assert g.incoming.ids_of("B") == ["A"]
+        assert g.incoming.ids_of("A") == []
 
     def test_dangling_edge_dropped_and_counted(self):
         corpus = Corpus([make_article("A", cites=("X",))])
         g = build_citation_graph(corpus)
-        assert g.outgoing["A"] == frozenset()
+        assert g.outgoing.ids_of("A") == []
+        assert g.outgoing.ids_of("X") == [] and g.incoming.ids_of("X") == []
         assert g.dangling == 1
 
     def test_random_digraph_matches_edge_enumeration(self):
@@ -117,8 +118,8 @@ class TestCitationGraph:
         g = build_citation_graph(corpus)
         for a in nodes:
             for b in nodes:
-                assert (b in g.outgoing[a]) == ((a, b) in edges)
-                assert (a in g.incoming[b]) == ((a, b) in edges)
+                assert (b in g.outgoing.ids_of(a)) == ((a, b) in edges)
+                assert (a in g.incoming.ids_of(b)) == ((a, b) in edges)
 
     @settings(max_examples=50, deadline=None)
     @given(st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=40))
@@ -131,7 +132,7 @@ class TestCitationGraph:
         g = build_citation_graph(corpus)
         for a in nodes:
             for b in nodes:
-                assert (b in g.outgoing[a]) == (a in g.incoming[b])
+                assert (b in g.outgoing.ids_of(a)) == (a in g.incoming.ids_of(b))
 
 
 class TestPrefilter:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -37,6 +38,27 @@ class TestLoadEmbeddings:
     def test_duplicate_ids(self, tmp_path):
         vec, man = write_store(tmp_path, ["a", "a"], [[1, 2], [3, 4]])
         with pytest.raises(EmbeddingError, match="duplicate"):
+            load_embeddings(vec, man)
+
+    def test_size_mismatch_names_the_vector_file(self, tmp_path):
+        vec, man = write_store(tmp_path, ["a", "b", "c", "d"], np.ones((4, 3)))
+        vec.write_bytes(vec.read_bytes()[:44])
+        message = f"{vec}: vector file holds 11 floats, manifest requires 12"
+        with pytest.raises(EmbeddingError, match=f"^{re.escape(message)}$"):
+            load_embeddings(vec, man)
+
+    def test_nan_names_the_vector_file(self, tmp_path):
+        vec, man = write_store(tmp_path, ["a", "b"], [[1.0, 2.0], [float("inf"), 3.0]])
+        message = f"{vec}: vectors contain NaN or Inf values"
+        with pytest.raises(EmbeddingError, match=f"^{re.escape(message)}$"):
+            load_embeddings(vec, man)
+
+    def test_duplicate_names_the_manifest_and_the_id(self, tmp_path):
+        # the NaN is in the vector file too: the repeated id is reported first
+        vec, man = write_store(tmp_path, ["a", "b", "c", "b"],
+                               [[1.0], [2.0], [float("nan")], [4.0]])
+        message = f"{man}: duplicate embedding id 'b'"
+        with pytest.raises(EmbeddingError, match=f"^{re.escape(message)}$"):
             load_embeddings(vec, man)
 
     def test_manifest_count_mismatch(self, tmp_path):

@@ -36,11 +36,11 @@ class OrderedModel(RetrievalModel):
 
 def perfect_model(graph):
     # positives (cited by the query) first
-    return OrderedModel(lambda q, d: 0 if d in graph.outgoing[q] else 1, name="perfect")
+    return OrderedModel(lambda q, d: 0 if d in graph.outgoing.ids_of(q) else 1, name="perfect")
 
 
 def adversarial_model(graph):
-    return OrderedModel(lambda q, d: 1 if d in graph.outgoing[q] else 0, name="worst")
+    return OrderedModel(lambda q, d: 1 if d in graph.outgoing.ids_of(q) else 0, name="worst")
 
 
 class CountingModel(RetrievalModel):

@@ -47,6 +47,13 @@ class TestTop:
     def test_id_rank_equals_reference(self, ids):
         assert Numbering(ids).id_rank.tolist() == id_ranks(ids).tolist()
 
+    @SETTINGS
+    @given(ids=st.lists(st.sampled_from(ID_POOL), unique=True))
+    def test_sorted_ids_equal_a_sort(self, ids):
+        numbering = Numbering(ids)
+        assert numbering.sorted_ids == sorted(ids)
+        assert [numbering.sorted_ids[r] for r in numbering.id_rank.tolist()] == ids
+
 
 class TestRows:
     def test_ascending_rows_in_any_input_order(self):
