@@ -21,8 +21,8 @@ from .pools import (PoolSet, SamplingPlan, build_dataset_pool,
                     build_field_pool, read_pool_json, repeat_pools, sample_queries,
                     write_pool_json)
 from .benchgen import (Benchmark, BenchmarkEntry, BenchmarkParams, build_benchmark,
-                       graph_negatives, model_based_negatives, most_cited_negatives,
-                       overlap_similarity, random_negatives, read_benchmark_jsonl,
+                       graph_negatives, most_cited, overlap_similarity, random_negatives,
+                       ranked_negatives, read_benchmark_jsonl,
                        sample_positives, select_diverse_models, top_negatives_per_model,
                        write_benchmark_jsonl)
 from .harness import (BenchmarkReport, Bm25Model, DenseModel, RetrievalModel, RetrievalRun,

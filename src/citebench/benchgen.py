@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import CitationGraph, Corpus, FIELD_ABBREVS, resolve_field
-from .metrics import jaccard
+from .metrics import jaccard, ranked_ids
 from .util import checked, derive_seed, parse_json, read_json
 
 GRAPH_TYPE = "graph"
@@ -111,8 +111,7 @@ def top_negatives_per_model(run, qrels: Mapping[str, frozenset], depth: int = 20
     for q, ranked in rankings.items():
         relevant = qrels.get(q, frozenset())
         negatives: list[str] = []
-        for item in ranked:
-            doc = item[0] if isinstance(item, tuple) else item
+        for doc in ranked_ids(ranked):
             if doc in relevant:
                 continue
             negatives.append(doc)
@@ -151,14 +150,11 @@ def select_diverse_models(per_model_negatives: Mapping[str, Mapping[str, Sequenc
     return sorted(names, key=lambda name: (scores[name], name))[:m]
 
 
-def model_based_negatives(query_id: str, model_negatives: Sequence[str], n: int,
-                          exclude, seed: int) -> Selection:
-    """Uniform sample of n ids from a model's top negatives minus `exclude`."""
-    return _sample(_eligible(model_negatives, query_id, exclude), n, seed)
-
-
-def _eligible(candidates: Sequence[str], query_id: str, exclude) -> list[str]:
-    return [d for d in candidates if d not in exclude and d != query_id]
+def ranked_negatives(ranked: Sequence[str], query_id: str, n: int, exclude,
+                     seed: int) -> Selection:
+    """Uniform sample of n ids from a ranked list (a model's top negatives or
+    a field's most-cited articles) minus the query and `exclude`."""
+    return _sample([d for d in ranked if d not in exclude and d != query_id], n, seed)
 
 
 def _sample(eligible: Sequence, n: int, seed: int) -> Selection:
@@ -211,14 +207,7 @@ def graph_negatives(graph: CitationGraph, query_id: str, n: int, exclude) -> Sel
     return Selection(picked, True)
 
 
-def most_cited_negatives(corpus: Corpus, graph: CitationGraph, field, query_id: str, n: int,
-                         *, top: int = 200, exclude=frozenset(), seed: int = 0) -> Selection:
-    """Sample n ids from the field's `top` most-cited articles (incoming
-    citation count within the corpus, ties by ascending id)."""
-    return _sample(_eligible(_most_cited(corpus, graph, field, top), query_id, exclude), n, seed)
-
-
-def _most_cited(corpus: Corpus, graph: CitationGraph, field, top: int) -> list[str]:
+def most_cited(corpus: Corpus, graph: CitationGraph, field, top: int) -> list[str]:
     """The field's `top` most-cited article ids, by descending incoming
     citation count within the corpus, ties by ascending id."""
     label = resolve_field(field)
@@ -291,8 +280,8 @@ def build_benchmark(corpus: Corpus, graph: CitationGraph,
     by_abbrev = {resolve_field(key).abbrev: key for key in queries_by_field}
     # computed on the first query that reaches the most-cited step, so a
     # field whose queries all drop earlier needs no labeled articles
-    most_cited = functools.cache(
-        lambda abbrev: _most_cited(corpus, graph, abbrev, params.most_cited_top))
+    most_cited_of = functools.cache(
+        lambda abbrev: most_cited(corpus, graph, abbrev, params.most_cited_top))
     entries: list[BenchmarkEntry] = []
     dropped: dict[str, int] = {}
     for abbrev in FIELD_ABBREVS:
@@ -301,7 +290,7 @@ def build_benchmark(corpus: Corpus, graph: CitationGraph,
         field_key = by_abbrev[abbrev]
         for q in sorted(queries_by_field[field_key]):
             entry = _build_entry(corpus, graph, q, abbrev, types, per_model, params, seed,
-                                 most_cited)
+                                 most_cited_of)
             if entry is None:
                 dropped[abbrev] = dropped.get(abbrev, 0) + 1
             else:
@@ -320,7 +309,7 @@ def build_benchmark(corpus: Corpus, graph: CitationGraph,
     return benchmark
 
 
-def _build_entry(corpus, graph, query_id, abbrev, types, per_model, params, seed, most_cited):
+def _build_entry(corpus, graph, query_id, abbrev, types, per_model, params, seed, most_cited_of):
     try:
         positives = sorted(
             sample_positives(graph, query_id, params.positives_per_query,
@@ -336,13 +325,13 @@ def _build_entry(corpus, graph, query_id, abbrev, types, per_model, params, seed
         if label == GRAPH_TYPE:
             sel = graph_negatives(graph, query_id, n, exclude)
         elif label == MOST_CITED_TYPE:
-            sel = _sample(_eligible(most_cited(abbrev), query_id, exclude), n,
-                          derive_seed(seed, query_id, label))
+            sel = ranked_negatives(most_cited_of(abbrev), query_id, n, exclude,
+                                   derive_seed(seed, query_id, label))
         elif label == RANDOM_TYPE:
             sel = random_negatives(corpus, query_id, n, exclude, derive_seed(seed, query_id, label))
         else:
-            sel = model_based_negatives(query_id, per_model[label].get(query_id, []), n, exclude,
-                                        derive_seed(seed, query_id, "model", label))
+            sel = ranked_negatives(per_model[label].get(query_id, []), query_id, n, exclude,
+                                   derive_seed(seed, query_id, "model", label))
         if sel.shortfall:
             return None
         groups[label] = sorted(sel.ids)

@@ -29,7 +29,7 @@ from .harness import (DEFAULT_CUTOFF, Bm25Model, DenseModel, RetrievalModel,
                       candidate_type_breakdown, emit_report, rank_benchmark, run_retrieval,
                       score_benchmark_rankings)
 from .lexical import Bm25Params, build_index, default_tuning_grid, tune_params
-from .metrics import evaluate_run, read_run_tsv, write_run_tsv
+from .metrics import evaluate_run, metric_means, read_run_tsv, write_run_tsv
 from .pools import (SamplingPlan, build_dataset_pool, build_field_pool,
                     read_pool_json, repeat_pools, sample_queries, write_pool_json)
 from .util import canonical_json, checked, is_str_list, read_json, stable_digest
@@ -38,8 +38,10 @@ _METRIC_DISPLAY = {"map": "MAP", "ndcg": "nDCG"}
 
 # defaults of flags that no library parameter has
 _CLI_DEFAULTS = {"queries": 200, "cutoff": DEFAULT_CUTOFF, "model": "bm25"}
-# the subcommands that read --threads: a dense model's row chunks
-_THREADED = ("run", "breakdown")
+# the subcommands that read each common flag that some leave unread;
+# --threads is a dense model's row chunks
+_READERS = {"threads": ("run", "breakdown"),
+            "corpus": ("ingest", "prefilter", "pool", "tune", "run", "benchgen", "breakdown")}
 
 
 def _display_metric(key: str) -> str:
@@ -142,12 +144,12 @@ def _single_pool(args: argparse.Namespace) -> str:
     return args.pool[0]
 
 
-def _check_in_corpus(pool_path: str, pool_set, corpus) -> None:
-    """A query or pool id that the corpus lacks is an error naming the pool file."""
+def _check_in_corpus(path: str, ids, corpus) -> None:
+    """An id that the corpus lacks is an error naming the file `path` that lists it."""
     try:
-        corpus.numbering.rows([*pool_set.positives, *pool_set.pool_ids])
+        corpus.numbering.rows(ids)
     except KeyError as exc:
-        raise ValueError(f"{pool_path}: id {exc.args[0]!r} is not in the corpus") from None
+        raise ValueError(f"{path}: id {exc.args[0]!r} is not in the corpus") from None
 
 
 def _tuned_params(index, corpus, pool_set, **options) -> Bm25Params:
@@ -273,7 +275,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
     pool_path = _single_pool(args)
     pool_set = read_pool_json(pool_path)
     corpus = load_corpus(args.corpus)
-    _check_in_corpus(pool_path, pool_set, corpus)
+    _check_in_corpus(pool_path, [*pool_set.positives, *pool_set.pool_ids], corpus)
     out = _out_dir(args)
     best = _tuned_params(build_index(corpus), corpus, pool_set, cutoff=_flag(args, "cutoff"),
                          **_given(args, objective="objective"))
@@ -286,6 +288,14 @@ def cmd_tune(args: argparse.Namespace) -> int:
 def _benchmark_with_manifest(path: str) -> Benchmark:
     sibling = Path(path).parent / (Path(path).stem + ".manifest.json")
     return read_benchmark_jsonl(path, sibling if sibling.exists() else None)
+
+
+def _benchmark_in_corpus(path: str, corpus) -> Benchmark:
+    """The benchmark at `path`; a query or candidate id that the corpus lacks is an error."""
+    benchmark = _benchmark_with_manifest(path)
+    ids = [i for e in benchmark.entries for i in (e.query_id, *e.candidate_ids())]
+    _check_in_corpus(path, ids, corpus)
+    return benchmark
 
 
 def _check_tune_flags(args: argparse.Namespace) -> None:
@@ -310,8 +320,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     pool_set = read_pool_json(_single_pool(args)) if args.pool else None
     corpus = load_corpus(args.corpus)
     if pool_set is not None:
-        _check_in_corpus(args.pool[0], pool_set, corpus)
-    out = _out_dir(args)
+        _check_in_corpus(args.pool[0], [*pool_set.positives, *pool_set.pool_ids], corpus)
+    else:
+        benchmark = _benchmark_in_corpus(args.benchmark, corpus)
     cutoff = _flag(args, "cutoff")
     index = None
     if args.tune:
@@ -319,10 +330,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         tuned = _tuned_params(index, corpus, pool_set, cutoff=cutoff)
         args.k1, args.b = tuned.k1, tuned.b
     model = _build_model(args, spec, corpus, index)
+    out = _out_dir(args)
     if pool_set is not None:
         rankings = run_retrieval(model, pool_set, corpus, cutoff).rankings
     else:
-        benchmark = _benchmark_with_manifest(args.benchmark)
         rankings = rank_benchmark(model, benchmark, corpus, cutoff)
     run_path = out / f"run_{model.name}.tsv"
     write_run_tsv(rankings, run_path)
@@ -335,7 +346,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     _require(args, "run", "out")
     if args.benchmark and args.pool is not None:
         raise ValueError("eval --benchmark scores the benchmark's own candidates; drop --pool")
-    out = _out_dir(args)
     if args.benchmark:
         if len(args.run) != 1:
             raise ValueError("benchmark evaluation takes exactly one --run")
@@ -343,6 +353,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         rankings = read_run_tsv(args.run[0])
         report = score_benchmark_rankings(rankings, benchmark,
                                           **_given(args, recall_cutoff="recall_cutoff"))
+        out = _out_dir(args)
         rows = {**report.per_field, "AVG": report.macro}  # per_field is in FIELD_ABBREVS order
         stem = f"eval_{Path(args.run[0]).stem}"
         _write_json(out / f"{stem}.json",
@@ -365,9 +376,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         qrels = {q: set(pos) for q, pos in pool_set.positives.items()}
         report = evaluate_run(rankings, qrels, **_given(args, recall_cutoff="recall_cutoff"))
         repetitions.append(report.aggregates)
+    out = _out_dir(args)
     names = list(repetitions[0])
     n = len(repetitions)
-    mean = {m: sum(rep[m] for rep in repetitions) / n for m in names}
+    mean = metric_means(repetitions, names)
     std = {m: (sum((rep[m] - mean[m]) ** 2 for rep in repetitions) / n) ** 0.5 for m in names}
     stem = f"eval_{Path(args.run[0]).stem}"
     _write_json(out / f"{stem}.json",
@@ -385,7 +397,7 @@ def cmd_benchgen(args: argparse.Namespace) -> int:
     queries_by_field: dict[str, list[str]] = {}
     for pool_path in args.pool:
         pool_set = read_pool_json(pool_path)
-        _check_in_corpus(pool_path, pool_set, corpus)
+        _check_in_corpus(pool_path, [*pool_set.positives, *pool_set.pool_ids], corpus)
         if pool_set.field is None:
             raise ValueError(f"{pool_path}: benchgen needs field-level pools")
         if pool_set.field in queries_by_field:
@@ -417,10 +429,10 @@ def cmd_benchgen(args: argparse.Namespace) -> int:
 def cmd_breakdown(args: argparse.Namespace) -> int:
     _require(args, "corpus", "benchmark", "out")
     spec = _model_spec(args)
-    out = _out_dir(args)
     corpus = load_corpus(args.corpus)
-    benchmark = _benchmark_with_manifest(args.benchmark)
+    benchmark = _benchmark_in_corpus(args.benchmark, corpus)
     model = _build_model(args, spec, corpus)
+    out = _out_dir(args)
     table = candidate_type_breakdown(model, benchmark, corpus)
     stem = f"breakdown_{model.name}"
     _write_json(out / f"{stem}.json", table)
@@ -568,8 +580,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _merge_config(args, parser)
-        if args.threads is not None and args.command not in _THREADED:
-            raise ValueError(f"{args.command} does not read --threads")
+        for flag, readers in _READERS.items():
+            if getattr(args, flag) is not None and args.command not in readers:
+                raise ValueError(f"{args.command} does not read --{flag}")
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}

@@ -220,11 +220,5 @@ def knn_pool(store: EmbeddingStore, query_ids: Sequence[str], pool, k: int,
         queries = store.vectors[group_rows].astype(np.float64)
         for q, q_row, scores in zip(query_ids[start:start + group], group_rows,
                                     _scan(store, rows, queries, metric, chunks)):
-            cand = rows
-            at = int(np.searchsorted(rows, q_row))
-            if at < rows.size and rows[at] == q_row:
-                # scores are row-local, so dropping the query's own row after
-                # scoring equals scoring the pool without it
-                cand, scores = np.delete(rows, at), np.delete(scores, at)
-            out[q] = store.numbering.top(cand, scores, k, descending)
+            out[q] = store.numbering.top(rows, scores, k, descending, exclude=q_row)
     return out

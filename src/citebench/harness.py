@@ -127,11 +127,6 @@ def _benchmark_metrics(recall_cutoff: int) -> dict:
     return {m: metrics.metric_named(m) for m in ("map", f"recall@{recall_cutoff}")}
 
 
-def _mean(rows: Sequence[Mapping[str, float]], names) -> dict[str, float]:
-    """Each name's mean over `rows`, summed in row order; 0.0 with no rows."""
-    return {m: sum(row[m] for row in rows) / len(rows) if rows else 0.0 for m in names}
-
-
 def score_benchmark_rankings(rankings: Mapping[str, Sequence], benchmark: Benchmark,
                              recall_cutoff: int = BENCHMARK_RECALL_CUTOFF) -> BenchmarkReport:
     """Score precomputed per-entry rankings (e.g. a run file) against a
@@ -150,8 +145,8 @@ def score_benchmark_rankings(rankings: Mapping[str, Sequence], benchmark: Benchm
     for abbrev in FIELD_ABBREVS:
         queries = [q for q, f in field_of.items() if f == abbrev]
         if queries:
-            per_field[abbrev] = _mean([per_query[q] for q in queries], scorers)
-    return BenchmarkReport(per_field, _mean(list(per_field.values()), scorers), per_query)
+            per_field[abbrev] = metrics.metric_means([per_query[q] for q in queries], scorers)
+    return BenchmarkReport(per_field, metrics.metric_means(per_field.values(), scorers), per_query)
 
 
 def rank_benchmark(model: RetrievalModel, benchmark: Benchmark, corpus: Corpus,
@@ -195,7 +190,7 @@ def candidate_type_breakdown(model: RetrievalModel, benchmark: Benchmark,
             keep = positives | frozenset(entry.negatives[t])
             subset = [item for item in ranked if item[0] in keep]
             per_type[t].append({m: f(subset, positives) for m, f in scorers.items()})
-    return {t: _mean(rows, scorers) for t, rows in per_type.items()}
+    return {t: metrics.metric_means(rows, scorers) for t, rows in per_type.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -173,8 +173,7 @@ def _query_terms(index: Bm25Index, tokens: list[str], mask: np.ndarray | None):
 
 def _ranked(index: Bm25Index, terms, params: Bm25Params, k: int,
             exclude: int | None = None) -> list[tuple[str, float]]:
-    """The top k of the gathered postings, row `exclude` left out; sums are
-    per document, so leaving a row out after summing equals never pooling it."""
+    """The top k of the gathered postings, row `exclude` left out."""
     if terms is None:
         return []
     rows, tfs, idfs = terms
@@ -187,10 +186,8 @@ def _ranked(index: Bm25Index, terms, params: Bm25Params, k: int,
     np.add.at(acc, rows, contrib)
     touched = np.zeros(index.N, dtype=bool)
     touched[rows] = True
-    if exclude is not None:
-        touched[exclude] = False
     hit = np.flatnonzero(touched)
-    return index.numbering.top(hit, acc[hit], k)
+    return index.numbering.top(hit, acc[hit], k, exclude=exclude)
 
 
 def search(index: Bm25Index, query_text: str, params: Bm25Params = Bm25Params(),

@@ -10,60 +10,58 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 # the metric that BM25 tuning maximizes when the caller names none
 DEFAULT_OBJECTIVE = "map"
 
 
-def _ranked_ids(ranked: Sequence) -> list[str]:
-    # accepts bare ids or (id, score) pairs
+def ranked_ids(ranked: Iterable) -> list[str]:
+    """The ids of a ranking given as bare ids or (id, score) pairs, in rank order."""
     return [item[0] if isinstance(item, tuple) else item for item in ranked]
+
+
+def _first_ranks(ranked: Iterable, relevant) -> tuple[list[int], int]:
+    """The 1-based ranks, ascending, at which each relevant id first appears
+    in `ranked`, and the number of relevant ids; an empty set raises."""
+    if not relevant:
+        raise ValueError("relevant set must be non-empty")
+    missing = set(relevant)
+    count = len(missing)
+    ranks = []
+    for rank, doc in enumerate(ranked_ids(ranked), start=1):
+        if doc in missing:
+            missing.remove(doc)
+            ranks.append(rank)
+            if not missing:
+                break
+    return ranks, count
 
 
 def average_precision(ranked: Sequence[str], relevant) -> float:
     """Mean of precision at each relevant item's rank; unretrieved relevant
     items contribute zero."""
-    if not relevant:
-        raise ValueError("relevant set must be non-empty")
-    relevant = set(relevant)
-    found: set[str] = set()
-    total = 0.0
-    for rank, doc in enumerate(_ranked_ids(ranked), start=1):
-        if doc in relevant and doc not in found:
-            found.add(doc)
-            total += len(found) / rank
-    return total / len(relevant)
+    ranks, count = _first_ranks(ranked, relevant)
+    return sum(found / rank for found, rank in enumerate(ranks, start=1)) / count
 
 
 def ndcg(ranked: Sequence[str], relevant) -> float:
     """Binary-gain nDCG. Returns 0.0 when nothing relevant was retrieved."""
-    if not relevant:
-        raise ValueError("relevant set must be non-empty")
-    relevant = set(relevant)
-    seen: set[str] = set()
-    dcg = 0.0
-    for rank, doc in enumerate(_ranked_ids(ranked), start=1):
-        if doc in relevant and doc not in seen:
-            seen.add(doc)
-            dcg += 1.0 / math.log2(rank + 1)
-    ideal = min(len(relevant), len(ranked))
+    ranks, count = _first_ranks(ranked, relevant)
+    ideal = min(count, len(ranked))
     if ideal == 0:
         return 0.0
     idcg = sum(1.0 / math.log2(r + 1) for r in range(1, ideal + 1))
-    return dcg / idcg
+    return sum(1.0 / math.log2(rank + 1) for rank in ranks) / idcg
 
 
 def recall_at_k(ranked: Sequence[str], relevant, k: int) -> float:
     """Fraction of relevant items found in the top k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not relevant:
-        raise ValueError("relevant set must be non-empty")
-    relevant = set(relevant)
-    top = set(_ranked_ids(ranked[:k]))
-    return len(top & relevant) / len(relevant)
+    ranks, count = _first_ranks(ranked[:k], relevant)
+    return len(ranks) / count
 
 
 def jaccard(a, b) -> float:
@@ -83,6 +81,11 @@ def metric_named(name: str) -> Callable[[Sequence, object], float]:
     if name in ("map", "ndcg"):
         return average_precision if name == "map" else ndcg
     raise ValueError(f"unknown metric {name!r}: expected map, ndcg or recall@K with K >= 1")
+
+
+def metric_means(rows: Collection[Mapping[str, float]], names) -> dict[str, float]:
+    """Each name's mean over `rows`, summed in row order; 0.0 with no rows."""
+    return {m: sum(row[m] for row in rows) / len(rows) if rows else 0.0 for m in names}
 
 
 @dataclass
@@ -109,12 +112,7 @@ def evaluate_run(run, qrels: Mapping[str, set], recall_cutoff: int = 30) -> Metr
     for q in sorted(qrels):
         ranked = rankings.get(q, [])
         per_query[q] = {name: f(ranked, qrels[q]) for name, f in scorers.items()}
-    n = len(per_query)
-    aggregates = {
-        name: (sum(vals[name] for vals in per_query.values()) / n if n else 0.0)
-        for name in scorers
-    }
-    return MetricsReport(aggregates, per_query)
+    return MetricsReport(metric_means(per_query.values(), scorers), per_query)
 
 
 # ---------------------------------------------------------------------------

@@ -123,13 +123,19 @@ class Numbering:
         return np.sort(np.fromiter(map(self.row.__getitem__, ids), dtype=np.intp))
 
     def top(self, rows: np.ndarray, scores: np.ndarray, k: int,
-            descending: bool = True) -> list[tuple[str, float]]:
-        """The k best (id, score) pairs of a candidate set given as row numbers.
+            descending: bool = True, exclude: int | None = None) -> list[tuple[str, float]]:
+        """The k best (id, score) pairs of a candidate set given as row numbers,
+        row `exclude` (a query's own row) left out.
 
         Best means highest score when `descending`, else lowest; ties break by
         ascending id. One stable lexsort, so the order equals sorting
-        (id, score) tuples on (-score, id) or (score, id).
+        (id, score) tuples on (-score, id) or (score, id). Scores are per row,
+        so leaving a row out here equals never scoring it.
         """
+        if exclude is not None:
+            keep = rows != exclude
+            if not keep.all():  # a copy only when the row is there to cut
+                rows, scores = rows[keep], scores[keep]
         key = -scores if descending else scores
         top = np.lexsort((self.id_rank[rows], key))[:k]
         return list(zip([self.ids[r] for r in rows[top].tolist()], scores[top].tolist()))

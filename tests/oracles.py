@@ -516,3 +516,116 @@ def per_query_build_benchmark(corpus, graph, queries_by_field, model_runs,
         ),
     }
     return Benchmark(entries, manifest)
+
+
+# ---------------------------------------------------------------------------
+# the steps of a ranked list as they were before each had one implementation:
+# the two cuts of a query's own row, the three metric loops and
+# evaluate_run's inline mean
+# ---------------------------------------------------------------------------
+
+
+def delete_cut_top(ids, rows: np.ndarray, scores: np.ndarray, k: int, descending: bool,
+                   exclude: int) -> list[tuple[str, float]]:
+    """dense.knn_pool's cut, kept as the reference of Numbering.top's: find
+    the query's row among the ascending pool rows with searchsorted and
+    np.delete it from rows and scores, then rank what is left."""
+    at = int(np.searchsorted(rows, exclude))
+    if at < rows.size and rows[at] == exclude:
+        rows, scores = np.delete(rows, at), np.delete(scores, at)
+    return rank_rows(ids, id_ranks(ids), rows, scores, k, descending)
+
+
+def touched_mask_top(ids, posting_rows: np.ndarray, acc: np.ndarray, k: int,
+                     exclude: int | None) -> list[tuple[str, float]]:
+    """lexical._ranked's cut, kept as the reference of Numbering.top's: mark
+    every posting's row as touched, clear the excluded row, then rank the
+    touched rows by their sums in `acc`."""
+    touched = np.zeros(len(ids), dtype=bool)
+    touched[posting_rows] = True
+    if exclude is not None:
+        touched[exclude] = False
+    hit = np.flatnonzero(touched)
+    return rank_rows(ids, id_ranks(ids), hit, acc[hit], k)
+
+
+def touched_mask_ranked(index, terms, params, k: int, exclude: int | None = None):
+    """lexical._ranked as it was, summing the gathered postings and cutting
+    the excluded row with touched_mask_top."""
+    if terms is None:
+        return []
+    rows, tfs, idfs = terms
+    norm = params.k1 * index._length_norm(params.b)[rows]
+    contrib = (idfs * (tfs * (params.k1 + 1.0))) / (tfs + norm)
+    acc = np.zeros(index.N)
+    np.add.at(acc, rows, contrib)
+    return touched_mask_top(index.ids, rows, acc, k, exclude)
+
+
+def _loop_ids(ranked) -> list[str]:
+    # accepts bare ids or (id, score) pairs
+    return [item[0] if isinstance(item, tuple) else item for item in ranked]
+
+
+def loop_average_precision(ranked, relevant) -> float:
+    """metrics.average_precision as a loop over the ranking, adding each
+    precision as its relevant id is first found."""
+    if not relevant:
+        raise ValueError("relevant set must be non-empty")
+    relevant = set(relevant)
+    found: set[str] = set()
+    total = 0.0
+    for rank, doc in enumerate(_loop_ids(ranked), start=1):
+        if doc in relevant and doc not in found:
+            found.add(doc)
+            total += len(found) / rank
+    return total / len(relevant)
+
+
+def loop_ndcg(ranked, relevant) -> float:
+    """metrics.ndcg as a loop over the ranking."""
+    if not relevant:
+        raise ValueError("relevant set must be non-empty")
+    relevant = set(relevant)
+    seen: set[str] = set()
+    dcg = 0.0
+    for rank, doc in enumerate(_loop_ids(ranked), start=1):
+        if doc in relevant and doc not in seen:
+            seen.add(doc)
+            dcg += 1.0 / math.log2(rank + 1)
+    ideal = min(len(relevant), len(ranked))
+    if ideal == 0:
+        return 0.0
+    idcg = sum(1.0 / math.log2(r + 1) for r in range(1, ideal + 1))
+    return dcg / idcg
+
+
+def loop_recall_at_k(ranked, relevant, k: int) -> float:
+    """metrics.recall_at_k as a set intersection of the top k."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not relevant:
+        raise ValueError("relevant set must be non-empty")
+    relevant = set(relevant)
+    top = set(_loop_ids(ranked[:k]))
+    return len(top & relevant) / len(relevant)
+
+
+def inline_mean(rows, names) -> dict[str, float]:
+    """evaluate_run's aggregate step: each name's sum over the rows in row
+    order, divided by their count; 0.0 with no rows."""
+    n = len(rows)
+    return {name: (sum(vals[name] for vals in rows) / n if n else 0.0) for name in names}
+
+
+def loop_evaluate_run(run, qrels, recall_cutoff: int = 30) -> metrics.MetricsReport:
+    """metrics.evaluate_run with the loop metrics and the inline mean."""
+    rankings = getattr(run, "rankings", run)
+    for q in rankings:
+        if q not in qrels:
+            raise ValueError(f"query {q!r} in run is missing from qrels")
+    scorers = {"map": loop_average_precision, "ndcg": loop_ndcg,
+               f"recall@{recall_cutoff}": lambda r, rel: loop_recall_at_k(r, rel, recall_cutoff)}
+    per_query = {q: {name: f(rankings.get(q, []), qrels[q]) for name, f in scorers.items()}
+                 for q in sorted(qrels)}
+    return metrics.MetricsReport(inline_mean(list(per_query.values()), scorers), per_query)

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from citebench.benchgen import (BenchmarkParams, QueryRejected, build_benchmark,
-                                graph_negatives, model_based_negatives,
-                                most_cited_negatives, overlap_similarity, random_negatives,
+                                graph_negatives, most_cited, overlap_similarity,
+                                random_negatives, ranked_negatives,
                                 read_benchmark_jsonl, sample_positives,
                                 select_diverse_models, top_negatives_per_model,
                                 write_benchmark_jsonl, GRAPH_TYPE, MOST_CITED_TYPE,
@@ -67,21 +67,21 @@ class TestSelectDiverseModels:
 
 class TestModelBasedNegatives:
     def test_exactly_n_eligible(self):
-        sel = model_based_negatives("q", ["a", "b", "c"], 3, set(), seed=1)
+        sel = ranked_negatives(["a", "b", "c"], "q", 3, set(), seed=1)
         assert sorted(sel.ids) == ["a", "b", "c"] and not sel.shortfall
 
     def test_all_excluded(self):
-        sel = model_based_negatives("q", ["a", "b"], 2, {"a", "b"}, seed=1)
+        sel = ranked_negatives(["a", "b"], "q", 2, {"a", "b"}, seed=1)
         assert sel.ids == [] and sel.shortfall
 
     def test_seed_determinism(self):
         pool = [f"x{i}" for i in range(50)]
-        first = model_based_negatives("q", pool, 10, set(), seed=9)
-        assert model_based_negatives("q", pool, 10, set(), seed=9) == first
-        assert model_based_negatives("q", pool, 10, set(), seed=10).ids != first.ids
+        first = ranked_negatives(pool, "q", 10, set(), seed=9)
+        assert ranked_negatives(pool, "q", 10, set(), seed=9) == first
+        assert ranked_negatives(pool, "q", 10, set(), seed=10).ids != first.ids
 
     def test_query_never_sampled(self):
-        sel = model_based_negatives("q", ["q", "a", "b"], 2, set(), seed=0)
+        sel = ranked_negatives(["q", "a", "b"], "q", 2, set(), seed=0)
         assert "q" not in sel.ids
 
 
@@ -210,7 +210,7 @@ class TestMostCited:
     def test_top_list_matches_sort_oracle(self):
         corpus = self._corpus()
         g = build_citation_graph(corpus)
-        sel = most_cited_negatives(corpus, g, "Phy", "query", n=5, top=5, seed=3)
+        sel = ranked_negatives(most_cited(corpus, g, "Phy", top=5), "query", 5, set(), seed=3)
         labeled = [a.id for a in corpus if "Physics" in a.fields]
         oracle_top = sorted(labeled, key=lambda i: (-len(g.incoming.ids_of(i)), i))[:5]
         assert sorted(sel.ids) == sorted(oracle_top)
@@ -218,22 +218,22 @@ class TestMostCited:
     def test_exclusion_shrinks_to_shortfall(self):
         corpus = self._corpus()
         g = build_citation_graph(corpus)
-        top5 = set(most_cited_negatives(corpus, g, "Phy", "query", n=5, top=5, seed=3).ids)
-        sel = most_cited_negatives(corpus, g, "Phy", "query", n=5, top=5,
-                                   exclude=set(list(top5)[:2]), seed=3)
+        ranked = most_cited(corpus, g, "Phy", top=5)
+        top5 = set(ranked_negatives(ranked, "query", 5, set(), seed=3).ids)
+        sel = ranked_negatives(ranked, "query", 5, set(list(top5)[:2]), seed=3)
         assert sel.shortfall and len(sel.ids) == 3
 
     def test_unknown_field(self):
         corpus = self._corpus()
         g = build_citation_graph(corpus)
         with pytest.raises(UnknownFieldError):
-            most_cited_negatives(corpus, g, "Wizardry", "q", n=5)
+            most_cited(corpus, g, "Wizardry", top=200)
 
     def test_no_labeled_articles(self):
         corpus = Corpus([make_article("a", fields=("Biology",))])
         g = build_citation_graph(corpus)
         with pytest.raises(ValueError, match="labeled"):
-            most_cited_negatives(corpus, g, "Phy", "q", n=1)
+            most_cited(corpus, g, "Phy", top=200)
 
 
 class TestRandomNegatives:

@@ -448,10 +448,9 @@ def test_params_file_needs_numeric_k1_and_b(pipeline, tmp_path, capsys, params, 
 def test_name_path_spec_without_name_rejected(pipeline, tmp_path, capsys, flag):
     root, pref_path, emb, pools, run_files, bench_path = pipeline
     command = {"--embeddings": "run", "--eval": "report", "--run": "benchgen"}[flag]
-    argv = [command, flag, "no-equals-sign", "--corpus", pref_path, "--seed", "1",
-            "--out", str(tmp_path / "out")]
+    argv = [command, flag, "no-equals-sign", "--seed", "1", "--out", str(tmp_path / "out")]
     if command != "report":
-        argv += ["--pool", pools[0]]
+        argv += ["--corpus", pref_path, "--pool", pools[0]]
     assert main(argv) == 1
     assert f"{flag} takes NAME=PATH, got 'no-equals-sign'" in _error(capsys)
 
@@ -537,6 +536,42 @@ def test_threads_rejected_where_never_read(tmp_path, capsys, command, by_config)
 
 
 @pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("command", ["eval", "report"])
+def test_corpus_rejected_where_never_read(tmp_path, capsys, command, by_config):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"corpus": "/nonexistent.jsonl"}))
+    argv = ([command, "--config", str(config)] if by_config
+            else [command, "--corpus", "/nonexistent.jsonl"])
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert _error(capsys) == f"{command} does not read --corpus"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["pool", "benchmark"])
+def test_eval_creates_out_only_after_its_inputs_pass(pipeline, tmp_path, capsys, mode):
+    root, pref_path, emb, pools, run_files, bench_path = pipeline
+    out = tmp_path / "out"
+    if mode == "pool":
+        # a CS run scored against the Med pool
+        argv = ["eval", "--run", run_files["bm25"][1], "--pool", pools[0]]
+    else:
+        argv = ["eval", "--run", _bench_run(pipeline, tmp_path), "--benchmark",
+                str(tmp_path / "nonexistent.jsonl")]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_breakdown_creates_out_only_after_its_inputs_pass(pipeline, tmp_path, capsys):
+    root, pref_path, emb, pools, run_files, bench_path = pipeline
+    out = tmp_path / "out"
+    assert main(["breakdown", "--corpus", pref_path, "--model", "bm25",
+                 "--benchmark", str(tmp_path / "nonexistent.jsonl"), "--out", str(out)]) == 1
+    assert "nonexistent.jsonl" in _error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
 @pytest.mark.parametrize("argv, flags, unread", [
     (["run", "--pool", "POOL", "--model", "bm25"], {"threads": 7}, "threads"),
     (["run", "--pool", "POOL", "--model", "bm25"], {"metric": "dot"}, "metric"),
@@ -611,4 +646,27 @@ def test_benchgen_pool_ids_outside_the_corpus_rejected(pipeline, tmp_path, capsy
     argv = _benchgen_argv(pref_path, [pool_path, pools[1]], run_files)
     assert main([*argv, "--out", str(out)]) == 1
     assert _error(capsys) == f"{pool_path}: id {named!r} is not in the corpus"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["negative", "query"])
+@pytest.mark.parametrize("command", ["run-bm25", "run-dense", "breakdown"])
+def test_benchmark_ids_outside_the_corpus_rejected(pipeline, tmp_path, capsys, where, command):
+    root, pref_path, emb, pools, run_files, bench_path = pipeline
+    lines = Path(bench_path).read_text(encoding="utf-8").splitlines()
+    entry = json.loads(lines[0])
+    if where == "negative":
+        entry["negatives"]["random"][3] = "GHOST"
+    else:
+        entry["query_id"] = "GHOST"
+    bench = tmp_path / "benchmark.jsonl"
+    bench.write_text("\n".join([json.dumps(entry), *lines[1:]]) + "\n", encoding="utf-8")
+    argv = {"run-bm25": ["run", "--model", "bm25"],
+            "run-dense": ["run", "--model", "dense_a",
+                          "--embeddings", f"dense_a={emb['dense_a']}"],
+            "breakdown": ["breakdown", "--model", "bm25"]}[command]
+    out = tmp_path / "out"
+    assert main([*argv, "--corpus", pref_path, "--benchmark", str(bench),
+                 "--out", str(out)]) == 1
+    assert _error(capsys) == f"{bench}: id 'GHOST' is not in the corpus"
     assert not out.exists()

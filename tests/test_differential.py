@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citebench import dense, metrics
+from citebench import dense, lexical, metrics
 from citebench.benchgen import (BenchmarkParams, build_benchmark, graph_negatives,
-                                most_cited_negatives, overlap_similarity, random_negatives)
+                                most_cited, overlap_similarity, random_negatives,
+                                ranked_negatives)
 from citebench.corpus import (Corpus, PrefilterRules, build_citation_graph, field_cited_set,
                               prefilter, resolve_field)
 from citebench.dense import EmbeddingStore, knn
@@ -23,11 +24,15 @@ from citebench.lexical import (Bm25Params, analyze, build_index, load_index,
 from citebench.pools import (DATASET_LEVEL, PoolSet, SamplingPlan, build_dataset_pool,
                              build_field_pool, sample_queries)
 from conftest import make_article
-from oracles import (dict_bm25_index, dict_bm25_search, dict_build_field_pool,
+from citebench.util import Numbering
+from oracles import (delete_cut_top, dict_bm25_index, dict_bm25_search, dict_build_field_pool,
                      dict_citation_graph, dict_field_cited_set, dict_graph_negatives,
                      dict_overlap_similarity, dict_prefilter, dict_sample_queries,
-                     per_query_build_benchmark, per_query_most_cited_negatives,
-                     per_query_random_negatives, per_query_run_retrieval, tuple_sort_knn)
+                     inline_mean, loop_average_precision, loop_evaluate_run, loop_ndcg,
+                     loop_recall_at_k, per_query_build_benchmark,
+                     per_query_most_cited_negatives, per_query_random_negatives,
+                     per_query_run_retrieval, touched_mask_ranked, touched_mask_top,
+                     tuple_sort_knn)
 
 VOCAB = ["a", "b", "c", "d", "e", "f"]
 # ids whose sorted order differs from insertion order, mixed case included
@@ -324,8 +329,8 @@ class TestMostCitedAgainstPerQuery:
         field = data.draw(st.sampled_from(["Phy", "Bio", "Ch", "Chemistry"]))
         query = data.draw(st.sampled_from(ids + GHOSTS))
         exclude = set(data.draw(st.lists(st.sampled_from(ids + GHOSTS), unique=True)))
-        got = outcome(most_cited_negatives, corpus, graph, field, query, n, top=top,
-                      exclude=exclude, seed=seed)
+        got = outcome(lambda: ranked_negatives(most_cited(corpus, graph, field, top), query, n,
+                                               exclude, seed))
         assert got == outcome(per_query_most_cited_negatives, corpus, dict_citation_graph(corpus),
                               field, query, n, top=top, exclude=exclude, seed=seed)
 
@@ -513,7 +518,7 @@ class TestCitationGraphAgainstDict:
         plan = SamplingPlan(queries_per_unit=1, rng_seed=0)
         for call in (lambda: prefilter(corpus, other), lambda: sample_queries(corpus, other, plan),
                      lambda: field_cited_set(corpus, other, "Phy"),
-                     lambda: most_cited_negatives(corpus, other, "Phy", "a", 1)):
+                     lambda: most_cited(corpus, other, "Phy", 200)):
             with pytest.raises(ValueError, match="built from another corpus"):
                 call()
 
@@ -712,3 +717,110 @@ def test_rank_only_stub_gets_one_rank_call_per_query():
     assert stub.calls == [("q1", frozenset({"a", "b"})), ("q2", frozenset({"a", "b", "q1"}))]
     assert run.rankings == {"q1": [("a", 1.0), ("b", 1.0)],
                             "q2": [("a", 1.0), ("b", 1.0), ("q1", 1.0)]}
+
+
+# ---------------------------------------------------------------------------
+# one cut, one rank walk and one mean against the copies they replaced
+# ---------------------------------------------------------------------------
+
+# integer scores over few values, so most candidates tie
+tied_scores = st.integers(0, 3).map(float)
+
+
+@st.composite
+def pool_rows_and_cut(draw):
+    """Ids, ascending pool rows and the row to cut: absent, the first, the
+    last, the only one or any other pool row."""
+    ids = draw(st.lists(st.sampled_from(ID_POOL), min_size=1, unique=True))
+    where = draw(st.sampled_from(["absent", "first", "last", "only", "any"]))
+    rows = sorted(draw(st.sets(st.integers(0, len(ids) - 1), min_size=1)))
+    if where == "only":
+        rows = rows[:1]
+    if where == "absent":
+        outside = sorted(set(range(len(ids) + 2)) - set(rows))
+        exclude = draw(st.sampled_from(outside))
+    else:
+        exclude = {"first": rows[0], "last": rows[-1], "only": rows[0]}.get(
+            where, draw(st.sampled_from(rows)))
+    return ids, np.array(rows, dtype=np.intp), exclude
+
+
+class TestCutAgainstOldCuts:
+    @SETTINGS
+    @given(case=pool_rows_and_cut(), descending=st.booleans(), data=st.data())
+    def test_top_equals_np_delete_cut(self, case, descending, data):
+        ids, rows, exclude = case
+        scores = np.array(data.draw(st.lists(tied_scores, min_size=rows.size,
+                                             max_size=rows.size)))
+        k = data.draw(st.integers(1, rows.size + 2))
+        assert Numbering(ids).top(rows, scores, k, descending, exclude=exclude) == (
+            delete_cut_top(ids, rows, scores, k, descending, exclude))
+
+    @SETTINGS
+    @given(ids=st.lists(st.sampled_from(ID_POOL), min_size=1, unique=True), data=st.data())
+    def test_top_equals_touched_mask_cut(self, ids, data):
+        rows = st.integers(0, len(ids) - 1)
+        postings = np.array(data.draw(st.lists(rows, max_size=30)), dtype=np.intp)
+        acc = np.array(data.draw(st.lists(tied_scores, min_size=len(ids), max_size=len(ids))))
+        exclude = data.draw(st.one_of(st.none(), rows))
+        k = data.draw(st.integers(1, len(ids) + 2))
+        hit = np.unique(postings)
+        assert Numbering(ids).top(hit, acc[hit], k, exclude=exclude) == (
+            touched_mask_top(ids, postings, acc, k, exclude))
+
+    @SETTINGS
+    @given(docs=doc_texts, tokens=query_tokens, k1=k1_values, b=b_values, data=st.data())
+    def test_ranked_equals_touched_mask_ranked(self, docs, tokens, k1, b, data):
+        # repeated documents tie; k runs past the number of hits
+        docs = docs + [(f"{i}x", words) for i, words in docs]
+        ix, _ = index_of(docs)
+        pool = pool_from(data.draw, [i for i, _ in docs])
+        mask = None if pool is None else ix._pool_mask(pool)
+        terms = lexical._query_terms(ix, tokens, mask)
+        exclude = data.draw(st.one_of(st.none(), st.integers(0, ix.N - 1)))
+        k = data.draw(st.integers(1, ix.N + 2))
+        params = Bm25Params(k1, b)
+        assert lexical._ranked(ix, terms, params, k, exclude) == touched_mask_ranked(
+            ix, terms, params, k, exclude)
+
+
+RANKED_IDS = ["p", "q", "r", "n1", "n2", "n3"]
+# a ranking may repeat an id, hold no relevant one, or come as (id, score) pairs
+rankings = st.lists(st.sampled_from(RANKED_IDS), max_size=12).flatmap(
+    lambda ids: st.sampled_from([ids, [(i, float(-r)) for r, i in enumerate(ids)]]))
+relevant_sets = st.sets(st.sampled_from(["p", "q", "r", "absent"]))
+
+
+class TestRankWalkAgainstMetricLoops:
+    @settings(max_examples=400, deadline=None)
+    @given(ranked=rankings, relevant=relevant_sets, k=st.integers(0, 14))
+    def test_metrics_equal_loops(self, ranked, relevant, k):
+        # an empty relevant set, and k = 0 for recall, raise the same error
+        assert outcome(metrics.average_precision, ranked, relevant) == outcome(
+            loop_average_precision, ranked, relevant)
+        assert outcome(metrics.ndcg, ranked, relevant) == outcome(loop_ndcg, ranked, relevant)
+        assert outcome(metrics.recall_at_k, ranked, relevant, k) == outcome(
+            loop_recall_at_k, ranked, relevant, k)
+
+    def test_empty_relevant_set_raises(self):
+        for fn in (metrics.average_precision, metrics.ndcg,
+                   lambda ranked, rel: metrics.recall_at_k(ranked, rel, 3)):
+            with pytest.raises(ValueError, match="relevant set must be non-empty"):
+                fn(["p", "q"], set())
+
+    @SETTINGS
+    @given(run=st.dictionaries(st.sampled_from(["a", "b", "c"]), rankings, max_size=3),
+           extra=st.dictionaries(st.sampled_from(["d", "e"]), relevant_sets, max_size=2),
+           relevant=st.lists(relevant_sets.filter(bool), min_size=3, max_size=3),
+           cutoff=st.integers(1, 6))
+    def test_evaluate_run_equals_loops_and_inline_mean(self, run, extra, relevant, cutoff):
+        qrels = {**dict(zip("abc", relevant)), **{q: r for q, r in extra.items() if r}}
+        got = metrics.evaluate_run(run, qrels, cutoff)
+        assert got == loop_evaluate_run(run, qrels, cutoff)
+        assert list(got.per_query) == sorted(qrels)
+
+    @SETTINGS
+    @given(rows=st.lists(st.fixed_dictionaries({"map": st.floats(0, 1), "ndcg": st.floats(0, 1)}),
+                         max_size=8))
+    def test_metric_means_equal_inline_mean(self, rows):
+        assert metrics.metric_means(rows, ["map", "ndcg"]) == inline_mean(rows, ["map", "ndcg"])
