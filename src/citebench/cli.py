@@ -202,7 +202,6 @@ def _bm25_params(args: argparse.Namespace) -> Bm25Params:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     _require(args, "corpus", "out")
-    out = _out_dir(args)
     corpus = load_corpus(args.corpus, **_given(args, reject_budget="reject_budget"))
     graph = build_citation_graph(corpus)
     summary = {
@@ -211,6 +210,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         "dangling_citations": graph.dangling,
         "corpus_hash": corpus.content_hash(),
     }
+    out = _out_dir(args)
     _write_json(out / "corpus_summary.json", summary)
     _write_manifest(out, "corpus_summary", args)
     print(f"ingest: {len(corpus)} articles, {corpus.rejected} rejected lines, "
@@ -220,12 +220,12 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_prefilter(args: argparse.Namespace) -> int:
     _require(args, "corpus", "out")
-    out = _out_dir(args)
     corpus = load_corpus(args.corpus, **_given(args, reject_budget="reject_budget"))
     graph = build_citation_graph(corpus)
     rules = PrefilterRules(**_given(args, min_abstract_chars="min_abstract_chars",
                                     min_citations="min_citations"))
     result = prefilter(corpus, graph, rules)
+    out = _out_dir(args)
     write_corpus_jsonl(result.corpus, out / "prefiltered.jsonl")
     summary = {
         "input_articles": len(corpus),
@@ -243,7 +243,6 @@ def cmd_pool(args: argparse.Namespace) -> int:
     _require(args, "corpus", "out", "setup", "size", "seed")
     if args.setup == "field":
         _require(args, "field")
-    out = _out_dir(args)
     corpus = load_corpus(args.corpus)
     graph = build_citation_graph(corpus)
     options = _given(args, query_year="query_year", repetitions="repetitions")
@@ -259,6 +258,7 @@ def cmd_pool(args: argparse.Namespace) -> int:
         builder = lambda s: build_dataset_pool(corpus, graph, queries, args.size, s)
         stem = f"pool_dataset_{args.size}"
     pool_sets = repeat_pools(builder, plan.repetitions, args.seed)
+    out = _out_dir(args)
     paths = []
     for i, pool_set in enumerate(pool_sets):
         path = out / f"{stem}_rep{i}.json"

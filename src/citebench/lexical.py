@@ -17,12 +17,22 @@ per-document sums with one np.add.at. That adds one element at a time in
 index order, so each document's sum starts from 0.0 and takes its terms in
 query-token order with score()'s operations: every returned score equals
 score() exactly.
+
+Tuning (tune_params) scores each grid point from counted ranks instead of
+ranked lists. It sums the same contributions with np.bincount, which also
+adds in index order from 0.0, so every sum is bit-identical to search's.
+It then counts each positive's rank with Numbering.positive_ranks, which
+applies top's one tie rule (descending score, then ascending id). The
+metrics take only those ranks, the ranking's length and |positives|, so
+every objective value equals the one scored from search's ranked list.
+
 Indexes persist as format version 3: a JSON header (doc ids, terms)
 followed by the raw CSR arrays.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -171,14 +181,20 @@ def _query_terms(index: Bm25Index, tokens: list[str], mask: np.ndarray | None):
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
+def _contributions(params: Bm25Params, norm: np.ndarray, tfs: np.ndarray,
+                   idfs: np.ndarray) -> np.ndarray:
+    """Each gathered posting's term score with score()'s operations; `norm`
+    is _length_norm(params.b) at the postings' rows."""
+    return (idfs * (tfs * (params.k1 + 1.0))) / (tfs + params.k1 * norm)
+
+
 def _ranked(index: Bm25Index, terms, params: Bm25Params, k: int,
             exclude: int | None = None) -> list[tuple[str, float]]:
     """The top k of the gathered postings, row `exclude` left out."""
     if terms is None:
         return []
     rows, tfs, idfs = terms
-    norm = params.k1 * index._length_norm(params.b)[rows]
-    contrib = (idfs * (tfs * (params.k1 + 1.0))) / (tfs + norm)
+    contrib = _contributions(params, index._length_norm(params.b)[rows], tfs, idfs)
     # add.at adds one element at a time in index order, so each document's
     # sum starts from 0.0 and takes its terms in query-token order, each
     # with score()'s operations: sums are bit-identical to score()
@@ -226,15 +242,88 @@ def default_tuning_grid() -> list[Bm25Params]:
     ]
 
 
+class _TuningQuery:
+    """One validation query, prepared once for every grid point: its gathered
+    postings, each posting's place among the hit rows (ascending), the
+    places of the positives that were hit, and |positives|."""
+
+    def __init__(self, index: Bm25Index, terms, positives):
+        relevant = metrics._relevant_set(positives)
+        self.index, self.count = index, len(relevant)
+        if terms is None:
+            terms = (np.empty(0, dtype=np.int32), np.empty(0), np.empty(0))
+        self.rows, self.tfs, self.idfs = terms
+        hits = np.bincount(self.rows, minlength=index.N) > 0
+        self.hit_rows = np.flatnonzero(hits)
+        place = np.cumsum(hits) - 1
+        self.place = place[self.rows]
+        positive_rows = np.fromiter(
+            (r for r in map(index.numbering.row.get, relevant) if r is not None), dtype=np.intp)
+        self.at = place[positive_rows[hits[positive_rows]]]
+
+    def scores(self, params: Bm25Params, norm: np.ndarray) -> np.ndarray:
+        """Each hit's score at `params`; `norm` is _length_norm(params.b) at
+        self.rows."""
+        contrib = _contributions(params, norm, self.tfs, self.idfs)
+        # like _ranked's add.at, bincount adds in posting order from 0.0, so
+        # each hit's sum is bit-identical to the one _ranked ranks
+        return np.bincount(self.place, weights=contrib, minlength=self.hit_rows.size)
+
+    def values(self, points: list[Bm25Params], norm: np.ndarray | None, k: int,
+               by_ranks) -> list[float]:
+        """The objective `by_ranks` of the top k at each of `points`, which
+        share one b whose _length_norm is `norm`, so it is gathered at the
+        postings once for all of them. Like _ranked, only a query with
+        postings reads it (`norm` is None for an index of empty documents)."""
+        norm = norm[self.rows] if self.rows.size else np.empty(0)
+        numbering, length = self.index.numbering, min(k, self.hit_rows.size)
+        values = []
+        for params in points:
+            ranks = numbering.positive_ranks(self.hit_rows, self.scores(params, norm), self.at, k)
+            values.append(by_ranks(ranks, length, self.count))
+        return values
+
+
+def _grid_values(index: Bm25Index, validation, grid, pool, objective: str,
+                 cutoff: int | None) -> list[list[float]]:
+    """Each grid point's objective value per validation query, in order.
+    Queries are scored one at a time over each run of equal b in the grid,
+    so only one query's length-norm gather is alive at once."""
+    by_ranks = metrics._metric(objective)[1]
+    k = cutoff if cutoff is not None else (len(pool) if pool is not None else index.N)
+    mask = None if pool is None else index._pool_mask(pool)
+    # The index keeps each b's norms as long as it lives, so they are made
+    # before the queries' arrays, which die with this call: made among
+    # them, they would pin the memory those arrays free and grow the heap.
+    # An index of empty documents (avgdl 0) has no finite norm.
+    runs = [(index._length_norm(b) if index.avgdl else None, list(points))
+            for b, points in itertools.groupby(grid, key=lambda params: params.b)]
+    prepared = [_TuningQuery(index, _query_terms(index, analyze(text), mask), positives)
+                for text, positives in validation]
+    values = []
+    for norm, points in runs:
+        values += map(list, zip(*[query.values(points, norm, k, by_ranks)
+                                  for query in prepared]))
+    return values
+
+
 def tune_params(index: Bm25Index, validation: list[tuple[str, set]], grid: list[Bm25Params],
                 *, pool=None, objective: str = metrics.DEFAULT_OBJECTIVE,
                 cutoff: int | None = None) -> Bm25Params:
     """Grid point maximizing the mean objective (a metric name) over validation queries.
 
     `validation` pairs query text with the query's positive id set. Ties
-    break toward smaller (b, k1). Each query is analyzed, restricted to the
-    pool and gathered into its postings arrays once; every grid point reuses
-    them.
+    break toward smaller (b, k1). The top k is taken over the pool (k =
+    `cutoff`, else the pool's or the index's size), and validation queries
+    are not left out of it.
+
+    Each query is analyzed, restricted to the pool, gathered and its hits
+    numbered once. A grid point is then scored from counted ranks, not
+    from a ranked list: the postings' contributions are summed per hit
+    with np.bincount, which adds in posting order from 0.0 like search's
+    np.add.at, and Numbering.positive_ranks counts the positives' ranks
+    under top's one tie rule. So every objective value equals the one
+    scored from search's ranking, bit for bit.
     """
     if not grid:
         raise ValueError("empty parameter grid")
@@ -242,17 +331,13 @@ def tune_params(index: Bm25Index, validation: list[tuple[str, set]], grid: list[
         raise ValueError("empty validation set")
     if cutoff is not None and cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    objective_of = metrics.metric_named(objective)
-    k = cutoff if cutoff is not None else (len(pool) if pool is not None else index.N)
-    mask = None if pool is None else index._pool_mask(pool)
-    prepared = [(_query_terms(index, analyze(text), mask), positives)
-                for text, positives in validation]
     best_key = None
     best_params = None
-    for params in grid:
+    for params, values in zip(grid, _grid_values(index, validation, grid, pool, objective,
+                                                  cutoff)):
         total = 0.0
-        for terms, positives in prepared:
-            total += objective_of(_ranked(index, terms, params, k), positives)
+        for value in values:
+            total += value
         mean = total / len(validation)
         key = (-mean, params.b, params.k1)
         if best_key is None or key < best_key:

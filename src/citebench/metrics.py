@@ -4,10 +4,17 @@ All metrics use binary relevance and live in [0, 1]. nDCG uses 1/log2(r+1)
 discounts with the ideal gain truncated at min(|relevant|, |ranked|). The AP
 denominator is always the full relevant count, so truncated runs are
 penalized for what they failed to retrieve.
+
+Each metric is one formula over three values: the ascending ranks of the
+relevant ids found, the ranking's length and |relevant|. The list forms
+(average_precision, ndcg, recall_at_k) read those values off a ranking;
+BM25 tuning counts them with util.Numbering.positive_ranks instead, without
+ranking, and scores the same formulas, so both give the same values.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
@@ -22,46 +29,62 @@ def ranked_ids(ranked: Iterable) -> list[str]:
     return [item[0] if isinstance(item, tuple) else item for item in ranked]
 
 
-def _first_ranks(ranked: Iterable, relevant) -> tuple[list[int], int]:
-    """The 1-based ranks, ascending, at which each relevant id first appears
-    in `ranked`, and the number of relevant ids; an empty set raises."""
+def _relevant_set(relevant) -> set:
+    """The relevant ids as a set; an empty set raises."""
     if not relevant:
         raise ValueError("relevant set must be non-empty")
-    missing = set(relevant)
+    return set(relevant)
+
+
+def _first_ranks(ranked: Iterable, relevant) -> tuple[list[int], int, int]:
+    """The 1-based ranks, ascending, at which each relevant id first appears
+    in `ranked`, the ranking's length and the number of relevant ids: the
+    arguments of every metric's rank form."""
+    missing = _relevant_set(relevant)
     count = len(missing)
+    ids = ranked_ids(ranked)
     ranks = []
-    for rank, doc in enumerate(ranked_ids(ranked), start=1):
+    for rank, doc in enumerate(ids, start=1):
         if doc in missing:
             missing.remove(doc)
             ranks.append(rank)
             if not missing:
                 break
-    return ranks, count
+    return ranks, len(ids), count
 
 
-def average_precision(ranked: Sequence[str], relevant) -> float:
-    """Mean of precision at each relevant item's rank; unretrieved relevant
-    items contribute zero."""
-    ranks, count = _first_ranks(ranked, relevant)
+def _average_precision(ranks: list[int], length: int, count: int) -> float:
     return sum(found / rank for found, rank in enumerate(ranks, start=1)) / count
 
 
-def ndcg(ranked: Sequence[str], relevant) -> float:
-    """Binary-gain nDCG. Returns 0.0 when nothing relevant was retrieved."""
-    ranks, count = _first_ranks(ranked, relevant)
-    ideal = min(count, len(ranked))
+def _ndcg(ranks: list[int], length: int, count: int) -> float:
+    ideal = min(count, length)
     if ideal == 0:
         return 0.0
     idcg = sum(1.0 / math.log2(r + 1) for r in range(1, ideal + 1))
     return sum(1.0 / math.log2(rank + 1) for rank in ranks) / idcg
 
 
+def _recall(ranks: list[int], length: int, count: int, k: int) -> float:
+    return bisect.bisect_right(ranks, k) / count
+
+
+def average_precision(ranked: Sequence[str], relevant) -> float:
+    """Mean of precision at each relevant item's rank; unretrieved relevant
+    items contribute zero."""
+    return _average_precision(*_first_ranks(ranked, relevant))
+
+
+def ndcg(ranked: Sequence[str], relevant) -> float:
+    """Binary-gain nDCG. Returns 0.0 when nothing relevant was retrieved."""
+    return _ndcg(*_first_ranks(ranked, relevant))
+
+
 def recall_at_k(ranked: Sequence[str], relevant, k: int) -> float:
     """Fraction of relevant items found in the top k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    ranks, count = _first_ranks(ranked[:k], relevant)
-    return len(ranks) / count
+    return _recall(*_first_ranks(ranked[:k], relevant), k)
 
 
 def jaccard(a, b) -> float:
@@ -73,14 +96,22 @@ def jaccard(a, b) -> float:
     return inter / (len(a) + len(b) - inter)
 
 
-def metric_named(name: str) -> Callable[[Sequence, object], float]:
-    """The metric "map", "ndcg" or "recall@K" (K >= 1) names, as f(ranked, relevant)."""
+def _metric(name: str) -> tuple[Callable[[Sequence, object], float], Callable[..., float]]:
+    """The metric "map", "ndcg" or "recall@K" (K >= 1) names, as the pair
+    (f(ranked, relevant), f(ranks, length, count))."""
     k = name.removeprefix("recall@")
     if k != name and k.isdecimal() and int(k) >= 1:
-        return functools.partial(recall_at_k, k=int(k))
-    if name in ("map", "ndcg"):
-        return average_precision if name == "map" else ndcg
+        return functools.partial(recall_at_k, k=int(k)), functools.partial(_recall, k=int(k))
+    if name == "map":
+        return average_precision, _average_precision
+    if name == "ndcg":
+        return ndcg, _ndcg
     raise ValueError(f"unknown metric {name!r}: expected map, ndcg or recall@K with K >= 1")
+
+
+def metric_named(name: str) -> Callable[[Sequence, object], float]:
+    """The metric "map", "ndcg" or "recall@K" (K >= 1) names, as f(ranked, relevant)."""
+    return _metric(name)[0]
 
 
 def metric_means(rows: Collection[Mapping[str, float]], names) -> dict[str, float]:

@@ -139,3 +139,31 @@ class Numbering:
         key = -scores if descending else scores
         top = np.lexsort((self.id_rank[rows], key))[:k]
         return list(zip([self.ids[r] for r in rows[top].tolist()], scores[top].tolist()))
+
+    def positive_ranks(self, rows: np.ndarray, scores: np.ndarray, at: np.ndarray,
+                       k: int) -> list[int]:
+        """The ascending 1-based ranks <= k that top(rows, scores, k) gives the
+        candidates at places `at`, counted without ranking: 1 + the candidates
+        scored higher + those scored equal with a smaller id_rank.
+
+        One sort of the scores counts the higher-scored candidates. Ties are
+        counted only for places whose score repeats, among the candidates
+        that share such a score, so no temporary outgrows the candidate set.
+        """
+        ordered = np.sort(scores)
+        mine = scores[at]
+        above = np.searchsorted(ordered, mine, side="right")
+        ranks = 1 + (scores.size - above)
+        tied = above - np.searchsorted(ordered, mine, side="left") > 1
+        if tied.any():
+            # the candidates sharing a tied score, in (score, id) order: a
+            # place's position there minus its score's first position counts
+            # the equal-scored candidates with smaller ids
+            shared = np.flatnonzero(np.isin(scores, mine[tied]))
+            order = np.lexsort((self.id_rank[rows[shared]], scores[shared]))
+            position = np.empty_like(order)
+            position[order] = np.arange(order.size)
+            first = np.searchsorted(scores[shared[order]], mine[tied], side="left")
+            ranks[tied] += position[np.searchsorted(shared, at[tied])] - first
+        ranks.sort()
+        return ranks[ranks <= k].tolist()

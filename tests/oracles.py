@@ -18,7 +18,7 @@ import numpy as np
 from mpmath import mp, mpf
 from mpmath import log as mplog
 
-from citebench import metrics
+from citebench import lexical, metrics
 from citebench.benchgen import (GRAPH_TYPE, MOST_CITED_TYPE, RANDOM_TYPE, Benchmark,
                                 BenchmarkEntry, BenchmarkParams, QueryRejected, Selection,
                                 sample_positives, select_diverse_models,
@@ -629,3 +629,50 @@ def loop_evaluate_run(run, qrels, recall_cutoff: int = 30) -> metrics.MetricsRep
     per_query = {q: {name: f(rankings.get(q, []), qrels[q]) for name, f in scorers.items()}
                  for q in sorted(qrels)}
     return metrics.MetricsReport(inline_mean(list(per_query.values()), scorers), per_query)
+
+
+# ---------------------------------------------------------------------------
+# BM25 tuning as it was before it counted ranks: every (grid point, query)
+# pair ranked into a full list, then walked by the list-form metric
+# ---------------------------------------------------------------------------
+
+
+def listed_positive_ranks(numbering, rows: np.ndarray, scores: np.ndarray, relevant,
+                          k: int) -> tuple[list[int], int, int]:
+    """The (ranks, length, count) that Numbering.positive_ranks and the
+    tuning count stand in for, read off the ranked list: Numbering.top's
+    top k, then metrics._first_ranks."""
+    return metrics._first_ranks(numbering.top(rows, scores, k), relevant)
+
+
+def listwise_tune_values(index, validation, grid, *, pool=None, objective="map",
+                         cutoff=None) -> list[list[float]]:
+    """lexical.tune_params's scoring loop as it was: each grid point's
+    objective per validation query, from the ranked list of the old
+    _ranked (touched_mask_ranked), scored by the list-form metric."""
+    from citebench import lexical
+
+    objective_of = metrics.metric_named(objective)
+    k = cutoff if cutoff is not None else (len(pool) if pool is not None else index.N)
+    mask = None if pool is None else index._pool_mask(pool)
+    prepared = [(lexical._query_terms(index, lexical.analyze(text), mask), positives)
+                for text, positives in validation]
+    return [[objective_of(touched_mask_ranked(index, terms, params, k), positives)
+             for terms, positives in prepared]
+            for params in grid]
+
+
+def listwise_tune_params(index, validation, grid, *, pool=None, objective="map", cutoff=None):
+    """lexical.tune_params as it was: the grid point of the highest mean
+    listwise_tune_values, ties toward smaller (b, k1)."""
+    best_key, best_params = None, None
+    values = listwise_tune_values(index, validation, grid, pool=pool, objective=objective,
+                                  cutoff=cutoff)
+    for params, per_query in zip(grid, values):
+        total = 0.0
+        for value in per_query:
+            total += value
+        key = (-(total / len(validation)), params.b, params.k1)
+        if best_key is None or key < best_key:
+            best_key, best_params = key, params
+    return best_params

@@ -342,6 +342,27 @@ def _error(capsys) -> str:
     return json.loads(capsys.readouterr().err)["error"]["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["ingest"], ["prefilter"], ["pool", "--setup", "dataset", "--size", "10", "--seed", "1"],
+], ids=["ingest", "prefilter", "pool"])
+def test_corpus_that_fails_to_load_leaves_no_out(tmp_path, capsys, argv):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("{not json\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([*argv, "--corpus", str(corpus), "--out", str(out)]) == 1
+    assert _error(capsys).startswith(f"{corpus}:1: malformed JSON")
+    assert not out.exists()
+
+
+def test_pool_that_fails_to_sample_leaves_no_out(workspace, tmp_path, capsys):
+    root, _, pref_path, _ = workspace
+    out = tmp_path / "out"
+    assert main(["pool", "--corpus", pref_path, "--setup", "dataset", "--size", "100",
+                 "--queries", "100000", "--seed", "1", "--out", str(out)]) == 1
+    assert "eligible query articles" in _error(capsys)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, config, key", [
     ("pool", {"query_yaer": 2015}, "query_yaer"),
     ("pool", {"size": "300"}, "size"),

@@ -28,7 +28,8 @@ from citebench.util import Numbering
 from oracles import (delete_cut_top, dict_bm25_index, dict_bm25_search, dict_build_field_pool,
                      dict_citation_graph, dict_field_cited_set, dict_graph_negatives,
                      dict_overlap_similarity, dict_prefilter, dict_sample_queries,
-                     inline_mean, loop_average_precision, loop_evaluate_run, loop_ndcg,
+                     inline_mean, listed_positive_ranks, listwise_tune_params,
+                     listwise_tune_values, loop_average_precision, loop_evaluate_run, loop_ndcg,
                      loop_recall_at_k, per_query_build_benchmark,
                      per_query_most_cited_negatives, per_query_random_negatives,
                      per_query_run_retrieval, touched_mask_ranked, touched_mask_top,
@@ -48,6 +49,8 @@ doc_texts = st.lists(
 query_tokens = st.lists(st.sampled_from(VOCAB + ["unseen"]), max_size=7)
 k1_values = st.one_of(st.sampled_from([0.0, 0.9, 1.2, 2.9]), st.floats(0.0, 3.0))
 b_values = st.one_of(st.sampled_from([0.0, 1.0, 0.4]), st.floats(0.0, 1.0))
+objectives = st.one_of(st.sampled_from(["map", "ndcg"]),
+                       st.integers(1, 6).map(lambda k: f"recall@{k}"))
 
 
 def index_of(docs):
@@ -90,6 +93,8 @@ class TestBm25AgainstDictKernel:
                                   max_size=6))
         pool = pool_from(data.draw, ids)
         cutoff = data.draw(st.one_of(st.none(), st.integers(1, len(ids) + 1)))
+        objective = data.draw(objectives)
+        objective_of = metrics.metric_named(objective)
         k = cutoff if cutoff is not None else (len(pool) if pool is not None else len(ids))
         best_key, expected = None, None
         for params in grid:
@@ -97,11 +102,12 @@ class TestBm25AgainstDictKernel:
             for text, positives in validation:
                 ranked = dict_bm25_search(postings, doc_lengths, analyze(text), params.k1,
                                           params.b, k, pool)
-                total += metrics.average_precision([d for d, _ in ranked], positives)
+                total += objective_of([d for d, _ in ranked], positives)
             key = (-(total / len(validation)), params.b, params.k1)
             if best_key is None or key < best_key:
                 best_key, expected = key, params
-        assert tune_params(ix, validation, grid, pool=pool, cutoff=cutoff) == expected
+        assert tune_params(ix, validation, grid, pool=pool, cutoff=cutoff,
+                           objective=objective) == expected
 
     def test_k_cuts_through_tie(self):
         docs = [(f"t{i}", ["a", "b"]) for i in (3, 1, 4, 0, 2)] + [("w", ["a"])]
@@ -115,6 +121,120 @@ class TestBm25AgainstDictKernel:
         ix, _ = index_of([("e1", []), ("e2", [])])
         assert ix.avgdl == 0.0
         assert search(ix, "a b", k=5) == []
+
+
+class TestPositiveRanksAgainstRankedList:
+    """Numbering.positive_ranks and the rank-form metrics against Numbering.top
+    followed by metrics._first_ranks, the path tuning took before."""
+
+    @staticmethod
+    def _check(numbering, rows, scores, relevant, k, at=None):
+        rows, scores = np.asarray(rows, dtype=np.intp), np.asarray(scores, dtype=np.float64)
+        if at is None:
+            at = [i for i, r in enumerate(rows.tolist()) if numbering.ids[r] in relevant]
+        at = np.asarray(at, dtype=np.intp)
+        got = numbering.positive_ranks(rows, scores, at, k)
+        length, count = min(k, rows.size), len(set(relevant))
+        assert (got, length, count) == listed_positive_ranks(numbering, rows, scores, relevant, k)
+        ranked = numbering.top(rows, scores, k)
+        for name in ("map", "ndcg", "recall@1", "recall@3", "recall@30"):
+            list_form, by_ranks = metrics._metric(name)
+            assert by_ranks(got, length, count) == list_form(ranked, relevant)
+        return got
+
+    @SETTINGS
+    @given(data=st.data())
+    def test_equals_top_then_first_ranks(self, data):
+        ids = data.draw(st.lists(st.sampled_from(ID_POOL + [f"r{i}" for i in range(30)]),
+                                 min_size=1, max_size=40, unique=True))
+        numbering = Numbering(ids)
+        rows = sorted(data.draw(st.sets(st.integers(0, len(ids) - 1))))
+        # small integers give heavy ties; the floats give distinct scores
+        scores = data.draw(st.lists(st.one_of(st.integers(0, 3).map(float),
+                                              st.floats(0.5, 4.0)),
+                                    min_size=len(rows), max_size=len(rows)))
+        # positives the index lacks still count in |relevant|
+        relevant = data.draw(st.sets(st.sampled_from(ids + ["ghost", "x404"]), min_size=1))
+        k = data.draw(st.integers(1, len(rows) + 2))
+        at = [i for i, r in enumerate(rows) if ids[r] in relevant]
+        self._check(numbering, rows, scores, relevant, k, data.draw(st.permutations(at)))
+
+    def test_ties_cut_by_k_and_missing_positives(self):
+        numbering = Numbering(["d9", "d1", "d5", "d3", "d7", "d2", "d8"])
+        rows = [0, 1, 2, 3, 4, 5]  # d8 (row 6) is a positive with no hit
+        scores = [2.0, 2.0, 1.0, 2.0, 1.0, 3.0]
+        # (-score, id) order: d2, d1, d3, d9, d5, d7
+        relevant = {"d9", "d5", "d7", "d8", "ghost"}
+        assert self._check(numbering, rows, scores, relevant, 6) == [4, 5, 6]
+        assert self._check(numbering, rows, scores, relevant, 100) == [4, 5, 6]
+        assert self._check(numbering, rows, scores, relevant, 5) == [4, 5]
+        assert self._check(numbering, rows, scores, relevant, 1) == []
+        assert self._check(numbering, rows, scores, {"d2"}, 1) == [1]
+        assert self._check(numbering, [], [], relevant, 1) == []
+
+
+class TestTuneAgainstListwise:
+    """Every (grid point, query) objective value of tune_params against its
+    old loop, which ranked each pair into a list (oracles.listwise_tune_values)."""
+
+    @SETTINGS
+    @given(docs=doc_texts, data=st.data())
+    def test_values_equal_listwise(self, docs, data):
+        ix, _ = index_of(docs)
+        ids = [i for i, _ in docs]
+        validation = data.draw(st.lists(
+            st.tuples(query_tokens.map(" ".join),
+                      st.sets(st.sampled_from(ids + ["ghost"]), min_size=1)),
+            min_size=1, max_size=4))
+        grid = data.draw(st.lists(st.builds(Bm25Params, k1_values, b_values), min_size=1,
+                                  max_size=6))
+        pool = pool_from(data.draw, ids)
+        cutoff = data.draw(st.one_of(st.none(), st.integers(1, len(ids) + 1)))
+        objective = data.draw(objectives)
+        got = lexical._grid_values(ix, validation, grid, pool, objective, cutoff)
+        assert got == listwise_tune_values(ix, validation, grid, pool=pool,
+                                           objective=objective, cutoff=cutoff)
+        assert tune_params(ix, validation, grid, pool=pool, objective=objective,
+                           cutoff=cutoff) == listwise_tune_params(
+            ix, validation, grid, pool=pool, objective=objective, cutoff=cutoff)
+
+    @SETTINGS
+    @given(docs=doc_texts, tokens=query_tokens, k1=k1_values, b=b_values, data=st.data())
+    def test_hit_scores_equal_search_scores(self, docs, tokens, k1, b, data):
+        ix, _ = index_of(docs)
+        pool = pool_from(data.draw, [i for i, _ in docs])
+        mask = None if pool is None else ix._pool_mask(pool)
+        query = lexical._TuningQuery(ix, lexical._query_terms(ix, tokens, mask), {"ghost"})
+        params = Bm25Params(k1, b)
+        # an index of empty documents has no finite length norm, and no postings
+        norm = ix._length_norm(b)[query.rows] if query.rows.size else np.empty(0)
+        scores = query.scores(params, norm)
+        got = dict(zip([ix.ids[r] for r in query.hit_rows.tolist()], scores.tolist()))
+        assert got == dict(search(ix, " ".join(tokens), params, k=len(docs), pool=pool))
+        for doc, s in got.items():
+            assert s == score(ix, tokens, doc, params)
+
+    def test_query_with_no_pooled_token(self):
+        docs = [("d1", ["a", "a", "b"]), ("d2", ["b", "c"]), ("d3", ["c"]), ("d4", ["a", "c"])]
+        ix, _ = index_of(docs)
+        pool = {"d1", "d2", "d3", "ghost"}
+        # "d" is in no document and "a c" reaches the pool only through d1 and d3
+        validation = [("d", {"d1"}), ("a c", {"d4", "d3"}), ("unseen", {"d2", "ghost"}),
+                      ("b a", {"d1", "d2"})]
+        grid = [Bm25Params(k1, b) for b in (0.0, 0.4, 1.0) for k1 in (0.1, 0.9, 2.9)]
+        for objective in ("map", "ndcg", "recall@1", "recall@2"):
+            for cutoff in (None, 1, 2, 10):
+                got = lexical._grid_values(ix, validation, grid, pool, objective, cutoff)
+                assert got == listwise_tune_values(ix, validation, grid, pool=pool,
+                                                   objective=objective, cutoff=cutoff)
+                assert all(values[0] == values[2] == 0.0 for values in got)
+
+    def test_empty_positive_set_raises_as_before(self):
+        ix, _ = index_of([("d1", ["a"]), ("d2", ["a", "b"])])
+        validation = [("a", {"d1"}), ("b", set())]
+        for tune in (tune_params, listwise_tune_params):
+            with pytest.raises(ValueError, match="^relevant set must be non-empty$"):
+                tune(ix, validation, [Bm25Params()])
 
 
 vectors_and_ids = st.integers(1, 30).flatmap(lambda n: st.tuples(
