@@ -1,7 +1,8 @@
 """Embedding storage and exact top-k nearest-neighbor retrieval.
 
 Vectors are produced elsewhere (any single-vector-per-article encoder) and
-consumed here from a raw little-endian float32 file plus a JSON manifest.
+consumed here from a raw little-endian float32 file plus a JSON manifest;
+the file is mapped read-only, so its pages stay the file's, not the heap's.
 Search is an exhaustive scan, never approximate: scores are accumulated in
 float64 with row-local reductions, so results do not depend on how the rows
 are chunked for parallel scanning.
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from collections.abc import Sequence
 from functools import cached_property
 
@@ -21,7 +23,8 @@ from .util import Numbering, checked, read_json
 METRICS = ("cosine", "dot", "euclidean")
 
 # Most rows converted to float64 at once, by the scan and by the cosine row
-# norms; larger blocks only raise peak memory
+# norms, and checked for finiteness at once; larger blocks only raise peak
+# memory
 _BLOCK = 512
 
 # Most bytes of float64 scores that knn_pool holds for one group of queries
@@ -45,7 +48,8 @@ class EmbeddingStore:
             raise EmbeddingError(f"{len(ids)} ids for {vectors.shape[0]} vector rows")
         self.numbering = Numbering(ids)
         self.numbering.check_unique(lambda i: EmbeddingError(f"duplicate embedding id {i!r}"))
-        if not np.isfinite(vectors).all():
+        if not all(np.isfinite(vectors[start:start + _BLOCK]).all()
+                   for start in range(0, len(vectors), _BLOCK)):
             raise EmbeddingError("vectors contain NaN or Inf values")
         self.ids = self.numbering.ids
         self.vectors = vectors
@@ -76,7 +80,7 @@ class EmbeddingStore:
 
 
 def load_embeddings(vector_path, manifest_path) -> EmbeddingStore:
-    """Load vectors from a raw '<f4' file validated against its manifest.
+    """Map vectors from a raw '<f4' file, read-only, validated against its manifest.
 
     Manifest: JSON object {"dim": int >= 1, "count": int >= 0, "ids":
     [str, ...]}. The vector file must hold exactly count*dim little-endian
@@ -95,13 +99,17 @@ def load_embeddings(vector_path, manifest_path) -> EmbeddingStore:
                                  f"got {value!r}")
     if len(ids) != count:
         raise EmbeddingError(f"{manifest_path}: manifest lists {len(ids)} ids but count={count}")
-    data = np.fromfile(vector_path, dtype="<f4")
-    if data.size != count * dim:
-        raise EmbeddingError(
-            f"{vector_path}: vector file holds {data.size} floats, manifest requires {count * dim}"
-        )
+    size = os.path.getsize(vector_path)
+    if size != 4 * count * dim:
+        partial = f" and {size % 4} trailing bytes" if size % 4 else ""
+        raise EmbeddingError(f"{vector_path}: vector file holds {size // 4} floats{partial}, "
+                             f"manifest requires {count * dim}")
+    # mapped read-only, so the store's pages are the file's; an empty file
+    # cannot be mapped
+    vectors = (np.memmap(vector_path, dtype="<f4", mode="r", shape=(count, dim)) if count
+               else np.empty((0, dim), dtype=np.float32))
     try:
-        return EmbeddingStore(ids, data.reshape(count, dim))
+        return EmbeddingStore(ids, vectors)
     except EmbeddingError as exc:
         # the store checks the ids before the values
         where = manifest_path if len(set(ids)) < len(ids) else vector_path

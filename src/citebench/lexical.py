@@ -26,8 +26,18 @@ applies top's one tie rule (descending score, then ascending id). The
 metrics take only those ranks, the ranking's length and |positives|, so
 every objective value equals the one scored from search's ranked list.
 
+build_index works in blocks of _BLOCK documents. Each document is analyzed
+once; the block's new terms are numbered in first-seen order, its tokens
+mapped to term numbers in one C-level pass, and its (term, row) pairs
+counted with one np.unique into int32 arrays. One bincount and one stable
+argsort by term over all blocks then lay out the CSR arrays. Only one
+block's tokens are alive at a time, and no per-token array outlives its
+block.
+
 Indexes persist as format version 3: a JSON header (doc ids, terms)
-followed by the raw CSR arrays.
+followed by the raw CSR arrays. load_index checks the arrays' contents as
+well as their sizes, so a corrupt file fails naming its path instead of
+changing scores.
 """
 
 from __future__ import annotations
@@ -37,8 +47,6 @@ import json
 import math
 import re
 import struct
-from array import array
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +56,10 @@ from .corpus import Corpus
 from .util import Numbering, checked
 
 _WORD = re.compile(r"\w+")
+
+# Documents analyzed and counted at once by build_index; larger blocks only
+# raise peak memory
+_BLOCK = 256
 
 
 def analyze(text: str) -> list[str]:
@@ -107,29 +119,61 @@ class Bm25Index:
         return mask
 
 
+def _count_block(vocab: dict[str, int], tokens: list[str], lengths: np.ndarray):
+    """The postings of a block of documents, whose tokens end to end are
+    `tokens`, as int32 (term, local row, tf) arrays, term-major with rows
+    ascending; terms new to `vocab` are numbered in first-seen order."""
+    new = list(itertools.filterfalse(vocab.__contains__, dict.fromkeys(tokens)))
+    vocab.update(zip(new, itertools.count(len(vocab))))
+    keys = np.fromiter(map(vocab.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+    # one key per (term, row) pair of the block; np.unique sorts them
+    keys *= lengths.size
+    keys += np.repeat(np.arange(lengths.size), lengths)
+    keys, tfs = np.unique(keys, return_counts=True)
+    terms, rows = np.divmod(keys, lengths.size)
+    return terms.astype(np.int32), rows.astype(np.int32), tfs.astype(np.int32)
+
+
+def _joined(blocks: list[np.ndarray]) -> np.ndarray:
+    """The blocks end to end; the list is emptied, so no block outlives the join."""
+    joined = np.concatenate(blocks)
+    blocks.clear()
+    return joined
+
+
 def build_index(corpus: Corpus) -> Bm25Index:
+    """Index the corpus's texts, _BLOCK documents at a time (see the module
+    docstring), sharing the corpus's numbering."""
     if len(corpus) == 0:
         raise ValueError("cannot index an empty corpus")
     vocab: dict[str, int] = {}
-    # one (term number, tf) pair per posting in corpus order, plus the number
-    # of distinct terms per document
-    lengths, widths, term_of, tf_of = array("q"), array("q"), array("q"), array("q")
-    for art in corpus:
-        tokens = analyze(art.text)
-        counts = Counter(tokens)
-        lengths.append(len(tokens))
-        widths.append(len(counts))
-        term_of.extend([vocab.setdefault(term, len(vocab)) for term in counts])
-        tf_of.extend(counts.values())
-    terms = np.frombuffer(term_of, dtype=np.int64)
-    # a stable sort by term keeps each term's rows in ascending corpus order
-    order = np.argsort(terms, kind="stable")
-    rows = np.repeat(np.arange(len(corpus), dtype=np.int32), np.frombuffer(widths, dtype=np.int64))
+    lengths = np.empty(len(corpus), dtype=np.int64)
+    term_blocks, row_blocks, tf_blocks = [], [], []
+    articles = iter(corpus)
+    for start in range(0, len(corpus), _BLOCK):
+        # each document's token list dies at once: only the block's tokens
+        # end to end stay alive, so the collector has little to track
+        tokens = []
+        block = lengths[start:start + _BLOCK]
+        for row, art in enumerate(itertools.islice(articles, _BLOCK)):
+            doc = analyze(art.text)
+            tokens += doc
+            block[row] = len(doc)
+        terms, rows, tfs = _count_block(vocab, tokens, block)
+        term_blocks.append(terms)
+        row_blocks.append(rows + np.int32(start))
+        tf_blocks.append(tfs)
+    terms = _joined(term_blocks)
     indptr = np.zeros(len(vocab) + 1, dtype=np.int64)
     np.cumsum(np.bincount(terms, minlength=len(vocab)), out=indptr[1:])
-    tfs = np.frombuffer(tf_of, dtype=np.int64)[order].astype(np.float64)
-    return Bm25Index(corpus.numbering, np.frombuffer(lengths, dtype=np.int64), vocab, indptr,
-                     rows[order], tfs)
+    # a stable sort by term keeps each term's rows in ascending corpus order;
+    # each array is dropped as soon as the next no longer needs it
+    order = np.argsort(terms, kind="stable")
+    del terms
+    rows = _joined(row_blocks)[order]
+    tfs = _joined(tf_blocks)[order]
+    del order
+    return Bm25Index(corpus.numbering, lengths, vocab, indptr, rows, tfs.astype(np.float64))
 
 
 def idf(index: Bm25Index, term: str) -> float:
@@ -292,19 +336,25 @@ def _grid_values(index: Bm25Index, validation, grid, pool, objective: str,
     by_ranks = metrics._metric(objective)[1]
     k = cutoff if cutoff is not None else (len(pool) if pool is not None else index.N)
     mask = None if pool is None else index._pool_mask(pool)
-    # The index keeps each b's norms as long as it lives, so they are made
-    # before the queries' arrays, which die with this call: made among
-    # them, they would pin the memory those arrays free and grow the heap.
-    # An index of empty documents (avgdl 0) has no finite norm.
-    runs = [(index._length_norm(b) if index.avgdl else None, list(points))
-            for b, points in itertools.groupby(grid, key=lambda params: params.b)]
-    prepared = [_TuningQuery(index, _query_terms(index, analyze(text), mask), positives)
-                for text, positives in validation]
-    values = []
-    for norm, points in runs:
-        values += map(list, zip(*[query.values(points, norm, k, by_ranks)
-                                  for query in prepared]))
-    return values
+    cached = set(index._inner)
+    try:
+        # Each b's norms are made before the queries' arrays: one cached
+        # before this call outlives it, and made among those arrays it
+        # would pin the memory they free and grow the heap. An index of
+        # empty documents (avgdl 0) has no finite norm.
+        runs = [(index._length_norm(b) if index.avgdl else None, list(points))
+                for b, points in itertools.groupby(grid, key=lambda params: params.b)]
+        prepared = [_TuningQuery(index, _query_terms(index, analyze(text), mask), positives)
+                    for text, positives in validation]
+        values = []
+        for norm, points in runs:
+            values += map(list, zip(*[query.values(points, norm, k, by_ranks)
+                                      for query in prepared]))
+        return values
+    finally:
+        # norms only this call needed die with it, not with the index
+        for b in set(index._inner) - cached:
+            del index._inner[b]
 
 
 def tune_params(index: Bm25Index, validation: list[tuple[str, set]], grid: list[Bm25Params],
@@ -399,9 +449,32 @@ def load_index(path) -> Bm25Index:
     numbering.check_unique(lambda i: ValueError(f"{path}: index header repeats doc id {i!r}"))
     lengths = take("<i8", len(numbering.ids))
     indptr = take("<i8", len(terms) + 1)
+    if indptr[0] != 0 or (np.diff(indptr) < 0).any():
+        raise ValueError(f"{path}: index term offsets must start at 0 and never decrease")
     tfs = take("<f8", int(indptr[-1]))
     rows = take("<i4", int(indptr[-1]))
     if offset != len(data):
         raise ValueError(f"{path}: {len(data) - offset} trailing bytes after the index arrays")
+    _check_postings(path, lengths, indptr, rows, tfs)
     vocab = {term: t for t, term in enumerate(terms)}
     return Bm25Index(numbering, lengths, vocab, indptr, rows, tfs)
+
+
+def _check_postings(path, lengths: np.ndarray, indptr: np.ndarray, rows: np.ndarray,
+                    tfs: np.ndarray) -> None:
+    """Raise ValueError naming `path` unless the arrays hold an index that
+    build_index could have made; `indptr` is already checked."""
+    if (lengths < 0).any():
+        raise ValueError(f"{path}: index document lengths must be >= 0")
+    if ((rows < 0) | (rows >= lengths.size)).any():
+        raise ValueError(f"{path}: index rows must lie in [0, {lengths.size})")
+    # a pair of neighbours may only fall where a term's slice starts
+    falls = np.diff(rows) <= 0
+    starts = indptr[1:-1]
+    falls[starts[(starts > 0) & (starts < rows.size)] - 1] = False
+    if falls.any():
+        raise ValueError(f"{path}: index rows must ascend strictly within each term")
+    if not (np.isfinite(tfs) & (tfs >= 1) & (tfs == np.floor(tfs))).all():
+        raise ValueError(f"{path}: index term frequencies must be positive whole numbers")
+    if (np.bincount(rows, weights=tfs, minlength=lengths.size) != lengths).any():
+        raise ValueError(f"{path}: index term frequencies must sum to each document's length")

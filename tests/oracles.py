@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from array import array
 from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -64,6 +65,31 @@ def dict_bm25_index(texts: dict[str, list[str]]):
         for term, tf in Counter(tokens).items():
             postings.setdefault(term, {})[doc_id] = tf
     return postings, doc_lengths
+
+
+def counter_build_index(corpus: Corpus) -> lexical.Bm25Index:
+    """The per-document build that build_index used before its block-wise
+    array passes: one Counter and one vocab pass per document, postings
+    gathered into growing buffers, then one stable argsort by term."""
+    if len(corpus) == 0:
+        raise ValueError("cannot index an empty corpus")
+    vocab: dict[str, int] = {}
+    lengths, widths, term_of, tf_of = array("q"), array("q"), array("q"), array("q")
+    for art in corpus:
+        tokens = lexical.analyze(art.text)
+        counts = Counter(tokens)
+        lengths.append(len(tokens))
+        widths.append(len(counts))
+        term_of.extend([vocab.setdefault(term, len(vocab)) for term in counts])
+        tf_of.extend(counts.values())
+    terms = np.frombuffer(term_of, dtype=np.int64)
+    order = np.argsort(terms, kind="stable")
+    rows = np.repeat(np.arange(len(corpus), dtype=np.int32), np.frombuffer(widths, dtype=np.int64))
+    indptr = np.zeros(len(vocab) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(terms, minlength=len(vocab)), out=indptr[1:])
+    tfs = np.frombuffer(tf_of, dtype=np.int64)[order].astype(np.float64)
+    return lexical.Bm25Index(corpus.numbering, np.frombuffer(lengths, dtype=np.int64), vocab,
+                             indptr, rows[order], tfs)
 
 
 def dict_bm25_search(postings, doc_lengths, query_tokens: list[str], k1: float, b: float,

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from citebench import dense
 from citebench.dense import (EmbeddingError, EmbeddingStore, knn, load_embeddings,
                              save_embeddings)
 from oracles import brute_knn
@@ -23,6 +24,35 @@ class TestLoadEmbeddings:
         store = load_embeddings(vec, man)
         assert len(store) == 2 and store.dim == 3
         assert list(store.vector("b")) == [4.0, 5.0, 6.0]
+
+    def test_vectors_are_mapped_read_only(self, tmp_path):
+        vec, man = write_store(tmp_path, ["a", "b"], [[1, 2, 3], [4, 5, 6]])
+        store = load_embeddings(vec, man)
+        assert isinstance(store.vectors.base, np.memmap)
+        assert not store.vectors.flags.writeable
+        with pytest.raises(ValueError):
+            store.vectors[0, 0] = 9.0
+
+    def test_zero_count_store_loads(self, tmp_path):
+        vec, man = write_store(tmp_path, [], np.empty((0, 4)))
+        assert vec.stat().st_size == 0
+        store = load_embeddings(vec, man)
+        assert len(store) == 0 and store.dim == 4
+
+    def test_trailing_partial_float_rejected(self, tmp_path):
+        vec, man = write_store(tmp_path, ["a", "b"], [[1, 2, 3], [4, 5, 6]])
+        vec.write_bytes(vec.read_bytes() + b"\x00\x00")
+        message = f"{vec}: vector file holds 6 floats and 2 trailing bytes, manifest requires 6"
+        with pytest.raises(EmbeddingError, match=f"^{re.escape(message)}$"):
+            load_embeddings(vec, man)
+
+    def test_nan_past_the_first_block_rejected(self, tmp_path):
+        matrix = np.ones((3 * dense._BLOCK + 5, 2))
+        matrix[2 * dense._BLOCK + 3, 1] = np.inf
+        vec, man = write_store(tmp_path, [f"r{i}" for i in range(len(matrix))], matrix)
+        message = f"{vec}: vectors contain NaN or Inf values"
+        with pytest.raises(EmbeddingError, match=f"^{re.escape(message)}$"):
+            load_embeddings(vec, man)
 
     def test_size_mismatch(self, tmp_path):
         vec, man = write_store(tmp_path, ["a", "b"], [[1, 2, 3], [4, 5, 6]])

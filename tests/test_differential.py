@@ -5,6 +5,8 @@ never approx."""
 import random
 import re
 import struct
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,10 +27,10 @@ from citebench.pools import (DATASET_LEVEL, PoolSet, SamplingPlan, build_dataset
                              build_field_pool, sample_queries)
 from conftest import make_article
 from citebench.util import Numbering
-from oracles import (delete_cut_top, dict_bm25_index, dict_bm25_search, dict_build_field_pool,
-                     dict_citation_graph, dict_field_cited_set, dict_graph_negatives,
-                     dict_overlap_similarity, dict_prefilter, dict_sample_queries,
-                     inline_mean, listed_positive_ranks, listwise_tune_params,
+from oracles import (counter_build_index, delete_cut_top, dict_bm25_index, dict_bm25_search,
+                     dict_build_field_pool, dict_citation_graph, dict_field_cited_set,
+                     dict_graph_negatives, dict_overlap_similarity, dict_prefilter,
+                     dict_sample_queries, inline_mean, listed_positive_ranks, listwise_tune_params,
                      listwise_tune_values, loop_average_precision, loop_evaluate_run, loop_ndcg,
                      loop_recall_at_k, per_query_build_benchmark,
                      per_query_most_cited_negatives, per_query_random_negatives,
@@ -283,6 +285,72 @@ class TestKnnAgainstTupleSort:
         assert knn(store, q, n) == tuple_sort_knn(ids, matrix, q, n, "cosine")
 
 
+# words of every kind the analyzer keeps, and separators it drops
+BUILD_WORDS = ["alpha", "Alpha", "beta", "x1", "snake_case", "ünï", "Δelta", "naïve", "日本語",
+               "ǅemal", "42"]
+BUILD_SEPARATORS = [" ", "  ", ", ", "\t", "\n", " -- ", "!"]
+build_docs = st.lists(
+    st.one_of(
+        st.lists(st.tuples(st.sampled_from(BUILD_WORDS), st.sampled_from(BUILD_SEPARATORS)),
+                 max_size=20).map(lambda pairs: "".join(w + sep for w, sep in pairs)),
+        st.sampled_from(["", " ", "\t\n  ", "?!"]),
+    ),
+    min_size=1, max_size=40,
+)
+
+
+def index_bytes(index) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/index.bin"
+        save_index(index, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def assert_same_index(got, want):
+    assert list(got.vocab.items()) == list(want.vocab.items())
+    for name in ("lengths", "indptr", "rows", "tfs"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.avgdl == want.avgdl
+    assert index_bytes(got) == index_bytes(want)
+
+
+class TestBuildIndexAgainstCounterLoop:
+    @SETTINGS
+    @given(texts=build_docs, block=st.sampled_from([1, 2, 3, 7, lexical._BLOCK]),
+           order=st.randoms(use_true_random=False))
+    def test_block_build_equals_counter_loop(self, texts, block, order):
+        # ids whose sorted order differs from corpus order; titles and
+        # abstracts both feed the text
+        ids = [f"d{i}" for i in range(len(texts))]
+        order.shuffle(ids)
+        corpus = Corpus([make_article(i, title=t, abstract=t[::-1]) for i, t in zip(ids, texts)])
+        with mock.patch.object(lexical, "_BLOCK", block):
+            got = build_index(corpus)
+        assert_same_index(got, counter_build_index(corpus))
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, lexical._BLOCK + 1])
+    def test_real_block_boundaries(self, extra):
+        # one block short of full, exactly full, one over, and two full
+        # blocks and a final block of one document
+        rng = random.Random(extra)
+        words = BUILD_WORDS + [f"w{i}" for i in range(300)]
+        texts = [" ".join(rng.choices(words, k=rng.randint(0, 30)))
+                 for _ in range(lexical._BLOCK + extra)]
+        corpus = Corpus([make_article(f"a{i}", title=t, abstract="") for i, t in enumerate(texts)])
+        assert_same_index(build_index(corpus), counter_build_index(corpus))
+
+    def test_repeated_tokens_count_once_per_document(self):
+        corpus = Corpus([make_article(i, title=t, abstract="")
+                         for i, t in [("b", "x x x y"), ("a", ""), ("c", "y x y y")]])
+        with mock.patch.object(lexical, "_BLOCK", 2):
+            ix = build_index(corpus)
+        assert_same_index(ix, counter_build_index(corpus))
+        assert ix.vocab == {"x": 0, "y": 1} and ix.lengths.tolist() == [4, 0, 4]
+        assert ix.rows.tolist() == [0, 2, 0, 2] and ix.tfs.tolist() == [3.0, 1.0, 1.0, 3.0]
+
+
 class TestIndexFormat:
     def _index(self):
         texts = {"doc2": "alpha beta beta", "doc0": "gamma alpha", "doc1": "", "Δ": "ünï code"}
@@ -354,6 +422,42 @@ class TestIndexFormat:
         path.write_bytes(b"CBIX" + struct.pack("<IQ", 3, len(header)) + header)
         with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             load_index(path)
+
+    # _index()'s arrays: lengths [3, 2, 0, 2]; terms alpha, beta, gamma, ünï,
+    # code; indptr [0, 2, 3, 4, 5, 6]; rows [0, 1, 0, 1, 3, 3]; tfs [1, 1, 2, 1, 1, 1]
+    @pytest.mark.parametrize("array, at, value, message", [
+        ("rows", 2, -1, "index rows must lie in [0, 4)"),
+        ("rows", 2, 7, "index rows must lie in [0, 4)"),
+        ("rows", [0, 1], [1, 0], "index rows must ascend strictly within each term"),
+        ("rows", 1, 0, "index rows must ascend strictly within each term"),
+        ("indptr", 0, 1, "index term offsets must start at 0 and never decrease"),
+        ("indptr", 1, 4, "index term offsets must start at 0 and never decrease"),
+        ("lengths", 2, -1, "index document lengths must be >= 0"),
+        ("tfs", 2, 0.0, "index term frequencies must be positive whole numbers"),
+        ("tfs", 2, -2.0, "index term frequencies must be positive whole numbers"),
+        ("tfs", 2, 1.5, "index term frequencies must be positive whole numbers"),
+        ("tfs", 2, float("nan"), "index term frequencies must be positive whole numbers"),
+        ("tfs", 2, float("inf"), "index term frequencies must be positive whole numbers"),
+        ("tfs", 2, 3.0, "index term frequencies must sum to each document's length"),
+        ("lengths", 2, 1, "index term frequencies must sum to each document's length"),
+    ], ids=["row-negative", "row-past-end", "rows-fall", "rows-repeat", "indptr-start",
+            "indptr-falls", "length-negative", "tf-zero", "tf-negative", "tf-fraction",
+            "tf-nan", "tf-inf", "tf-sum", "length-sum"])
+    def test_corrupt_arrays_rejected(self, tmp_path, array, at, value, message):
+        ix = self._index()
+        arrays = {name: getattr(ix, name).copy() for name in ("lengths", "indptr", "rows", "tfs")}
+        arrays[array][at] = value
+        path = tmp_path / "index.bin"
+        save_index(lexical.Bm25Index(ix.numbering, arrays["lengths"], ix.vocab, arrays["indptr"],
+                                     arrays["rows"], arrays["tfs"]), path)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_index(path)
+
+    def test_index_without_postings_loads(self, tmp_path):
+        corpus = Corpus([make_article(i, title=" ", abstract="") for i in ("b", "a")])
+        save_index(build_index(corpus), tmp_path / "index.bin")
+        loaded = load_index(tmp_path / "index.bin")
+        assert loaded.lengths.tolist() == [0, 0] and loaded.rows.size == 0
 
     def test_arrays_are_read_only(self, tmp_path):
         ix = self._index()

@@ -1,15 +1,17 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from citebench import lexical, synthetic
 from citebench.corpus import Corpus
 from citebench.lexical import (Bm25Params, analyze, build_index,
                                default_tuning_grid, idf, load_index, save_index, score,
                                search, tune_params)
 from conftest import make_article
-from oracles import dict_bm25_index, frac_average_precision, naive_bm25_rank
+from oracles import counter_build_index, dict_bm25_index, frac_average_precision, naive_bm25_rank
 
 
 def corpus_from_texts(texts: dict[str, str]) -> Corpus:
@@ -90,6 +92,21 @@ class TestBuildIndex:
     def test_empty_corpus(self):
         with pytest.raises(ValueError):
             build_index(Corpus([]))
+
+    def test_peak_memory_at_most_the_counter_loop(self):
+        # several blocks of generated articles; each build runs once before
+        # it is measured, so one-off allocations count for neither
+        corpus = synthetic.generate_corpus(10 * lexical._BLOCK, seed=5)
+        assert len(corpus) > 9 * lexical._BLOCK
+        peaks = {}
+        for build in (build_index, counter_build_index, build_index, counter_build_index):
+            tracemalloc.start()
+            try:
+                build(corpus)
+                peaks[build] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[build_index] <= peaks[counter_build_index]
 
 
 class TestIdf:
@@ -258,6 +275,19 @@ class TestTune:
             tune_params(ix, [("a", {"d1"})], [])
         with pytest.raises(ValueError):
             tune_params(ix, [], [Bm25Params()])
+
+    def test_leaves_the_norm_cache_as_found(self):
+        rng = random.Random(4)
+        texts = {f"d{i}": " ".join(rng.choices("abcdef", k=rng.randint(1, 9))) for i in range(30)}
+        ix = build_index(corpus_from_texts(texts))
+        kept = ix._length_norm(0.4)
+        validation = [("a b", {"d1", "d2"}), ("c", {"d3"})]
+        best = tune_params(ix, validation, default_tuning_grid())
+        assert list(ix._inner) == [0.4] and ix._inner[0.4] is kept
+        # a second call, with the cache emptied, chooses the same point
+        ix._inner.clear()
+        assert tune_params(ix, validation, default_tuning_grid()) == best
+        assert not ix._inner
 
     def test_default_grid_shape(self):
         grid = default_tuning_grid()
