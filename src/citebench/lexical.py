@@ -11,20 +11,29 @@ query contributes twice. The +1 inside the log keeps IDF strictly positive.
 Search returns only documents matching at least one query term; ties break
 by ascending doc id.
 
-Search gathers the pooled postings of the query's tokens, in query-token
-order, into one set of arrays and adds their contributions into the
-per-document sums with one np.add.at. That adds one element at a time in
-index order, so each document's sum starts from 0.0 and takes its terms in
+Search ranks a candidate set, held as ascending rows, from the query's
+postings restricted to it: each posting carries its place among the
+candidates, its tf and its token's idf, laid out in query-token order (a
+repeated token repeats its postings). Two gathers make them. A pooled view
+keeps a pool's postings under the index's term numbering, so each query
+only slices it: search_pool and tune_params build one per call, search one
+for just the query's terms. A lookup binary-searches each candidate in
+each distinct query term's posting list, which is cheaper for small sets
+such as a closed benchmark entry; search picks it when the candidates
+times the distinct terms are fewer than those terms' postings. The
+contributions are summed by place with one np.bincount, which adds one
+weight at a time in posting order from 0.0, so each sum takes its terms in
 query-token order with score()'s operations: every returned score equals
-score() exactly.
+score() exactly. No array of the index's size is made per query, except
+when the whole index is the candidate set.
 
 Tuning (tune_params) scores each grid point from counted ranks instead of
-ranked lists. It sums the same contributions with np.bincount, which also
-adds in index order from 0.0, so every sum is bit-identical to search's.
-It then counts each positive's rank with Numbering.positive_ranks, which
-applies top's one tie rule (descending score, then ascending id). The
-metrics take only those ranks, the ranking's length and |positives|, so
-every objective value equals the one scored from search's ranked list.
+ranked lists. It sums the same contributions from the same pooled view
+with np.bincount, so every sum is bit-identical to search's. It then
+counts each positive's rank with Numbering.positive_ranks, which applies
+top's one tie rule (descending score, then ascending id). The metrics
+take only those ranks, the ranking's length and |positives|, so every
+objective value equals the one scored from search's ranked list.
 
 build_index works in blocks of _BLOCK documents. Each document is analyzed
 once; the block's new terms are numbered in first-seen order, its tokens
@@ -48,6 +57,7 @@ import math
 import re
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,19 +114,15 @@ class Bm25Index:
             arr.setflags(write=False)
         self.N = len(self.ids)
         self.avgdl = sum(self.lengths.tolist()) / self.N if self.N else 0.0
-        self._inner: dict[float, np.ndarray] = {}
 
-    def _length_norm(self, b: float) -> np.ndarray:
-        """(1 - b) + b |D| / avgdl per row, cached per b."""
-        inner = self._inner.get(b)
-        if inner is None:
-            inner = self._inner[b] = (1.0 - b) + (b * self.lengths) / self.avgdl
-        return inner
+    def _length_norm(self, rows: np.ndarray, b: float) -> np.ndarray:
+        """(1 - b) + b |D| / avgdl at `rows`, with score()'s operations."""
+        return (1.0 - b) + (b * self.lengths[rows]) / self.avgdl
 
-    def _pool_mask(self, pool) -> np.ndarray:
-        mask = np.zeros(self.N, dtype=bool)
-        mask[self.numbering.rows(filter(self.numbering.row.__contains__, pool))] = True
-        return mask
+    def _pool_rows(self, pool) -> np.ndarray:
+        """The ascending distinct rows of the pool ids the index holds."""
+        row = self.numbering.row
+        return np.array(sorted({row[i] for i in pool if i in row}), dtype=np.int32)
 
 
 def _count_block(vocab: dict[str, int], tokens: list[str], lengths: np.ndarray):
@@ -179,8 +185,12 @@ def build_index(corpus: Corpus) -> Bm25Index:
 def idf(index: Bm25Index, term: str) -> float:
     """ln((N - n + 0.5)/(n + 0.5) + 1), with n = 0 for unseen terms."""
     t = index.vocab.get(term)
-    n = 0 if t is None else int(index.indptr[t + 1] - index.indptr[t])
-    return math.log((index.N - n + 0.5) / (n + 0.5) + 1.0)
+    return _idf(index.N, 0 if t is None else int(index.indptr[t + 1] - index.indptr[t]))
+
+
+def _idf(N: int, n: int) -> float:
+    """idf of a term in n of N documents."""
+    return math.log((N - n + 0.5) / (n + 0.5) + 1.0)
 
 
 def score(index: Bm25Index, query_terms: list[str], doc_id: str, params: Bm25Params = Bm25Params()) -> float:
@@ -202,52 +212,106 @@ def score(index: Bm25Index, query_terms: list[str], doc_id: str, params: Bm25Par
     return total
 
 
-def _query_terms(index: Bm25Index, tokens: list[str], mask: np.ndarray | None):
-    """The query's postings as one (rows, tfs, idfs) triple, rows restricted
-    to the mask: each token's slice in query-token order (a repeated token
-    repeats its slice), with the token's idf once per posting. None when no
-    token has a (pooled) posting."""
-    sliced = {}
-    for term in dict.fromkeys(tokens):
-        t = index.vocab.get(term)
-        if t is None:
-            continue
-        start, end = index.indptr[t], index.indptr[t + 1]
-        rows, tfs = index.rows[start:end], index.tfs[start:end]
-        if mask is not None:
-            keep = mask[rows]
-            rows, tfs = rows[keep], tfs[keep]
-        if rows.size:
-            sliced[term] = (rows, tfs, np.full(rows.size, idf(index, term)))
-    parts = [sliced[term] for term in tokens if term in sliced]
-    if not parts:
-        return None
-    return tuple(np.concatenate(column) for column in zip(*parts))
+def _token_terms(index: Bm25Index, tokens: list[str]):
+    """The term number and idf of each query token whose term has postings,
+    in query-token order (a repeated token repeats them): the query as every
+    gather takes it."""
+    terms = np.fromiter((t for t in map(index.vocab.get, tokens) if t is not None), dtype=np.intp)
+    n = index.indptr[terms + 1] - index.indptr[terms]
+    terms, n = terms[n > 0], n[n > 0]
+    return terms, np.array([_idf(index.N, c) for c in n.tolist()])
+
+
+def _laid(indptr: np.ndarray, place: np.ndarray, tfs: np.ndarray, terms: np.ndarray,
+          idfs: np.ndarray):
+    """(place, tf, idf) arrays: each query token's slice of `place` and
+    `tfs` (term t's is indptr[t]:indptr[t + 1]), end to end in query-token
+    order, with the token's idf once per posting."""
+    starts, ends = indptr[terms], indptr[terms + 1]
+    spans = list(zip(starts.tolist(), ends.tolist()))
+    return (np.concatenate([place[s:e] for s, e in spans] or [place[:0]]),
+            np.concatenate([tfs[s:e] for s, e in spans] or [tfs[:0]]),
+            np.repeat(idfs, ends - starts))
+
+
+class _Pooled(NamedTuple):
+    """A candidate set's postings under the index's term numbering: term t
+    keeps the slice indptr[t]:indptr[t + 1] of `place` (each posting's place
+    among the ascending candidate `rows`) and of `tfs`."""
+
+    rows: np.ndarray
+    indptr: np.ndarray
+    place: np.ndarray
+    tfs: np.ndarray
+
+    def postings(self, terms: np.ndarray, idfs: np.ndarray):
+        """The query's (place, tf, idf) arrays, sliced from the view."""
+        return _laid(self.indptr, self.place, self.tfs, terms, idfs)
+
+
+def _whole(index: Bm25Index) -> _Pooled:
+    """Every row as a candidate: the index's own postings, its rows their places."""
+    return _Pooled(np.arange(index.N, dtype=np.int32), index.indptr, index.rows, index.tfs)
+
+
+def _pooled(index: Bm25Index, rows: np.ndarray) -> _Pooled:
+    """The postings of candidate `rows`, gathered once for many queries."""
+    mask = np.zeros(index.N, dtype=bool)
+    mask[rows] = True
+    kept = np.flatnonzero(mask[index.rows])
+    place = np.zeros(index.N, dtype=np.int32)
+    place[rows] = np.arange(rows.size, dtype=np.int32)
+    # the kept postings before each term's first one number the view's terms
+    return _Pooled(rows, kept.searchsorted(index.indptr), place[index.rows[kept]],
+                   index.tfs[kept])
+
+
+def _filtered(index: Bm25Index, rows: np.ndarray, terms: np.ndarray, idfs: np.ndarray):
+    """The query's (place, tf, idf) arrays over candidate `rows`: the pooled
+    view of just the query's terms, each listed row found among the
+    candidates by binary search (so `rows` is non-empty if any is listed)."""
+    listed, tfs, idfs = _laid(index.indptr, index.rows, index.tfs, terms, idfs)
+    place = rows.searchsorted(listed)
+    keep = rows.take(place, mode="clip") == listed
+    return place[keep], tfs[keep], idfs[keep]
+
+
+def _looked_up(index: Bm25Index, rows: np.ndarray, terms: np.ndarray, idfs: np.ndarray):
+    """The query's (place, tf, idf) arrays over candidate `rows`, each
+    candidate found in each distinct term's posting list by binary search."""
+    distinct = np.array(sorted(set(terms.tolist())), dtype=np.intp)
+    starts, ends = index.indptr[distinct], index.indptr[distinct + 1]
+    # at[j, i]: where candidate i sits, or would, in distinct term j's list
+    at = np.array([index.rows[s:e].searchsorted(rows)
+                   for s, e in zip(starts.tolist(), ends.tolist())],
+                  dtype=np.intp).reshape(distinct.size, rows.size)
+    at += starts[:, None]
+    np.minimum(at, ends[:, None] - 1, out=at)
+    # the (token, candidate) pairs found, token-major like the other gathers
+    which = distinct.searchsorted(terms)
+    token, place = (index.rows[at] == rows)[which].nonzero()
+    return place, index.tfs[at[which[token], place]], idfs[token]
 
 
 def _contributions(params: Bm25Params, norm: np.ndarray, tfs: np.ndarray,
                    idfs: np.ndarray) -> np.ndarray:
     """Each gathered posting's term score with score()'s operations; `norm`
-    is _length_norm(params.b) at the postings' rows."""
+    is the length norm at the postings' rows."""
     return (idfs * (tfs * (params.k1 + 1.0))) / (tfs + params.k1 * norm)
 
 
-def _ranked(index: Bm25Index, terms, params: Bm25Params, k: int,
+def _ranked(index: Bm25Index, rows: np.ndarray, postings, params: Bm25Params, k: int,
             exclude: int | None = None) -> list[tuple[str, float]]:
-    """The top k of the gathered postings, row `exclude` left out."""
-    if terms is None:
-        return []
-    rows, tfs, idfs = terms
-    contrib = _contributions(params, index._length_norm(params.b)[rows], tfs, idfs)
-    # add.at adds one element at a time in index order, so each document's
-    # sum starts from 0.0 and takes its terms in query-token order, each
-    # with score()'s operations: sums are bit-identical to score()
-    acc = np.zeros(index.N)
-    np.add.at(acc, rows, contrib)
-    touched = np.zeros(index.N, dtype=bool)
-    touched[rows] = True
-    hit = np.flatnonzero(touched)
-    return index.numbering.top(hit, acc[hit], k, exclude=exclude)
+    """The top k of the candidate `rows` that a gather's (place, tf, idf)
+    `postings` hit, row `exclude` left out."""
+    place, tfs, idfs = postings
+    contrib = _contributions(params, index._length_norm(rows[place], params.b), tfs, idfs)
+    # bincount adds one weight at a time in posting order, so each
+    # candidate's sum starts from 0.0 and takes its terms in query-token
+    # order, each with score()'s operations: sums are bit-identical to score()
+    sums = np.bincount(place, weights=contrib, minlength=rows.size)
+    hit = np.flatnonzero(np.bincount(place, minlength=rows.size))
+    return index.numbering.top(rows[hit], sums[hit], k, exclude=exclude)
 
 
 def search(index: Bm25Index, query_text: str, params: Bm25Params = Bm25Params(),
@@ -258,8 +322,17 @@ def search(index: Bm25Index, query_text: str, params: Bm25Params = Bm25Params(),
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    mask = None if pool is None else index._pool_mask(pool)
-    return _ranked(index, _query_terms(index, analyze(query_text), mask), params, k)
+    terms, idfs = _token_terms(index, analyze(query_text))
+    if pool is None:
+        view = _whole(index)
+        return _ranked(index, view.rows, view.postings(terms, idfs), params, k)
+    rows = index._pool_rows(pool)
+    # a lookup costs about a binary search per candidate and distinct term,
+    # the pooled view about one per posting of the query's terms
+    distinct = np.fromiter(set(terms.tolist()), dtype=np.intp)
+    listed = int((index.indptr[distinct + 1] - index.indptr[distinct]).sum())
+    gather = _looked_up if rows.size * distinct.size < listed else _filtered
+    return _ranked(index, rows, gather(index, rows, terms, idfs), params, k)
 
 
 def search_pool(index: Bm25Index, queries, pool, params: Bm25Params = Bm25Params(),
@@ -267,12 +340,12 @@ def search_pool(index: Bm25Index, queries, pool, params: Bm25Params = Bm25Params
     """Top-k for many (query id, query text) pairs against one shared pool,
     keyed by query id in the given order; a query is never its own
     candidate. Equal to search(index, text, params, k, pool - {id}) for each
-    pair, with the pool mask built once for all of them.
+    pair, with the pool's postings gathered once for all of them.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    mask = index._pool_mask(pool)
-    return {qid: _ranked(index, _query_terms(index, analyze(text), mask),
+    view = _pooled(index, index._pool_rows(pool))
+    return {qid: _ranked(index, view.rows, view.postings(*_token_terms(index, analyze(text))),
                          params, k, exclude=index.numbering.row.get(qid))
             for qid, text in queries}
 
@@ -287,39 +360,34 @@ def default_tuning_grid() -> list[Bm25Params]:
 
 
 class _TuningQuery:
-    """One validation query, prepared once for every grid point: its gathered
-    postings, each posting's place among the hit rows (ascending), the
-    places of the positives that were hit, and |positives|."""
+    """One validation query, prepared once for every grid point: its
+    postings over a pooled view, their rows, each posting's place among the
+    hit rows (ascending), the places of the positives that were hit, and
+    |positives|."""
 
-    def __init__(self, index: Bm25Index, terms, positives):
+    def __init__(self, index: Bm25Index, view: _Pooled, tokens: list[str], positives):
         relevant = metrics._relevant_set(positives)
         self.index, self.count = index, len(relevant)
-        if terms is None:
-            terms = (np.empty(0, dtype=np.int32), np.empty(0), np.empty(0))
-        self.rows, self.tfs, self.idfs = terms
-        hits = np.bincount(self.rows, minlength=index.N) > 0
-        self.hit_rows = np.flatnonzero(hits)
-        place = np.cumsum(hits) - 1
-        self.place = place[self.rows]
+        place, self.tfs, self.idfs = view.postings(*_token_terms(index, tokens))
+        self.rows = view.rows[place]
+        hits = np.bincount(place, minlength=view.rows.size) > 0
+        self.hit_rows = view.rows[hits]
+        self.place = (np.cumsum(hits) - 1)[place]
         positive_rows = np.fromiter(
-            (r for r in map(index.numbering.row.get, relevant) if r is not None), dtype=np.intp)
-        self.at = place[positive_rows[hits[positive_rows]]]
+            (r for r in map(index.numbering.row.get, relevant) if r is not None), dtype=np.int32)
+        self.at = self.hit_rows.searchsorted(positive_rows[np.isin(positive_rows, self.hit_rows)])
 
     def scores(self, params: Bm25Params, norm: np.ndarray) -> np.ndarray:
-        """Each hit's score at `params`; `norm` is _length_norm(params.b) at
-        self.rows."""
+        """Each hit's score at `params`; `norm` is the length norm at self.rows."""
         contrib = _contributions(params, norm, self.tfs, self.idfs)
-        # like _ranked's add.at, bincount adds in posting order from 0.0, so
-        # each hit's sum is bit-identical to the one _ranked ranks
+        # like _ranked's, bincount adds in posting order from 0.0, so each
+        # hit's sum is bit-identical to the one _ranked ranks
         return np.bincount(self.place, weights=contrib, minlength=self.hit_rows.size)
 
-    def values(self, points: list[Bm25Params], norm: np.ndarray | None, k: int,
-               by_ranks) -> list[float]:
+    def values(self, points: list[Bm25Params], k: int, by_ranks) -> list[float]:
         """The objective `by_ranks` of the top k at each of `points`, which
-        share one b whose _length_norm is `norm`, so it is gathered at the
-        postings once for all of them. Like _ranked, only a query with
-        postings reads it (`norm` is None for an index of empty documents)."""
-        norm = norm[self.rows] if self.rows.size else np.empty(0)
+        share one b, so the length norm is computed once for all of them."""
+        norm = self.index._length_norm(self.rows, points[0].b)
         numbering, length = self.index.numbering, min(k, self.hit_rows.size)
         values = []
         for params in points:
@@ -331,30 +399,18 @@ class _TuningQuery:
 def _grid_values(index: Bm25Index, validation, grid, pool, objective: str,
                  cutoff: int | None) -> list[list[float]]:
     """Each grid point's objective value per validation query, in order.
-    Queries are scored one at a time over each run of equal b in the grid,
-    so only one query's length-norm gather is alive at once."""
+    The pool's postings are gathered once, then each query's from them."""
     by_ranks = metrics._metric(objective)[1]
     k = cutoff if cutoff is not None else (len(pool) if pool is not None else index.N)
-    mask = None if pool is None else index._pool_mask(pool)
-    cached = set(index._inner)
-    try:
-        # Each b's norms are made before the queries' arrays: one cached
-        # before this call outlives it, and made among those arrays it
-        # would pin the memory they free and grow the heap. An index of
-        # empty documents (avgdl 0) has no finite norm.
-        runs = [(index._length_norm(b) if index.avgdl else None, list(points))
-                for b, points in itertools.groupby(grid, key=lambda params: params.b)]
-        prepared = [_TuningQuery(index, _query_terms(index, analyze(text), mask), positives)
-                    for text, positives in validation]
-        values = []
-        for norm, points in runs:
-            values += map(list, zip(*[query.values(points, norm, k, by_ranks)
-                                      for query in prepared]))
-        return values
-    finally:
-        # norms only this call needed die with it, not with the index
-        for b in set(index._inner) - cached:
-            del index._inner[b]
+    view = _whole(index) if pool is None else _pooled(index, index._pool_rows(pool))
+    prepared = [_TuningQuery(index, view, analyze(text), positives)
+                for text, positives in validation]
+    del view
+    values = []
+    for _, points in itertools.groupby(grid, key=lambda params: params.b):
+        points = list(points)
+        values += map(list, zip(*[query.values(points, k, by_ranks) for query in prepared]))
+    return values
 
 
 def tune_params(index: Bm25Index, validation: list[tuple[str, set]], grid: list[Bm25Params],
@@ -367,11 +423,11 @@ def tune_params(index: Bm25Index, validation: list[tuple[str, set]], grid: list[
     `cutoff`, else the pool's or the index's size), and validation queries
     are not left out of it.
 
-    Each query is analyzed, restricted to the pool, gathered and its hits
-    numbered once. A grid point is then scored from counted ranks, not
-    from a ranked list: the postings' contributions are summed per hit
-    with np.bincount, which adds in posting order from 0.0 like search's
-    np.add.at, and Numbering.positive_ranks counts the positives' ranks
+    The pool's postings are gathered once; each query is analyzed, sliced
+    from them and its hits numbered once. A grid point is then scored from
+    counted ranks, not from a ranked list: the postings' contributions are
+    summed per hit with np.bincount, in posting order from 0.0 as search
+    sums them, and Numbering.positive_ranks counts the positives' ranks
     under top's one tie rule. So every objective value equals the one
     scored from search's ranking, bit for bit.
     """
@@ -416,7 +472,8 @@ def save_index(index: Bm25Index, path) -> None:
         fh.write(header)
         for arr, dtype in ((index.lengths, "<i8"), (index.indptr, "<i8"),
                            (index.tfs, "<f8"), (index.rows, "<i4")):
-            fh.write(arr.astype(dtype, copy=False).tobytes())
+            # the array's own buffer when it already has the file's layout
+            fh.write(np.ascontiguousarray(arr, dtype=dtype))
 
 
 def load_index(path) -> Bm25Index:

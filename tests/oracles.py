@@ -581,11 +581,86 @@ def touched_mask_ranked(index, terms, params, k: int, exclude: int | None = None
     if terms is None:
         return []
     rows, tfs, idfs = terms
-    norm = params.k1 * index._length_norm(params.b)[rows]
-    contrib = (idfs * (tfs * (params.k1 + 1.0))) / (tfs + norm)
     acc = np.zeros(index.N)
-    np.add.at(acc, rows, contrib)
+    np.add.at(acc, rows, _mask_contributions(index, rows, tfs, idfs, params))
     return touched_mask_top(index.ids, rows, acc, k, exclude)
+
+
+# ---------------------------------------------------------------------------
+# BM25 search as it was before the pooled view and the lookup: each query
+# term's whole posting list filtered through an N-row pool mask, and the
+# contributions added into N-row sums with np.add.at
+# ---------------------------------------------------------------------------
+
+
+def pool_mask(index, pool) -> np.ndarray:
+    """Bm25Index._pool_mask as it was: True at the rows of the pool ids the
+    index holds."""
+    mask = np.zeros(index.N, dtype=bool)
+    mask[[index.numbering.row[i] for i in pool if i in index.numbering.row]] = True
+    return mask
+
+
+def mask_query_terms(index, tokens, mask):
+    """lexical._query_terms as it was: the query's postings as one (rows,
+    tfs, idfs) triple, rows restricted to the mask, each token's slice in
+    query-token order; None when no token has a (pooled) posting."""
+    sliced = {}
+    for term in dict.fromkeys(tokens):
+        t = index.vocab.get(term)
+        if t is None:
+            continue
+        start, end = index.indptr[t], index.indptr[t + 1]
+        rows, tfs = index.rows[start:end], index.tfs[start:end]
+        if mask is not None:
+            keep = mask[rows]
+            rows, tfs = rows[keep], tfs[keep]
+        if rows.size:
+            sliced[term] = (rows, tfs, np.full(rows.size, lexical.idf(index, term)))
+    parts = [sliced[term] for term in tokens if term in sliced]
+    if not parts:
+        return None
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def _mask_contributions(index, rows, tfs, idfs, params):
+    """Each posting's term score, its length norm taken from every row's norm
+    (the per-b array the index once cached) at the posting's row."""
+    norm = ((1.0 - params.b) + (params.b * index.lengths) / index.avgdl)[rows]
+    return (idfs * (tfs * (params.k1 + 1.0))) / (tfs + params.k1 * norm)
+
+
+def add_at_ranked(index, terms, params, k: int, exclude: int | None = None):
+    """lexical._ranked as it was: np.add.at into an N-row sum, an N-row
+    touched mask, then Numbering.top."""
+    if terms is None:
+        return []
+    rows, tfs, idfs = terms
+    acc = np.zeros(index.N)
+    np.add.at(acc, rows, _mask_contributions(index, rows, tfs, idfs, params))
+    touched = np.zeros(index.N, dtype=bool)
+    touched[rows] = True
+    hit = np.flatnonzero(touched)
+    return index.numbering.top(hit, acc[hit], k, exclude=exclude)
+
+
+def mask_search(index, query_text, params=lexical.Bm25Params(), k: int = 500, pool=None):
+    """lexical.search as it was."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    mask = None if pool is None else pool_mask(index, pool)
+    return add_at_ranked(index, mask_query_terms(index, lexical.analyze(query_text), mask),
+                         params, k)
+
+
+def mask_search_pool(index, queries, pool, params=lexical.Bm25Params(), k: int = 500):
+    """lexical.search_pool as it was: one pool mask for every query."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    mask = pool_mask(index, pool)
+    return {qid: add_at_ranked(index, mask_query_terms(index, lexical.analyze(text), mask),
+                               params, k, exclude=index.numbering.row.get(qid))
+            for qid, text in queries}
 
 
 def _loop_ids(ranked) -> list[str]:
@@ -676,12 +751,10 @@ def listwise_tune_values(index, validation, grid, *, pool=None, objective="map",
     """lexical.tune_params's scoring loop as it was: each grid point's
     objective per validation query, from the ranked list of the old
     _ranked (touched_mask_ranked), scored by the list-form metric."""
-    from citebench import lexical
-
     objective_of = metrics.metric_named(objective)
     k = cutoff if cutoff is not None else (len(pool) if pool is not None else index.N)
-    mask = None if pool is None else index._pool_mask(pool)
-    prepared = [(lexical._query_terms(index, lexical.analyze(text), mask), positives)
+    mask = None if pool is None else pool_mask(index, pool)
+    prepared = [(mask_query_terms(index, lexical.analyze(text), mask), positives)
                 for text, positives in validation]
     return [[objective_of(touched_mask_ranked(index, terms, params, k), positives)
              for terms, positives in prepared]

@@ -22,20 +22,21 @@ from citebench.corpus import (Corpus, PrefilterRules, build_citation_graph, fiel
 from citebench.dense import EmbeddingStore, knn
 from citebench.harness import Bm25Model, DenseModel, RetrievalModel, run_retrieval
 from citebench.lexical import (Bm25Params, analyze, build_index, load_index,
-                               save_index, score, search, tune_params)
+                               save_index, score, search, search_pool, tune_params)
 from citebench.pools import (DATASET_LEVEL, PoolSet, SamplingPlan, build_dataset_pool,
                              build_field_pool, sample_queries)
 from conftest import make_article
 from citebench.util import Numbering
-from oracles import (counter_build_index, delete_cut_top, dict_bm25_index, dict_bm25_search,
-                     dict_build_field_pool, dict_citation_graph, dict_field_cited_set,
-                     dict_graph_negatives, dict_overlap_similarity, dict_prefilter,
-                     dict_sample_queries, inline_mean, listed_positive_ranks, listwise_tune_params,
-                     listwise_tune_values, loop_average_precision, loop_evaluate_run, loop_ndcg,
-                     loop_recall_at_k, per_query_build_benchmark,
+from oracles import (add_at_ranked, counter_build_index, delete_cut_top, dict_bm25_index,
+                     dict_bm25_search, dict_build_field_pool, dict_citation_graph,
+                     dict_field_cited_set, dict_graph_negatives, dict_overlap_similarity,
+                     dict_prefilter, dict_sample_queries, inline_mean, listed_positive_ranks,
+                     listwise_tune_params, listwise_tune_values, loop_average_precision,
+                     loop_evaluate_run, loop_ndcg, loop_recall_at_k, mask_query_terms,
+                     mask_search, mask_search_pool, per_query_build_benchmark,
                      per_query_most_cited_negatives, per_query_random_negatives,
-                     per_query_run_retrieval, touched_mask_ranked, touched_mask_top,
-                     tuple_sort_knn)
+                     per_query_run_retrieval, pool_mask, touched_mask_ranked,
+                     touched_mask_top, tuple_sort_knn)
 
 VOCAB = ["a", "b", "c", "d", "e", "f"]
 # ids whose sorted order differs from insertion order, mixed case included
@@ -125,6 +126,138 @@ class TestBm25AgainstDictKernel:
         assert search(ix, "a b", k=5) == []
 
 
+def gathers(ix, rows, tokens):
+    """Every gather's (place, tf, idf) arrays of one query over candidate
+    `rows`: the lookup, the pooled view of the whole pool and, for a
+    non-empty pool, that of just the query's terms."""
+    query = lexical._token_terms(ix, tokens)
+    found = [lexical._looked_up(ix, rows, *query), lexical._pooled(ix, rows).postings(*query)]
+    return found + [lexical._filtered(ix, rows, *query)] if rows.size else found
+
+
+def tied_docs(docs):
+    # repeated documents tie; a document may hold a token twice
+    return docs + [(f"{i}x", words) for i, words in docs]
+
+
+class TestBm25AgainstMaskSearch:
+    """search, search_pool and each gather against the search that filtered
+    every posting list through an N-row pool mask (oracles.mask_search)."""
+
+    @SETTINGS
+    @given(docs=doc_texts, tokens=query_tokens, k1=k1_values, b=b_values, data=st.data())
+    def test_search_equals_mask_search(self, docs, tokens, k1, b, data):
+        docs = tied_docs(docs)
+        ix, _ = index_of(docs)
+        ids = [i for i, _ in docs]
+        pool = data.draw(st.one_of(st.none(), st.just(set()), st.builds(
+            lambda chosen, ghosts: chosen | ghosts, st.sets(st.sampled_from(ids)),
+            st.sets(st.sampled_from(["ghost", "x404"])))))
+        k = data.draw(st.integers(1, ix.N + 2))
+        params, query = Bm25Params(k1, b), " ".join(tokens)
+        assert search(ix, query, params, k, pool) == mask_search(ix, query, params, k, pool)
+
+    @SETTINGS
+    @given(docs=doc_texts, k1=k1_values, b=b_values, data=st.data())
+    def test_search_pool_equals_mask_search_pool(self, docs, k1, b, data):
+        docs = tied_docs(docs)
+        ix, _ = index_of(docs)
+        ids = [i for i, _ in docs]
+        pool = data.draw(st.sets(st.sampled_from(ids + ["ghost"])))
+        # query ids inside the pool, outside it, and unknown to the index
+        queries = data.draw(st.lists(st.tuples(st.sampled_from(ids + ["q404"]),
+                                               query_tokens.map(" ".join)),
+                                     max_size=4, unique_by=lambda q: q[0]))
+        k = data.draw(st.integers(1, ix.N + 2))
+        params = Bm25Params(k1, b)
+        got = search_pool(ix, queries, pool, params, k)
+        assert got == mask_search_pool(ix, queries, pool, params, k)
+        assert list(got) == [qid for qid, _ in queries]
+
+    @SETTINGS
+    @given(docs=doc_texts, tokens=query_tokens, k1=k1_values, b=b_values, data=st.data())
+    def test_gathers_equal_mask_gather(self, docs, tokens, k1, b, data):
+        docs = tied_docs(docs)
+        ix, _ = index_of(docs)
+        pool = data.draw(st.sets(st.sampled_from([i for i, _ in docs] + ["ghost"])))
+        rows = ix._pool_rows(pool)
+        terms = mask_query_terms(ix, tokens, pool_mask(ix, pool))
+        exclude = data.draw(st.one_of(st.none(), st.integers(0, ix.N - 1)))
+        k = data.draw(st.integers(1, ix.N + 2))
+        params = Bm25Params(k1, b)
+        expected = add_at_ranked(ix, terms, params, k, exclude)
+        first = None
+        for postings in gathers(ix, rows, tokens):
+            # every gather lays out the same postings, in query-token order
+            if first is None:
+                first = postings
+            assert all(np.array_equal(a, b) for a, b in zip(postings, first))
+            if terms is not None:
+                assert np.array_equal(rows[postings[0]], terms[0])
+                assert np.array_equal(postings[1], terms[1])
+            assert lexical._ranked(ix, rows, postings, params, k, exclude) == expected
+
+    def test_edge_cases(self):
+        docs = [("d1", ["a", "a", "b"]), ("d2", ["b", "c"]), ("d3", ["c"]),
+                ("d4", ["a", "c"]), ("d5", ["a", "c"]), ("e", [])]
+        ix, _ = index_of(docs)
+        cases = [
+            ("a c", set()),                       # an empty pool
+            ("a c", {"ghost", "x404"}),           # only ids the index lacks
+            ("a b", {"d3", "ghost"}),             # no pooled token
+            ("zz unseen", None),                  # no token in the index
+            ("a a c a", {"d1", "d4", "d5"}),      # repeated tokens
+            ("a c", {"d4", "d5", "d3", "d1"}),    # d4 and d5 tie
+        ]
+        for query, pool in cases:
+            for k1, b in ((0.0, 0.4), (0.9, 0.0), (0.9, 1.0), (1.2, 0.75)):
+                for k in (1, 2, 10):                # k at, below and past the hits
+                    params = Bm25Params(k1, b)
+                    got = search(ix, query, params, k, pool)
+                    assert got == mask_search(ix, query, params, k, pool)
+        assert search(ix, "a c", k=10, pool=set()) == []
+        assert search(ix, "a b", k=10, pool={"d3", "ghost"}) == []
+        assert [d for d, _ in search(ix, "a c", k=10, pool={"d4", "d5", "d3"})] == [
+            "d4", "d5", "d3"]
+
+    def test_k1_zero_scores_only_present_pairs(self):
+        # at k1 = 0 a (term, doc) pair without the term would score 0/0
+        docs = [("d1", ["a"]), ("d2", ["b", "b"]), ("d3", ["c"]), ("d4", ["a", "b"])]
+        ix, _ = index_of(docs)
+        params = Bm25Params(0.0, 0.5)
+        for pool in (None, {"d1", "d2", "d3"}, {"d2", "d4"}):
+            got = search(ix, "a b", params, 10, pool)
+            assert got == mask_search(ix, "a b", params, 10, pool)
+            assert all(s == score(ix, ["a", "b"], d, params) and s > 0 for d, s in got)
+            assert "d3" not in dict(got)
+
+    def test_query_inside_its_own_pool(self):
+        docs = [("d1", ["a", "b"]), ("d2", ["a"]), ("d3", ["b", "c"]), ("d4", ["c"])]
+        ix, _ = index_of(docs)
+        pool = {"d1", "d2", "d3"}
+        queries = [("d1", "a b"), ("d3", "c b"), ("d4", "c")]
+        got = search_pool(ix, queries, pool, k=10)
+        assert got == mask_search_pool(ix, queries, pool, k=10)
+        assert "d1" not in dict(got["d1"]) and "d3" not in dict(got["d3"])
+        assert got["d1"] == search(ix, "a b", k=10, pool=pool - {"d1"})
+
+    def test_pools_on_both_sides_of_the_gather_switch(self):
+        # 40 documents: a pool of 2 is looked up, one of 40 is pooled
+        docs = [(f"d{i:02d}", ["a", "b"][: 1 + i % 2] + ["c"] * (i % 3)) for i in range(40)]
+        ix, _ = index_of(docs)
+        ids = [i for i, _ in docs]
+        chosen = []
+        with mock.patch.object(lexical, "_looked_up", side_effect=lexical._looked_up) as lookup, \
+                mock.patch.object(lexical, "_filtered", side_effect=lexical._filtered) as pooled:
+            for pool in (set(ids[:2]), set(ids[:5]), set(ids)):
+                for query in ("a", "a b c", "c c"):
+                    assert search(ix, query, k=50, pool=pool) == mask_search(
+                        ix, query, k=50, pool=pool)
+                    chosen.append((lookup.call_count, pooled.call_count))
+        # the pools of 2 look up, the whole pool is filtered
+        assert chosen[2] == (3, 0) and chosen[-1][1] == 3
+
+
 class TestPositiveRanksAgainstRankedList:
     """Numbering.positive_ranks and the rank-form metrics against Numbering.top
     followed by metrics._first_ranks, the path tuning took before."""
@@ -205,12 +338,10 @@ class TestTuneAgainstListwise:
     def test_hit_scores_equal_search_scores(self, docs, tokens, k1, b, data):
         ix, _ = index_of(docs)
         pool = pool_from(data.draw, [i for i, _ in docs])
-        mask = None if pool is None else ix._pool_mask(pool)
-        query = lexical._TuningQuery(ix, lexical._query_terms(ix, tokens, mask), {"ghost"})
+        view = lexical._whole(ix) if pool is None else lexical._pooled(ix, ix._pool_rows(pool))
+        query = lexical._TuningQuery(ix, view, tokens, {"ghost"})
         params = Bm25Params(k1, b)
-        # an index of empty documents has no finite length norm, and no postings
-        norm = ix._length_norm(b)[query.rows] if query.rows.size else np.empty(0)
-        scores = query.scores(params, norm)
+        scores = query.scores(params, ix._length_norm(query.rows, b))
         got = dict(zip([ix.ids[r] for r in query.hit_rows.tolist()], scores.tolist()))
         assert got == dict(search(ix, " ".join(tokens), params, k=len(docs), pool=pool))
         for doc, s in got.items():
@@ -999,13 +1130,14 @@ class TestCutAgainstOldCuts:
         docs = docs + [(f"{i}x", words) for i, words in docs]
         ix, _ = index_of(docs)
         pool = pool_from(data.draw, [i for i, _ in docs])
-        mask = None if pool is None else ix._pool_mask(pool)
-        terms = lexical._query_terms(ix, tokens, mask)
+        view = lexical._whole(ix) if pool is None else lexical._pooled(ix, ix._pool_rows(pool))
+        terms = mask_query_terms(ix, tokens, None if pool is None else pool_mask(ix, pool))
         exclude = data.draw(st.one_of(st.none(), st.integers(0, ix.N - 1)))
         k = data.draw(st.integers(1, ix.N + 2))
         params = Bm25Params(k1, b)
-        assert lexical._ranked(ix, terms, params, k, exclude) == touched_mask_ranked(
-            ix, terms, params, k, exclude)
+        postings = view.postings(*lexical._token_terms(ix, tokens))
+        assert lexical._ranked(ix, view.rows, postings, params, k, exclude) == (
+            touched_mask_ranked(ix, terms, params, k, exclude))
 
 
 RANKED_IDS = ["p", "q", "r", "n1", "n2", "n3"]

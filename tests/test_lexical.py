@@ -7,9 +7,10 @@ import pytest
 
 from citebench import lexical, synthetic
 from citebench.corpus import Corpus
+from citebench.util import Numbering
 from citebench.lexical import (Bm25Params, analyze, build_index,
                                default_tuning_grid, idf, load_index, save_index, score,
-                               search, tune_params)
+                               search, search_pool, tune_params)
 from conftest import make_article
 from oracles import counter_build_index, dict_bm25_index, frac_average_precision, naive_bm25_rank
 
@@ -276,18 +277,42 @@ class TestTune:
         with pytest.raises(ValueError):
             tune_params(ix, [], [Bm25Params()])
 
-    def test_leaves_the_norm_cache_as_found(self):
+    def test_leaves_the_index_as_found(self):
         rng = random.Random(4)
         texts = {f"d{i}": " ".join(rng.choices("abcdef", k=rng.randint(1, 9))) for i in range(30)}
         ix = build_index(corpus_from_texts(texts))
-        kept = ix._length_norm(0.4)
+        before = dict(vars(ix))
         validation = [("a b", {"d1", "d2"}), ("c", {"d3"})]
         best = tune_params(ix, validation, default_tuning_grid())
-        assert list(ix._inner) == [0.4] and ix._inner[0.4] is kept
-        # a second call, with the cache emptied, chooses the same point
-        ix._inner.clear()
+        assert tune_params(ix, validation, default_tuning_grid(), pool=set(texts) - {"d4"},
+                           cutoff=5) is not None
+        search_pool(ix, [("d1", "a b"), ("d2", "c a")], set(texts), k=5)
+        # same keys, same array objects: nothing is cached on the index
+        assert vars(ix).keys() == before.keys()
+        assert all(vars(ix)[key] is value for key, value in before.items())
         assert tune_params(ix, validation, default_tuning_grid()) == best
-        assert not ix._inner
+
+    def test_closed_search_allocates_less_than_a_row_array(self):
+        rng = np.random.default_rng(3)
+        n = 20_000
+        lists = [np.sort(rng.choice(n, size=m, replace=False)) for m in (15_000, 6_000, 900, 40)]
+        rows = np.concatenate(lists).astype(np.int32)
+        tfs = rng.integers(1, 4, rows.size).astype(np.float64)
+        ix = lexical.Bm25Index(Numbering([f"d{i}" for i in range(n)]),
+                               np.bincount(rows, weights=tfs, minlength=n).astype(np.int64),
+                               {"a": 0, "b": 1, "c": 2, "d": 3},
+                               np.cumsum([0] + [r.size for r in lists]), rows, tfs)
+        pool = {f"d{i}" for i in rng.choice(n, size=65, replace=False).tolist()}
+        expected = search(ix, "a b c d a", k=65, pool=pool)  # also fills id_rank once
+        assert expected
+        tracemalloc.start()
+        try:
+            got = search(ix, "a b c d a", k=65, pool=pool)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == expected
+        assert peak < np.zeros(n).nbytes
 
     def test_default_grid_shape(self):
         grid = default_tuning_grid()
@@ -315,6 +340,28 @@ class TestPersistence:
         for _ in range(5):
             query = " ".join(rng.choices(vocab, k=4))
             assert search(loaded, query, params, k=25) == search(ix, query, params, k=25)
+
+    def test_save_writes_the_arrays_without_copying_them(self, tmp_path):
+        rng = np.random.default_rng(8)
+        # the header's JSON encoding takes about 85 bytes per id
+        n, terms = 1_000, 200
+        lists = [np.sort(rng.choice(n, size=900, replace=False)) for _ in range(terms)]
+        rows = np.concatenate(lists).astype(np.int32)
+        tfs = rng.integers(1, 5, rows.size).astype(np.float64)
+        ix = lexical.Bm25Index(Numbering([f"d{i}" for i in range(n)]),
+                               np.bincount(rows, weights=tfs, minlength=n).astype(np.int64),
+                               {f"t{t}": t for t in range(terms)},
+                               np.cumsum([0] + [r.size for r in lists]), rows, tfs)
+        tracemalloc.start()
+        try:
+            save_index(ix, tmp_path / "a.bin")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ix.tfs.nbytes // 4
+        # a loaded index's read-only arrays save to the same bytes
+        save_index(load_index(tmp_path / "a.bin"), tmp_path / "b.bin")
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
