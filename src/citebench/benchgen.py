@@ -33,7 +33,7 @@ import numpy as np
 
 from .corpus import CitationGraph, Corpus, FIELD_ABBREVS, resolve_field
 from .metrics import jaccard, ranked_ids
-from .util import checked, derive_seed, parse_json, read_json
+from .util import checked, derive_seed, parse_json, read_json, sum_in_order
 
 GRAPH_TYPE = "graph"
 MOST_CITED_TYPE = "most_cited"
@@ -142,11 +142,11 @@ def select_diverse_models(per_model_negatives: Mapping[str, Mapping[str, Sequenc
                 if not sa and not sb:
                     continue
                 values.append(jaccard(sa, sb))
-            pair_mean[(a, b)] = sum(values) / len(values) if values else 0.0
+            pair_mean[(a, b)] = sum_in_order(values) / len(values) if values else 0.0
     scores = {}
     for name in names:
         others = [pair_mean[tuple(sorted((name, other)))] for other in names if other != name]
-        scores[name] = sum(others) / len(others) if others else 0.0
+        scores[name] = sum_in_order(others) / len(others) if others else 0.0
     return sorted(names, key=lambda name: (scores[name], name))[:m]
 
 

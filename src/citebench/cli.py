@@ -8,6 +8,10 @@ byte-identical output tree. Every artifact gets a sibling
 ``<name>.manifest.json`` embedding the tool version and a hash of the
 resolved configuration (output paths excluded from the hash).
 
+`main` hands each subcommand an _Inputs, its one input context: it loads
+each input at most once, checks each id file in one step, and creates --out
+at the first write, so a command that fails leaves no directory behind.
+
 Subcommands: ingest, prefilter, pool, tune, run, eval, benchgen, breakdown,
 report. Errors exit nonzero with a machine-readable JSON object on stderr.
 """
@@ -17,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cached_property
 from pathlib import Path
 
 from . import __version__
@@ -30,9 +35,9 @@ from .harness import (DEFAULT_CUTOFF, Bm25Model, DenseModel, RetrievalModel,
                       score_benchmark_rankings)
 from .lexical import Bm25Params, build_index, default_tuning_grid, tune_params
 from .metrics import evaluate_run, metric_means, read_run_tsv, write_run_tsv
-from .pools import (SamplingPlan, build_dataset_pool, build_field_pool,
+from .pools import (PoolSet, SamplingPlan, build_dataset_pool, build_field_pool,
                     read_pool_json, repeat_pools, sample_queries, write_pool_json)
-from .util import canonical_json, checked, is_str_list, read_json, stable_digest
+from .util import canonical_json, checked, is_str_list, read_json, stable_digest, sum_in_order
 
 _METRIC_DISPLAY = {"map": "MAP", "ndcg": "nDCG"}
 
@@ -86,26 +91,6 @@ def _config_hash(args: argparse.Namespace) -> str:
     return stable_digest(canonical_json(resolved))
 
 
-def _write_manifest(out_dir: Path, artifact: str, args: argparse.Namespace) -> None:
-    _write_json(out_dir / f"{artifact}.manifest.json", {
-        "tool": "citebench",
-        "version": __version__,
-        "command": args.command,
-        "config_hash": _config_hash(args),
-        "seed": getattr(args, "seed", None),
-    })
-
-
-def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-
-
 def _require(args: argparse.Namespace, *names: str) -> None:
     for name in names:
         if getattr(args, name) is None:
@@ -114,8 +99,8 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 
 def _given(args: argparse.Namespace, **params: str) -> dict:
     """{parameter: flag value} for the flags that were set; the callee's defaults do the rest."""
-    return {param: getattr(args, flag) for param, flag in params.items()
-            if getattr(args, flag) is not None}
+    return {param: getattr(args, flag, None) for param, flag in params.items()
+            if getattr(args, flag, None) is not None}
 
 
 def _flag(args: argparse.Namespace, name: str):
@@ -137,54 +122,6 @@ def _name_paths(specs: list[str], flag: str, *, unique: bool) -> list[tuple[str,
     return pairs
 
 
-def _single_pool(args: argparse.Namespace) -> str:
-    if len(args.pool) > 1:
-        raise ValueError(f"{args.command} takes one --pool; extra pools given: "
-                         f"{', '.join(args.pool[1:])}")
-    return args.pool[0]
-
-
-def _check_in_corpus(path: str, ids, corpus) -> None:
-    """An id that the corpus lacks is an error naming the file `path` that lists it."""
-    try:
-        corpus.numbering.rows(ids)
-    except KeyError as exc:
-        raise ValueError(f"{path}: id {exc.args[0]!r} is not in the corpus") from None
-
-
-def _tuned_params(index, corpus, pool_set, **options) -> Bm25Params:
-    validation = [(corpus.article(q).text, set(pool_set.positives[q]))
-                  for q in sorted(pool_set.positives)]
-    return tune_params(index, validation, default_tuning_grid(), pool=pool_set.members(),
-                       **options)
-
-
-def _model_spec(args: argparse.Namespace) -> tuple[str, str | None]:
-    """--model's name and, for a dense model, its vector path. A set model
-    flag that the backend never reads is an error: BM25 reads --k1, --b and
-    --params, a dense model --metric and --threads. Unset flags are not
-    checked, so every accepted command keeps its config_hash."""
-    embeddings = dict(_name_paths(args.embeddings or [], "--embeddings", unique=True))
-    name = _flag(args, "model")
-    if name not in embeddings and name != "bm25":
-        raise ValueError(f"unknown model {name!r}: not 'bm25' and no --embeddings entry")
-    vec_path = embeddings.get(name)
-    for flag in ("metric", "threads") if vec_path is None else ("k1", "b", "params"):
-        if getattr(args, flag) is not None:
-            raise ValueError(f"{args.command} --model {name} does not read --{flag}")
-    return name, vec_path
-
-
-def _build_model(args: argparse.Namespace, spec: tuple[str, str | None], corpus,
-                 index=None) -> RetrievalModel:
-    """The model of `spec` (from _model_spec); a BM25 model uses `index` when given."""
-    name, vec_path = spec
-    if vec_path is not None:
-        store = load_embeddings(vec_path, vec_path + ".json")
-        return DenseModel(store, name=name, **_given(args, metric="metric", chunks="threads"))
-    return Bm25Model(build_index(corpus) if index is None else index, _bm25_params(args))
-
-
 def _bm25_params(args: argparse.Namespace) -> Bm25Params:
     """k1 and b from their flags, else from the --params file, else Bm25Params' defaults."""
     params = _given(args, k1="k1", b="b")
@@ -195,56 +132,154 @@ def _bm25_params(args: argparse.Namespace) -> Bm25Params:
     return Bm25Params(**params)
 
 
+class _Inputs:
+    """One CLI process's inputs, each read at most once, when first used. Loaders are
+    module globals looked up at call time, so wrappers see every call; nothing is set on `args`."""
+
+    def __init__(self, args: argparse.Namespace):
+        self.args = args
+        self.vec_path = self.store = None  # set by resolve_model for a dense --model
+
+    corpus = cached_property(lambda self: load_corpus(
+        self.args.corpus, **_given(self.args, reject_budget="reject_budget")))
+    graph = cached_property(lambda self: build_citation_graph(self.corpus))
+    index = cached_property(lambda self: build_index(self.corpus))
+
+    @cached_property
+    def cutoff(self) -> int:
+        cutoff = _flag(self.args, "cutoff")
+        if cutoff < 1:
+            raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+        return cutoff
+
+    def _check_ids(self, path: str, ids: list[str]) -> None:
+        """Every id that the file at `path` lists must be in the corpus and, for a
+        dense model, have an embedding row. eval reads no corpus and checks none."""
+        if self.args.corpus is None:
+            return
+        checks = [(self.corpus.numbering, path, "is not in the corpus")]
+        if self.store is not None:
+            checks.append((self.store.numbering, self.vec_path, "has no embedding row"))
+        for numbering, where, fault in checks:
+            missing = next((i for i in ids if i not in numbering.row), None)
+            if missing is not None:
+                raise ValueError(f"{where}: id {missing!r} {fault}")
+
+    @cached_property
+    def pools(self) -> list[PoolSet]:
+        """Each --pool file, its query and pool ids checked; tune and run take one."""
+        if len(self.args.pool) > 1 and self.args.command in ("tune", "run"):
+            raise ValueError(f"{self.args.command} takes one --pool; extra pools given: "
+                             f"{', '.join(self.args.pool[1:])}")
+        pool_sets = list(map(read_pool_json, self.args.pool))
+        for path, pool_set in zip(self.args.pool, pool_sets):
+            self._check_ids(path, [*pool_set.positives, *pool_set.pool_ids])
+        return pool_sets
+
+    @cached_property
+    def benchmark(self) -> Benchmark:
+        """The --benchmark file, its sibling manifest read and its ids checked."""
+        path = self.args.benchmark
+        sibling = Path(path).parent / (Path(path).stem + ".manifest.json")
+        benchmark = read_benchmark_jsonl(path, sibling if sibling.exists() else None)
+        self._check_ids(path, [i for e in benchmark.entries
+                               for i in (e.query_id, *e.candidate_ids())])
+        return benchmark
+
+    def resolve_model(self) -> None:
+        """Check --model and load a dense model's vectors. A set model flag that
+        the backend never reads is an error: BM25 reads --k1, --b and --params,
+        a dense model --metric and --threads. Unset flags are not checked, so
+        every accepted command keeps its config_hash."""
+        embeddings = dict(_name_paths(self.args.embeddings or [], "--embeddings", unique=True))
+        name = _flag(self.args, "model")
+        if name not in embeddings and name != "bm25":
+            raise ValueError(f"unknown model {name!r}: not 'bm25' and no --embeddings entry")
+        vec_path = embeddings.get(name)
+        for flag in ("metric", "threads") if vec_path is None else ("k1", "b", "params"):
+            if getattr(self.args, flag) is not None:
+                raise ValueError(f"{self.args.command} --model {name} does not read --{flag}")
+        self.vec_path = vec_path
+        self.store = None if vec_path is None else load_embeddings(vec_path, vec_path + ".json")
+
+    def model(self) -> RetrievalModel:
+        if self.store is not None:
+            return DenseModel(self.store, name=self.args.model,
+                              **_given(self.args, metric="metric", chunks="threads"))
+        return Bm25Model(self.index, _bm25_params(self.args))
+
+    def tuned_params(self, **options) -> Bm25Params:
+        """BM25's best grid point on the one --pool's queries."""
+        pool_set = self.pools[0]
+        validation = [(self.corpus.article(q).text, set(pool_set.positives[q]))
+                      for q in sorted(pool_set.positives)]
+        return tune_params(self.index, validation, default_tuning_grid(),
+                           pool=pool_set.members(), **options)
+
+    def out(self, name: str) -> Path:
+        """The path of artifact `name` in --out, which the first call creates."""
+        Path(self.args.out).mkdir(parents=True, exist_ok=True)
+        return Path(self.args.out) / name
+
+    def write_json(self, name: str, obj) -> None:
+        text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        self.out(name).write_text(text, encoding="utf-8")
+
+    def write_manifest(self, artifact: str) -> None:
+        self.write_json(f"{artifact}.manifest.json", {
+            "tool": "citebench",
+            "version": __version__,
+            "command": self.args.command,
+            "config_hash": _config_hash(self.args),
+            "seed": getattr(self.args, "seed", None),
+        })
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
-def cmd_ingest(args: argparse.Namespace) -> int:
+def cmd_ingest(args: argparse.Namespace, inputs: _Inputs) -> int:
     _require(args, "corpus", "out")
-    corpus = load_corpus(args.corpus, **_given(args, reject_budget="reject_budget"))
-    graph = build_citation_graph(corpus)
+    corpus, graph = inputs.corpus, inputs.graph
     summary = {
         "articles": len(corpus),
         "rejected_lines": corpus.rejected,
         "dangling_citations": graph.dangling,
         "corpus_hash": corpus.content_hash(),
     }
-    out = _out_dir(args)
-    _write_json(out / "corpus_summary.json", summary)
-    _write_manifest(out, "corpus_summary", args)
+    inputs.write_json("corpus_summary.json", summary)
+    inputs.write_manifest("corpus_summary")
     print(f"ingest: {len(corpus)} articles, {corpus.rejected} rejected lines, "
           f"{graph.dangling} dangling citations")
     return 0
 
 
-def cmd_prefilter(args: argparse.Namespace) -> int:
+def cmd_prefilter(args: argparse.Namespace, inputs: _Inputs) -> int:
     _require(args, "corpus", "out")
-    corpus = load_corpus(args.corpus, **_given(args, reject_budget="reject_budget"))
-    graph = build_citation_graph(corpus)
+    corpus = inputs.corpus
     rules = PrefilterRules(**_given(args, min_abstract_chars="min_abstract_chars",
                                     min_citations="min_citations"))
-    result = prefilter(corpus, graph, rules)
-    out = _out_dir(args)
-    write_corpus_jsonl(result.corpus, out / "prefiltered.jsonl")
+    result = prefilter(corpus, inputs.graph, rules)
+    write_corpus_jsonl(result.corpus, inputs.out("prefiltered.jsonl"))
     summary = {
         "input_articles": len(corpus),
         "surviving_articles": len(result.corpus),
         "removed": result.removed,
     }
-    _write_json(out / "prefilter_summary.json", summary)
-    _write_manifest(out, "prefiltered", args)
+    inputs.write_json("prefilter_summary.json", summary)
+    inputs.write_manifest("prefiltered")
     print(f"prefilter: kept {len(result.corpus)}/{len(corpus)} articles "
           f"(removed {result.removed})")
     return 0
 
 
-def cmd_pool(args: argparse.Namespace) -> int:
+def cmd_pool(args: argparse.Namespace, inputs: _Inputs) -> int:
     _require(args, "corpus", "out", "setup", "size", "seed")
     if args.setup == "field":
         _require(args, "field")
-    corpus = load_corpus(args.corpus)
-    graph = build_citation_graph(corpus)
+    corpus, graph = inputs.corpus, inputs.graph
     options = _given(args, query_year="query_year", repetitions="repetitions")
     if args.exclude:
         options["exclusion_ids"] = frozenset(Path(args.exclude).read_text(encoding="utf-8").split())
@@ -258,146 +293,104 @@ def cmd_pool(args: argparse.Namespace) -> int:
         builder = lambda s: build_dataset_pool(corpus, graph, queries, args.size, s)
         stem = f"pool_dataset_{args.size}"
     pool_sets = repeat_pools(builder, plan.repetitions, args.seed)
-    out = _out_dir(args)
     paths = []
     for i, pool_set in enumerate(pool_sets):
-        path = out / f"{stem}_rep{i}.json"
+        path = inputs.out(f"{stem}_rep{i}.json")
         write_pool_json(pool_set, path)
-        _write_manifest(out, path.stem, args)
+        inputs.write_manifest(path.stem)
         paths.append(path.name)
     print(f"pool: wrote {len(paths)} pool file(s) "
           f"({stem}, {len(queries)} queries each): {', '.join(paths)}")
     return 0
 
 
-def cmd_tune(args: argparse.Namespace) -> int:
+def cmd_tune(args: argparse.Namespace, inputs: _Inputs) -> int:
     _require(args, "corpus", "pool", "out")
-    pool_path = _single_pool(args)
-    pool_set = read_pool_json(pool_path)
-    corpus = load_corpus(args.corpus)
-    _check_in_corpus(pool_path, [*pool_set.positives, *pool_set.pool_ids], corpus)
-    out = _out_dir(args)
-    best = _tuned_params(build_index(corpus), corpus, pool_set, cutoff=_flag(args, "cutoff"),
-                         **_given(args, objective="objective"))
-    _write_json(out / "bm25_params.json", {"k1": best.k1, "b": best.b})
-    _write_manifest(out, "bm25_params", args)
+    best = inputs.tuned_params(cutoff=inputs.cutoff, **_given(args, objective="objective"))
+    inputs.write_json("bm25_params.json", {"k1": best.k1, "b": best.b})
+    inputs.write_manifest("bm25_params")
     print(f"tune: best k1={best.k1} b={best.b}")
     return 0
 
 
-def _benchmark_with_manifest(path: str) -> Benchmark:
-    sibling = Path(path).parent / (Path(path).stem + ".manifest.json")
-    return read_benchmark_jsonl(path, sibling if sibling.exists() else None)
-
-
-def _benchmark_in_corpus(path: str, corpus) -> Benchmark:
-    """The benchmark at `path`; a query or candidate id that the corpus lacks is an error."""
-    benchmark = _benchmark_with_manifest(path)
-    ids = [i for e in benchmark.entries for i in (e.query_id, *e.candidate_ids())]
-    _check_in_corpus(path, ids, corpus)
-    return benchmark
-
-
-def _check_tune_flags(args: argparse.Namespace) -> None:
-    """run --tune tunes BM25 on its --pool and ranks with the tuned k1/b, so
-    a flag that would make it rank otherwise is an error, not ignored."""
-    if args.benchmark is not None:
-        raise ValueError("run --tune tunes on a --pool and cannot be used with --benchmark")
-    if _flag(args, "model") != "bm25":
-        raise ValueError(f"run --tune tunes BM25 only, not --model {args.model}")
-    for name in ("k1", "b", "params"):
-        if getattr(args, name) is not None:
-            raise ValueError(f"run --tune sets k1 and b itself; drop --{name}")
-
-
-def cmd_run(args: argparse.Namespace) -> int:
+def cmd_run(args: argparse.Namespace, inputs: _Inputs) -> int:
     _require(args, "corpus", "out")
     if (args.pool is None) == (args.benchmark is None):
         raise ValueError("run needs exactly one of --pool or --benchmark")
+    if args.tune:  # a flag that would make a tuned run rank otherwise is an error
+        if args.benchmark is not None:
+            raise ValueError("run --tune tunes on a --pool and cannot be used with --benchmark")
+        if _flag(args, "model") != "bm25":
+            raise ValueError(f"run --tune tunes BM25 only, not --model {args.model}")
+        for name in ("k1", "b", "params"):
+            if getattr(args, name) is not None:
+                raise ValueError(f"run --tune sets k1 and b itself; drop --{name}")
+    inputs.resolve_model()
+    cutoff = inputs.cutoff
+    pool_set = None if args.pool is None else inputs.pools[0]
+    benchmark = None if args.benchmark is None else inputs.benchmark
     if args.tune:
-        _check_tune_flags(args)
-    spec = _model_spec(args)
-    pool_set = read_pool_json(_single_pool(args)) if args.pool else None
-    corpus = load_corpus(args.corpus)
-    if pool_set is not None:
-        _check_in_corpus(args.pool[0], [*pool_set.positives, *pool_set.pool_ids], corpus)
-    else:
-        benchmark = _benchmark_in_corpus(args.benchmark, corpus)
-    cutoff = _flag(args, "cutoff")
-    index = None
-    if args.tune:
-        index = build_index(corpus)
-        tuned = _tuned_params(index, corpus, pool_set, cutoff=cutoff)
+        tuned = inputs.tuned_params(cutoff=cutoff)
         args.k1, args.b = tuned.k1, tuned.b
-    model = _build_model(args, spec, corpus, index)
-    out = _out_dir(args)
+    model = inputs.model()
     if pool_set is not None:
-        rankings = run_retrieval(model, pool_set, corpus, cutoff).rankings
+        rankings = run_retrieval(model, pool_set, inputs.corpus, cutoff).rankings
     else:
-        rankings = rank_benchmark(model, benchmark, corpus, cutoff)
-    run_path = out / f"run_{model.name}.tsv"
+        rankings = rank_benchmark(model, benchmark, inputs.corpus, cutoff)
+    run_path = inputs.out(f"run_{model.name}.tsv")
     write_run_tsv(rankings, run_path)
-    _write_manifest(out, run_path.stem, args)
+    inputs.write_manifest(run_path.stem)
     print(f"run: {model.name} ranked {len(rankings)} queries -> {run_path.name}")
     return 0
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(args: argparse.Namespace, inputs: _Inputs) -> int:
     _require(args, "run", "out")
     if args.benchmark and args.pool is not None:
         raise ValueError("eval --benchmark scores the benchmark's own candidates; drop --pool")
+    stem = f"eval_{Path(args.run[0]).stem}"
     if args.benchmark:
         if len(args.run) != 1:
             raise ValueError("benchmark evaluation takes exactly one --run")
-        benchmark = _benchmark_with_manifest(args.benchmark)
+        benchmark = inputs.benchmark
         rankings = read_run_tsv(args.run[0])
         report = score_benchmark_rankings(rankings, benchmark,
                                           **_given(args, recall_cutoff="recall_cutoff"))
-        out = _out_dir(args)
         rows = {**report.per_field, "AVG": report.macro}  # per_field is in FIELD_ABBREVS order
-        stem = f"eval_{Path(args.run[0]).stem}"
-        _write_json(out / f"{stem}.json",
-                    {"per_field": report.per_field, "avg": report.macro})
+        inputs.write_json(f"{stem}.json", {"per_field": report.per_field, "avg": report.macro})
         table = {r: {_display_metric(m): v for m, v in vals.items()} for r, vals in rows.items()}
-        emit_report(table, out / f"{stem}.tsv", row_header="Field")
-        _write_manifest(out, stem, args)
+        emit_report(table, inputs.out(f"{stem}.tsv"), row_header="Field")
+        inputs.write_manifest(stem)
         macro = {_display_metric(m): round(v, 4) for m, v in report.macro.items()}
         print(f"eval: {stem} AVG {macro}")
         return 0
     if len(args.pool or []) != len(args.run):
         raise ValueError("eval needs one --pool per --run")
     repetitions = []
-    for run_path, pool_path in zip(args.run, args.pool):
-        rankings = read_run_tsv(run_path)
-        pool_set = read_pool_json(pool_path)
+    runs = list(map(read_run_tsv, args.run))  # the runs are read before the pool files
+    for run_path, rankings, pool_path, pool_set in zip(args.run, runs, args.pool, inputs.pools):
         outside = next((q for q in rankings if q not in pool_set.positives), None)
         if outside is not None:
             raise ValueError(f"{run_path}: query {outside!r} is not a query of {pool_path}")
         qrels = {q: set(pos) for q, pos in pool_set.positives.items()}
         report = evaluate_run(rankings, qrels, **_given(args, recall_cutoff="recall_cutoff"))
         repetitions.append(report.aggregates)
-    out = _out_dir(args)
     names = list(repetitions[0])
     n = len(repetitions)
     mean = metric_means(repetitions, names)
-    std = {m: (sum((rep[m] - mean[m]) ** 2 for rep in repetitions) / n) ** 0.5 for m in names}
-    stem = f"eval_{Path(args.run[0]).stem}"
-    _write_json(out / f"{stem}.json",
-                {"repetitions": repetitions, "mean": mean, "std": std})
-    _write_manifest(out, stem, args)
+    std = {m: (sum_in_order((rep[m] - mean[m]) ** 2 for rep in repetitions) / n) ** 0.5
+           for m in names}
+    inputs.write_json(f"{stem}.json", {"repetitions": repetitions, "mean": mean, "std": std})
+    inputs.write_manifest(stem)
     shown = ", ".join(f"{_display_metric(m)}={mean[m] * 100:.1f}" for m in names)
     print(f"eval: {stem} over {n} repetition(s): {shown}")
     return 0
 
 
-def cmd_benchgen(args: argparse.Namespace) -> int:
+def cmd_benchgen(args: argparse.Namespace, inputs: _Inputs) -> int:
     _require(args, "corpus", "pool", "run", "seed", "out")
-    corpus = load_corpus(args.corpus)
-    graph = build_citation_graph(corpus)
     queries_by_field: dict[str, list[str]] = {}
-    for pool_path in args.pool:
-        pool_set = read_pool_json(pool_path)
-        _check_in_corpus(pool_path, [*pool_set.positives, *pool_set.pool_ids], corpus)
+    for pool_path, pool_set in zip(args.pool, inputs.pools):
         if pool_set.field is None:
             raise ValueError(f"{pool_path}: benchgen needs field-level pools")
         if pool_set.field in queries_by_field:
@@ -414,11 +407,12 @@ def cmd_benchgen(args: argparse.Namespace) -> int:
     params = BenchmarkParams(**_given(args, positives_per_query="positives",
                                       negatives_per_type="negatives",
                                       model_pool_depth="depth", most_cited_top="top"))
-    benchmark = build_benchmark(corpus, graph, queries_by_field, model_runs, params, args.seed)
+    benchmark = build_benchmark(inputs.corpus, inputs.graph, queries_by_field, model_runs,
+                                params, args.seed)
     benchmark.manifest["config_hash"] = _config_hash(args)
     benchmark.manifest["version"] = __version__
-    out = _out_dir(args)
-    write_benchmark_jsonl(benchmark, out / "benchmark.jsonl", out / "benchmark.manifest.json")
+    write_benchmark_jsonl(benchmark, inputs.out("benchmark.jsonl"),
+                          inputs.out("benchmark.manifest.json"))
     dropped = sum(benchmark.manifest["dropped"].values())
     print(f"benchgen: {len(benchmark.entries)} entries "
           f"({benchmark.manifest['pairs']} query-candidate pairs, {dropped} queries dropped), "
@@ -426,19 +420,17 @@ def cmd_benchgen(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_breakdown(args: argparse.Namespace) -> int:
+def cmd_breakdown(args: argparse.Namespace, inputs: _Inputs) -> int:
     _require(args, "corpus", "benchmark", "out")
-    spec = _model_spec(args)
-    corpus = load_corpus(args.corpus)
-    benchmark = _benchmark_in_corpus(args.benchmark, corpus)
-    model = _build_model(args, spec, corpus)
-    out = _out_dir(args)
-    table = candidate_type_breakdown(model, benchmark, corpus)
+    inputs.resolve_model()
+    benchmark = inputs.benchmark
+    model = inputs.model()
+    table = candidate_type_breakdown(model, benchmark, inputs.corpus)
     stem = f"breakdown_{model.name}"
-    _write_json(out / f"{stem}.json", table)
+    inputs.write_json(f"{stem}.json", table)
     display = {t: {_display_metric(m): v for m, v in vals.items()} for t, vals in table.items()}
-    emit_report(display, out / f"{stem}.tsv", row_header="Type")
-    _write_manifest(out, stem, args)
+    emit_report(display, inputs.out(f"{stem}.tsv"), row_header="Type")
+    inputs.write_manifest(stem)
     print(f"breakdown: {model.name} over {len(table)} candidate types -> {stem}.tsv")
     return 0
 
@@ -450,11 +442,10 @@ def _read_eval(path: str) -> dict:
         raise ValueError(f"{exc}; report takes benchmark eval files") from None
 
 
-def cmd_report(args: argparse.Namespace) -> int:
+def cmd_report(args: argparse.Namespace, inputs: _Inputs) -> int:
     _require(args, "eval", "out")
     models = {name: _read_eval(path)
               for name, path in _name_paths(args.eval, "--eval", unique=True)}
-    out = _out_dir(args)
     table: dict[str, dict[str, float]] = {}
     row_keys = [*FIELD_ABBREVS, "AVG"]
     for row in row_keys:
@@ -467,9 +458,9 @@ def cmd_report(args: argparse.Namespace) -> int:
                 cells[f"{name} {_display_metric(metric_key)}"] = value
         if cells:
             table[row] = cells
-    path = out / f"report.{'md' if args.format == 'markdown' else 'tsv'}"
+    path = inputs.out(f"report.{'md' if args.format == 'markdown' else 'tsv'}")
     emit_report(table, path, row_header="Field", **_given(args, fmt="format"))
-    _write_manifest(out, "report", args)
+    inputs.write_manifest("report")
     print(f"report: {len(table)} rows x {len(next(iter(table.values())) if table else [])} columns -> {path.name}")
     return 0
 
@@ -583,7 +574,7 @@ def main(argv: list[str] | None = None) -> int:
         for flag, readers in _READERS.items():
             if getattr(args, flag) is not None and args.command not in readers:
                 raise ValueError(f"{args.command} does not read --{flag}")
-        return args.func(args)
+        return args.func(args, _Inputs(args))
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(error, ensure_ascii=False), file=sys.stderr)

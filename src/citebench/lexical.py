@@ -63,7 +63,7 @@ import numpy as np
 
 from . import metrics
 from .corpus import Corpus
-from .util import Numbering, checked
+from .util import Numbering, checked, sum_in_order
 
 _WORD = re.compile(r"\w+")
 
@@ -441,10 +441,7 @@ def tune_params(index: Bm25Index, validation: list[tuple[str, set]], grid: list[
     best_params = None
     for params, values in zip(grid, _grid_values(index, validation, grid, pool, objective,
                                                   cutoff)):
-        total = 0.0
-        for value in values:
-            total += value
-        mean = total / len(validation)
+        mean = sum_in_order(values) / len(validation)
         key = (-mean, params.b, params.k1)
         if best_key is None or key < best_key:
             best_key, best_params = key, params

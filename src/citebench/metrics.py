@@ -20,6 +20,8 @@ import math
 from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
+from .util import sum_in_order
+
 # the metric that BM25 tuning maximizes when the caller names none
 DEFAULT_OBJECTIVE = "map"
 
@@ -54,15 +56,15 @@ def _first_ranks(ranked: Iterable, relevant) -> tuple[list[int], int, int]:
 
 
 def _average_precision(ranks: list[int], length: int, count: int) -> float:
-    return sum(found / rank for found, rank in enumerate(ranks, start=1)) / count
+    return sum_in_order(found / rank for found, rank in enumerate(ranks, start=1)) / count
 
 
 def _ndcg(ranks: list[int], length: int, count: int) -> float:
     ideal = min(count, length)
     if ideal == 0:
         return 0.0
-    idcg = sum(1.0 / math.log2(r + 1) for r in range(1, ideal + 1))
-    return sum(1.0 / math.log2(rank + 1) for rank in ranks) / idcg
+    idcg = sum_in_order(1.0 / math.log2(r + 1) for r in range(1, ideal + 1))
+    return sum_in_order(1.0 / math.log2(rank + 1) for rank in ranks) / idcg
 
 
 def _recall(ranks: list[int], length: int, count: int, k: int) -> float:
@@ -116,7 +118,7 @@ def metric_named(name: str) -> Callable[[Sequence, object], float]:
 
 def metric_means(rows: Collection[Mapping[str, float]], names) -> dict[str, float]:
     """Each name's mean over `rows`, summed in row order; 0.0 with no rows."""
-    return {m: sum(row[m] for row in rows) / len(rows) if rows else 0.0 for m in names}
+    return {m: sum_in_order(row[m] for row in rows) / len(rows) if rows else 0.0 for m in names}
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Shared helpers: JSON input files, canonical JSON, hashing, seeds, row numbering."""
+"""Shared helpers: JSON input files, canonical JSON, hashing, seeds, float sums, row numbering."""
 
 from __future__ import annotations
 
@@ -18,6 +18,14 @@ _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_asci
 def canonical_json(obj: Any) -> str:
     """Serialize with sorted keys and fixed separators so equal objects give equal bytes."""
     return _CANONICAL.encode(obj)
+
+
+def sum_in_order(values: Iterable[float]) -> float:
+    """`values` added left to right from 0.0: the same bits on every Python, unlike 3.12's sum."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def is_str_list(value) -> bool:

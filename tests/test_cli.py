@@ -7,7 +7,7 @@ import pytest
 from citebench import cli, synthetic
 from citebench.cli import main
 from citebench.corpus import load_corpus, write_corpus_jsonl
-from citebench.dense import save_embeddings
+from citebench.dense import load_embeddings, save_embeddings
 from citebench.metrics import read_run_tsv
 from citebench.pools import read_pool_json
 
@@ -319,6 +319,52 @@ def test_run_tune_builds_index_once(pipeline, monkeypatch):
     assert (out / "run_bm25.tsv").exists()
 
 
+def test_each_subcommand_loads_and_builds_as_often_as_before(pipeline, tmp_path, monkeypatch):
+    """The (load_corpus, build_citation_graph, build_index) calls of each
+    subcommand over the demo pipeline: the corpus once where it is read, the
+    graph or the index once where it is used."""
+    root, pref_path, emb, pools, run_files, bench_path = pipeline
+    calls = []
+
+    def counting(name):
+        fn = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("load_corpus", "build_citation_graph", "build_index"):
+        monkeypatch.setattr(cli, name, counting(name))
+    dense = ["--model", "dense_a", "--embeddings", f"dense_a={emb['dense_a']}"]
+    params = str(root / "tune" / "bm25_params.json")
+    out = tmp_path / "out"
+    steps = [
+        (["ingest", "--corpus", pref_path], (1, 1, 0)),
+        (["prefilter", "--corpus", pref_path], (1, 1, 0)),
+        (["pool", "--corpus", pref_path, "--setup", "field", "--field", "Med", "--size", "250",
+          "--queries", "4", "--repetitions", "1", "--seed", "21"], (1, 1, 0)),
+        (["tune", "--corpus", pref_path, "--pool", pools[0], "--cutoff", "100"], (1, 0, 1)),
+        (["run", "--corpus", pref_path, "--pool", pools[0], "--params", params], (1, 0, 1)),
+        (["run", "--corpus", pref_path, "--pool", pools[0], *dense], (1, 0, 0)),
+        (["run", "--corpus", pref_path, "--pool", pools[0], "--tune", "--cutoff", "50"],
+         (1, 0, 1)),
+        (["eval", "--run", run_files["bm25"][0], "--pool", pools[0]], (0, 0, 0)),
+        (_benchgen_argv(pref_path, pools, run_files), (1, 1, 0)),
+        (["run", "--corpus", pref_path, "--benchmark", bench_path], (1, 0, 1)),
+        (["run", "--corpus", pref_path, "--benchmark", bench_path, *dense], (1, 0, 0)),
+        (["eval", "--run", str(out / "run_bm25.tsv"), "--benchmark", bench_path], (0, 0, 0)),
+        (["breakdown", "--corpus", pref_path, "--benchmark", bench_path], (1, 0, 1)),
+        (["report", "--eval", f"bm25={out / 'eval_run_bm25.json'}"], (0, 0, 0)),
+    ]
+    for argv, expected in steps:
+        calls.clear()
+        assert main([*argv, "--out", str(out)]) == 0, argv
+        counts = tuple(calls.count(name) for name in
+                       ("load_corpus", "build_citation_graph", "build_index"))
+        assert counts == expected, argv
+
+
 @pytest.mark.parametrize("extra, flag", [
     (["--benchmark", "BENCH"], "--benchmark"),
     (["--pool", "POOL", "--model", "dense_a"], "--model dense_a"),
@@ -508,7 +554,44 @@ def test_tune_rejects_cutoff_below_one(pipeline, tmp_path, capsys, cutoff):
     assert main(["tune", "--corpus", pref_path, "--pool", pools[0], "--cutoff", cutoff,
                  "--out", str(tmp_path / "tune")]) == 1
     assert f"cutoff must be >= 1, got {cutoff}" in _error(capsys)
-    assert not (tmp_path / "tune" / "bm25_params.json").exists()
+    assert not (tmp_path / "tune").exists()
+
+
+@pytest.mark.parametrize("source", ["pool", "benchmark"])
+@pytest.mark.parametrize("model", ["bm25", "dense_a"])
+def test_run_rejects_cutoff_below_one(pipeline, tmp_path, capsys, model, source):
+    root, pref_path, emb, pools, run_files, bench_path = pipeline
+    ids = ["--pool", pools[0]] if source == "pool" else ["--benchmark", bench_path]
+    out = tmp_path / "run"
+    assert main(["run", "--corpus", pref_path, *ids, "--model", model,
+                 "--embeddings", f"dense_a={emb['dense_a']}", "--cutoff", "0",
+                 "--out", str(out)]) == 1
+    assert _error(capsys) == "cutoff must be >= 1, got 0"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, where", [("run", "query"), ("run", "pool"),
+                                            ("breakdown", "negative")])
+def test_missing_embedding_row_names_the_vector_file(pipeline, tmp_path, capsys, command,
+                                                     where):
+    root, pref_path, emb, pools, run_files, bench_path = pipeline
+    if command == "run":
+        pool_set = read_pool_json(pools[0])
+        missing = min(pool_set.positives) if where == "query" else pool_set.pool_ids[-1]
+        ids = ["--pool", pools[0]]
+    else:
+        entry = json.loads(Path(bench_path).read_text(encoding="utf-8").splitlines()[0])
+        missing = entry["negatives"]["random"][0]
+        ids = ["--benchmark", bench_path]
+    store = load_embeddings(emb["dense_a"], emb["dense_a"] + ".json")
+    keep = [r for r, i in enumerate(store.ids) if i != missing]
+    vec = str(tmp_path / "missing_row.f32")
+    save_embeddings([store.ids[r] for r in keep], store.vectors[keep], vec, vec + ".json")
+    out = tmp_path / "out"
+    assert main([command, "--corpus", pref_path, *ids, "--model", "dense_a",
+                 "--embeddings", f"dense_a={vec}", "--out", str(out)]) == 1
+    assert _error(capsys) == f"{vec}: id {missing!r} has no embedding row"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "eval", "breakdown"])
