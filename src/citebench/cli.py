@@ -99,8 +99,8 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 
 def _given(args: argparse.Namespace, **params: str) -> dict:
     """{parameter: flag value} for the flags that were set; the callee's defaults do the rest."""
-    return {param: getattr(args, flag, None) for param, flag in params.items()
-            if getattr(args, flag, None) is not None}
+    return {param: getattr(args, flag) for param, flag in params.items()
+            if getattr(args, flag) is not None}
 
 
 def _flag(args: argparse.Namespace, name: str):
@@ -138,10 +138,13 @@ class _Inputs:
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
-        self.vec_path = self.store = None  # set by resolve_model for a dense --model
 
-    corpus = cached_property(lambda self: load_corpus(
-        self.args.corpus, **_given(self.args, reject_budget="reject_budget")))
+    @cached_property
+    def corpus(self):
+        budget = getattr(self.args, "reject_budget", None)  # only ingest and prefilter
+        options = {} if budget is None else {"reject_budget": budget}
+        return load_corpus(self.args.corpus, **options)
+
     graph = cached_property(lambda self: build_citation_graph(self.corpus))
     index = cached_property(lambda self: build_index(self.corpus))
 
@@ -152,29 +155,52 @@ class _Inputs:
             raise ValueError(f"cutoff must be >= 1, got {cutoff}")
         return cutoff
 
+    @cached_property
+    def vec_path(self) -> str | None:
+        """--model's vector file; None for BM25 or a command without model flags. A set model
+        flag that the backend never reads is an error: BM25 reads --k1, --b and --params, a dense
+        model --metric and --threads. Unset flags are not checked, so config_hash is kept."""
+        if not hasattr(self.args, "model"):
+            return None
+        embeddings = dict(_name_paths(self.args.embeddings or [], "--embeddings", unique=True))
+        name = _flag(self.args, "model")
+        if name not in embeddings and name != "bm25":
+            raise ValueError(f"unknown model {name!r}: not 'bm25' and no --embeddings entry")
+        vec_path = embeddings.get(name)
+        for flag in ("metric", "threads") if vec_path is None else ("k1", "b", "params"):
+            if getattr(self.args, flag) is not None:
+                raise ValueError(f"{self.args.command} --model {name} does not read --{flag}")
+        return vec_path
+
+    store = cached_property(lambda self: None if self.vec_path is None
+                            else load_embeddings(self.vec_path, self.vec_path + ".json"))
+
     def _check_ids(self, path: str, ids: list[str]) -> None:
-        """Every id that the file at `path` lists must be in the corpus and, for a
-        dense model, have an embedding row. eval reads no corpus and checks none."""
-        if self.args.corpus is None:
-            return
-        checks = [(self.corpus.numbering, path, "is not in the corpus")]
+        """Every id that the file at `path` lists must be in the --corpus, when one is
+        given (eval takes none), and have a row in a dense --model's vector file."""
+        checks = [] if self.args.corpus is None else [(self.corpus, path, "is not in the corpus")]
         if self.store is not None:
-            checks.append((self.store.numbering, self.vec_path, "has no embedding row"))
-        for numbering, where, fault in checks:
-            missing = next((i for i in ids if i not in numbering.row), None)
+            checks.append((self.store, self.vec_path, "has no embedding row"))
+        for source, where, fault in checks:
+            missing = next((i for i in ids if i not in source.numbering.row), None)
             if missing is not None:
                 raise ValueError(f"{where}: id {missing!r} {fault}")
 
     @cached_property
     def pools(self) -> list[PoolSet]:
-        """Each --pool file, its query and pool ids checked; tune and run take one."""
-        if len(self.args.pool) > 1 and self.args.command in ("tune", "run"):
-            raise ValueError(f"{self.args.command} takes one --pool; extra pools given: "
-                             f"{', '.join(self.args.pool[1:])}")
+        """Each --pool file, its query and pool ids checked."""
         pool_sets = list(map(read_pool_json, self.args.pool))
         for path, pool_set in zip(self.args.pool, pool_sets):
             self._check_ids(path, [*pool_set.positives, *pool_set.pool_ids])
         return pool_sets
+
+    @cached_property
+    def pool(self) -> PoolSet:
+        """The one --pool file that tune and run take."""
+        if len(self.args.pool) > 1:
+            raise ValueError(f"{self.args.command} takes one --pool; extra pools given: "
+                             f"{', '.join(self.args.pool[1:])}")
+        return self.pools[0]
 
     @cached_property
     def benchmark(self) -> Benchmark:
@@ -186,22 +212,6 @@ class _Inputs:
                                for i in (e.query_id, *e.candidate_ids())])
         return benchmark
 
-    def resolve_model(self) -> None:
-        """Check --model and load a dense model's vectors. A set model flag that
-        the backend never reads is an error: BM25 reads --k1, --b and --params,
-        a dense model --metric and --threads. Unset flags are not checked, so
-        every accepted command keeps its config_hash."""
-        embeddings = dict(_name_paths(self.args.embeddings or [], "--embeddings", unique=True))
-        name = _flag(self.args, "model")
-        if name not in embeddings and name != "bm25":
-            raise ValueError(f"unknown model {name!r}: not 'bm25' and no --embeddings entry")
-        vec_path = embeddings.get(name)
-        for flag in ("metric", "threads") if vec_path is None else ("k1", "b", "params"):
-            if getattr(self.args, flag) is not None:
-                raise ValueError(f"{self.args.command} --model {name} does not read --{flag}")
-        self.vec_path = vec_path
-        self.store = None if vec_path is None else load_embeddings(vec_path, vec_path + ".json")
-
     def model(self) -> RetrievalModel:
         if self.store is not None:
             return DenseModel(self.store, name=self.args.model,
@@ -210,11 +220,10 @@ class _Inputs:
 
     def tuned_params(self, **options) -> Bm25Params:
         """BM25's best grid point on the one --pool's queries."""
-        pool_set = self.pools[0]
-        validation = [(self.corpus.article(q).text, set(pool_set.positives[q]))
-                      for q in sorted(pool_set.positives)]
+        validation = [(self.corpus.article(q).text, set(self.pool.positives[q]))
+                      for q in sorted(self.pool.positives)]
         return tune_params(self.index, validation, default_tuning_grid(),
-                           pool=pool_set.members(), **options)
+                           pool=self.pool.members(), **options)
 
     def out(self, name: str) -> Path:
         """The path of artifact `name` in --out, which the first call creates."""
@@ -227,12 +236,8 @@ class _Inputs:
 
     def write_manifest(self, artifact: str) -> None:
         self.write_json(f"{artifact}.manifest.json", {
-            "tool": "citebench",
-            "version": __version__,
-            "command": self.args.command,
-            "config_hash": _config_hash(self.args),
-            "seed": getattr(self.args, "seed", None),
-        })
+            "tool": "citebench", "version": __version__, "command": self.args.command,
+            "config_hash": _config_hash(self.args), "seed": getattr(self.args, "seed", None)})
 
 
 # ---------------------------------------------------------------------------
@@ -325,18 +330,14 @@ def cmd_run(args: argparse.Namespace, inputs: _Inputs) -> int:
         for name in ("k1", "b", "params"):
             if getattr(args, name) is not None:
                 raise ValueError(f"run --tune sets k1 and b itself; drop --{name}")
-    inputs.resolve_model()
     cutoff = inputs.cutoff
-    pool_set = None if args.pool is None else inputs.pools[0]
-    benchmark = None if args.benchmark is None else inputs.benchmark
+    to_rank = inputs.pool if args.pool is not None else inputs.benchmark  # read and checked
     if args.tune:
         tuned = inputs.tuned_params(cutoff=cutoff)
         args.k1, args.b = tuned.k1, tuned.b
     model = inputs.model()
-    if pool_set is not None:
-        rankings = run_retrieval(model, pool_set, inputs.corpus, cutoff).rankings
-    else:
-        rankings = rank_benchmark(model, benchmark, inputs.corpus, cutoff)
+    rankings = (run_retrieval(model, to_rank, inputs.corpus, cutoff).rankings
+                if args.pool is not None else rank_benchmark(model, to_rank, inputs.corpus, cutoff))
     run_path = inputs.out(f"run_{model.name}.tsv")
     write_run_tsv(rankings, run_path)
     inputs.write_manifest(run_path.stem)
@@ -422,7 +423,6 @@ def cmd_benchgen(args: argparse.Namespace, inputs: _Inputs) -> int:
 
 def cmd_breakdown(args: argparse.Namespace, inputs: _Inputs) -> int:
     _require(args, "corpus", "benchmark", "out")
-    inputs.resolve_model()
     benchmark = inputs.benchmark
     model = inputs.model()
     table = candidate_type_breakdown(model, benchmark, inputs.corpus)

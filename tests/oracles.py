@@ -697,7 +697,9 @@ def loop_ndcg(ranked, relevant) -> float:
     ideal = min(len(relevant), len(ranked))
     if ideal == 0:
         return 0.0
-    idcg = sum(1.0 / math.log2(r + 1) for r in range(1, ideal + 1))
+    idcg = 0.0  # added left to right, as metrics.ndcg does
+    for r in range(1, ideal + 1):
+        idcg += 1.0 / math.log2(r + 1)
     return dcg / idcg
 
 
@@ -714,9 +716,14 @@ def loop_recall_at_k(ranked, relevant, k: int) -> float:
 
 def inline_mean(rows, names) -> dict[str, float]:
     """evaluate_run's aggregate step: each name's sum over the rows in row
-    order, divided by their count; 0.0 with no rows."""
-    n = len(rows)
-    return {name: (sum(vals[name] for vals in rows) / n if n else 0.0) for name in names}
+    order, added left to right from 0.0, divided by their count; 0.0 with no rows."""
+    means = {}
+    for name in names:
+        total = 0.0
+        for vals in rows:
+            total += vals[name]
+        means[name] = total / len(rows) if rows else 0.0
+    return means
 
 
 def loop_evaluate_run(run, qrels, recall_cutoff: int = 30) -> metrics.MetricsReport:

@@ -594,6 +594,27 @@ def test_missing_embedding_row_names_the_vector_file(pipeline, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("first", [(), ("vec_path",), ("store",), ("vec_path", "corpus")],
+                         ids=["pools", "vec_path", "store", "vec_path-corpus"])
+def test_pool_ids_checked_against_the_vectors_in_any_order(pipeline, tmp_path, first):
+    # the context's model spec and store follow from args, so whatever a
+    # subcommand reads before the pool files, their rows are still checked
+    root, pref_path, emb, pools, run_files, bench_path = pipeline
+    missing = read_pool_json(pools[0]).pool_ids[0]
+    store = load_embeddings(emb["dense_a"], emb["dense_a"] + ".json")
+    keep = [r for r, i in enumerate(store.ids) if i != missing]
+    vec = str(tmp_path / "missing_row.f32")
+    save_embeddings([store.ids[r] for r in keep], store.vectors[keep], vec, vec + ".json")
+    args = cli.build_parser().parse_args(
+        ["run", "--corpus", pref_path, "--pool", pools[0], "--model", "dense_a",
+         "--embeddings", f"dense_a={vec}", "--out", str(tmp_path / "out")])
+    inputs = cli._Inputs(args)
+    for name in first:
+        getattr(inputs, name)
+    with pytest.raises(ValueError, match=f"id {missing!r} has no embedding row"):
+        inputs.pools
+
+
 @pytest.mark.parametrize("command", ["run", "eval", "breakdown"])
 def test_benchmark_repeating_a_query_rejected(pipeline, tmp_path, capsys, command):
     root, pref_path, emb, pools, run_files, bench_path = pipeline
