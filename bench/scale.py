@@ -1,5 +1,5 @@
-"""Setup-stage scale ladder: wall time, CPU time and peak RSS of each setup
-stage on generated corpora far larger than the benchmark's.
+"""Scale ladder: wall time, CPU time and peak RSS of each setup stage, and of
+a BM25 pool run, on generated corpora far larger than the benchmark's.
 
     python3 bench/scale.py BENCH_scale_setup.json --label change
     python3 bench/scale.py BENCH_scale_setup.json --label parent --src OTHER_CHECKOUT/src
@@ -9,14 +9,16 @@ Each rung (100k and 300k generated articles by default) is
 bench/.cache/. Generation runs in a child process of its own, outside any
 timing. Each rung is then measured in a fresh child, which caps its own
 RLIMIT_DATA at 7 GB and runs load, graph (of the raw corpus), prefilter,
-index (BM25, of the kept corpus) and save_index. After each stage the child
-records the stage's wall and CPU milliseconds and its peak RSS so far
-(RUSAGE_SELF). A rung that exceeds the cap ends in MemoryError and is
-recorded as not fitting, with the stages it finished.
+index (BM25, of the kept corpus), save_index and bm25_pool_run
+(lexical.search_pool of 20 kept articles, drawn with the seed, against the
+whole kept corpus as one pool, keeping each query's top 500). After each
+stage the child records the stage's wall and CPU milliseconds and its peak
+RSS so far (RUSAGE_SELF). A rung that exceeds the cap ends in MemoryError
+and is recorded as not fitting, with the stages it finished.
 
 The results go under the given label into the output file, a BENCH point:
-`end_to_end` holds each rung's whole setup (wall, CPU, final peak) and
-`stages` its stages. Other labels already in the file are kept.
+`end_to_end` holds each rung's totals over its stages (wall, CPU, final
+peak) and `stages` its stages. Other labels already in the file are kept.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import argparse
 import json
 import os
 import platform
+import random
 import resource
 import subprocess
 import sys
@@ -35,6 +38,9 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 DATA_CAP = 7 << 30
 SEED = 1
+# the pool run's queries and the depth of each ranking
+POOL_QUERIES = 20
+POOL_K = 500
 
 
 def _generate(src: str, n: int, path: Path) -> None:
@@ -77,6 +83,11 @@ def _measure(src: str, path: Path) -> dict:
         sizes = {"kept": len(kept), "terms": len(index.vocab), "postings": int(index.rows.size)}
         with tempfile.TemporaryDirectory() as tmp:
             stage("save_index", lexical.save_index, index, Path(tmp) / "index.bin")
+        ids = kept.ids()
+        queries = [(q, kept.article(q).text)
+                   for q in random.Random(SEED).sample(ids, min(POOL_QUERIES, len(ids)))]
+        stage("bm25_pool_run", lexical.search_pool, index, queries, ids, lexical.Bm25Params(),
+              POOL_K)
     except MemoryError:
         return {"fit": False, "stages": stages, **sizes}
     return {"fit": True, "stages": stages, **sizes}

@@ -116,6 +116,8 @@ def _name_paths(specs: list[str], flag: str, *, unique: bool) -> list[tuple[str,
         name, sep, path = spec.partition("=")
         if not sep:
             raise ValueError(f"{flag} takes NAME=PATH, got {spec!r}")
+        if not path:
+            raise ValueError(f"{flag} {spec!r} has an empty PATH")
         if unique and any(name == seen for seen, _ in pairs):
             raise ValueError(f"{flag} names {name!r} more than once")
         pairs.append((name, path))
@@ -332,6 +334,13 @@ def cmd_run(args: argparse.Namespace, inputs: _Inputs) -> int:
                 raise ValueError(f"run --tune sets k1 and b itself; drop --{name}")
     cutoff = inputs.cutoff
     to_rank = inputs.pool if args.pool is not None else inputs.benchmark  # read and checked
+    if args.benchmark is not None and args.cutoff is not None:
+        # eval --benchmark scores a run as each closed pool's whole ranking
+        for entry in to_rank.entries:
+            count = len(set(entry.candidate_ids()))
+            if count > cutoff:
+                raise ValueError(f"{args.benchmark}: query {entry.query_id!r} has {count} "
+                                 f"candidates, more than --cutoff {cutoff}")
     if args.tune:
         tuned = inputs.tuned_params(cutoff=cutoff)
         args.k1, args.b = tuned.k1, tuned.b

@@ -3,9 +3,11 @@
 Vectors are produced elsewhere (any single-vector-per-article encoder) and
 consumed here from a raw little-endian float32 file plus a JSON manifest;
 the file is mapped read-only, so its pages stay the file's, not the heap's.
-Search is an exhaustive scan, never approximate: scores are accumulated in
-float64 with row-local reductions, so results do not depend on how the rows
-are chunked for parallel scanning.
+Search is an exhaustive scan, never approximate: each block of rows is
+reduced row by row in float64, and each query's score row then gets its
+metric's elementwise finish once, so results do not depend on how the rows
+are chunked. util.Numbering.top selects each query's k best before sorting
+only those.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ class EmbeddingStore:
 
     @cached_property
     def row_norms(self) -> np.ndarray:
-        """float64 L2 norm of every row, the cosine denominator of _scores."""
+        """float64 L2 norm of every row, the cosine denominator of _scan."""
         norms = np.empty(len(self.ids))
         for start in range(0, len(self.ids), _BLOCK):
             v = self.vectors[start:start + _BLOCK].astype(np.float64)
@@ -126,23 +128,6 @@ def save_embeddings(ids: Sequence[str], vectors: np.ndarray, vector_path, manife
         fh.write("\n")
 
 
-def _scores(v: np.ndarray, q: np.ndarray, metric: str,
-            row_norms: np.ndarray | None) -> np.ndarray:
-    # v holds float64 copies of the rows; all reductions are row-local so
-    # chunked scans reproduce the full scan; cosine divides by the rows'
-    # EmbeddingStore.row_norms
-    if metric == "dot":
-        return (v * q).sum(axis=1)
-    if metric == "euclidean":
-        diff = v - q
-        return np.sqrt((diff * diff).sum(axis=1))
-    dots = (v * q).sum(axis=1)  # cosine, the one metric left after _check
-    q_norm = math.sqrt(float((q * q).sum()))
-    denom = row_norms * q_norm
-    safe = np.where(denom > 0.0, denom, 1.0)
-    return np.where(denom > 0.0, dots / safe, 0.0)
-
-
 def _check(k: int, metric: str) -> None:
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -164,18 +149,32 @@ def _scan(store: EmbeddingStore, rows: np.ndarray, queries: np.ndarray, metric: 
           chunks: int) -> np.ndarray:
     """Scores of `rows` (non-empty) for each float64 query row, one score row
     per query. The rows are split into max(chunks, blocks of at most _BLOCK)
-    parts; each part is gathered and cast to float64 once for all queries."""
-    norms = store.row_norms if metric == "cosine" else None
+    parts; each part is gathered and cast to float64 once for all queries,
+    and each (query, part) pair runs only its row-local reduction. The
+    metric's elementwise finish then runs once per score row: euclidean's
+    sqrt, and cosine's division by the rows' EmbeddingStore.row_norms times
+    the query's norm (0 where that product is 0)."""
     n_parts = max(1, min(chunks, rows.size), -(-rows.size // _BLOCK))
     scores = np.empty((len(queries), rows.size))
     start = 0
     for part in np.array_split(rows, n_parts):
         v = store.vectors[part].astype(np.float64)
-        part_norms = None if norms is None else norms[part]
         end = start + part.size
         for q, out in zip(queries, scores):
-            out[start:end] = _scores(v, q, metric, part_norms)
+            if metric == "euclidean":
+                diff = v - q
+                out[start:end] = (diff * diff).sum(axis=1)
+            else:
+                out[start:end] = (v * q).sum(axis=1)
         start = end
+    if metric == "euclidean":
+        np.sqrt(scores, out=scores)
+    elif metric == "cosine":
+        norms = store.row_norms[rows]
+        for q, out in zip(queries, scores):
+            denom = norms * math.sqrt(float((q * q).sum()))
+            safe = np.where(denom > 0.0, denom, 1.0)
+            out[:] = np.where(denom > 0.0, out / safe, 0.0)
     return scores
 
 
@@ -208,7 +207,9 @@ def knn_pool(store: EmbeddingStore, query_ids: Sequence[str], pool, k: int,
     Equal to knn(store, store.vector(q), k, metric, pool - {q}, chunks) for
     every q, but the pool's rows are sorted once, and each block of rows is
     gathered and cast once per group of queries rather than once per query.
-    A group's score matrix stays within _SCORE_BUDGET bytes.
+    A group's score matrix stays within _SCORE_BUDGET bytes; each of its
+    rows is finished once and its query's row is cut before the top k is
+    selected.
     """
     _check(k, metric)
     if not query_ids:

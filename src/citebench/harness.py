@@ -99,8 +99,7 @@ class RetrievalRun:
         for q, ranked in self.rankings.items():
             if len(ranked) > self.cutoff:
                 raise ValueError(f"query {q!r} has {len(ranked)} results, cutoff is {self.cutoff}")
-            docs = [doc for doc, _ in ranked]
-            if len(set(docs)) != len(docs):
+            if len(dict(ranked)) != len(ranked):
                 raise ValueError(f"duplicate doc ids in results for query {q!r}")
 
 

@@ -136,17 +136,25 @@ class Numbering:
         row `exclude` (a query's own row) left out.
 
         Best means highest score when `descending`, else lowest; ties break by
-        ascending id. One stable lexsort, so the order equals sorting
-        (id, score) tuples on (-score, id) or (score, id). Scores are per row,
-        so leaving a row out here equals never scoring it.
+        ascending id, so the order equals sorting (id, score) tuples on
+        (-score, id) or (score, id). When k is below the candidate count, one
+        partition finds the k-th best key and only the candidates not worse
+        than it, every tie at it included, are lexsorted on (key, id_rank):
+        the same top k as lexsorting them all. Scores are per row, so leaving
+        a row out here equals never scoring it.
         """
         if exclude is not None:
             keep = rows != exclude
             if not keep.all():  # a copy only when the row is there to cut
                 rows, scores = rows[keep], scores[keep]
         key = -scores if descending else scores
+        if k < key.size:
+            # `not worse`, not `<=`: a NaN k-th key (sorted last, like the
+            # lexsort's) then keeps every candidate instead of none
+            near = np.flatnonzero(~(key > np.partition(key, k - 1)[k - 1]))
+            rows, scores, key = rows[near], scores[near], key[near]
         top = np.lexsort((self.id_rank[rows], key))[:k]
-        return list(zip([self.ids[r] for r in rows[top].tolist()], scores[top].tolist()))
+        return list(zip(map(self.ids.__getitem__, rows[top].tolist()), scores[top].tolist()))
 
     def positive_ranks(self, rows: np.ndarray, scores: np.ndarray, at: np.ndarray,
                        k: int) -> list[int]:

@@ -152,6 +152,54 @@ def tuple_sort_knn(ids, vectors, query, k: int, metric: str, pool=None,
     return candidates[:k]
 
 
+def _block_scores(v: np.ndarray, q: np.ndarray, metric: str,
+                  row_norms: np.ndarray | None) -> np.ndarray:
+    # v holds float64 copies of the rows; cosine divides by the rows'
+    # EmbeddingStore.row_norms
+    if metric == "dot":
+        return (v * q).sum(axis=1)
+    if metric == "euclidean":
+        diff = v - q
+        return np.sqrt((diff * diff).sum(axis=1))
+    dots = (v * q).sum(axis=1)
+    q_norm = math.sqrt(float((q * q).sum()))
+    denom = row_norms * q_norm
+    safe = np.where(denom > 0.0, denom, 1.0)
+    return np.where(denom > 0.0, dots / safe, 0.0)
+
+
+def per_block_scan(store, rows: np.ndarray, queries: np.ndarray, metric: str, chunks: int,
+                   block: int = 512) -> np.ndarray:
+    """The dense scan that finishing each score row once replaced, kept as
+    its reference: every (query, block of rows) pair ran its metric's whole
+    score, sqrt or cosine division included."""
+    norms = store.row_norms if metric == "cosine" else None
+    n_parts = max(1, min(chunks, rows.size), -(-rows.size // block))
+    scores = np.empty((len(queries), rows.size))
+    start = 0
+    for part in np.array_split(rows, n_parts):
+        v = store.vectors[part].astype(np.float64)
+        part_norms = None if norms is None else norms[part]
+        end = start + part.size
+        for q, out in zip(queries, scores):
+            out[start:end] = _block_scores(v, q, metric, part_norms)
+        start = end
+    return scores
+
+
+def per_block_knn(store, query, k: int, metric: str, pool=None,
+                  chunks: int = 1) -> list[tuple[str, float]]:
+    """dense.knn from per_block_scan's scores and rank_rows's full lexsort."""
+    ids = store.ids
+    rows = (np.arange(len(ids), dtype=np.intp) if pool is None
+            else np.array(sorted(store.numbering.row[i] for i in pool), dtype=np.intp))
+    if rows.size == 0:
+        return []
+    q = np.asarray(query, dtype=np.float64).reshape(1, -1)
+    scores = per_block_scan(store, rows, q, metric, chunks)[0]
+    return rank_rows(ids, id_ranks(ids), rows, scores, k, metric in ("cosine", "dot"))
+
+
 def id_ranks(ids) -> np.ndarray:
     """Each row's position in ascending id order: the tie-break key of a ranking."""
     order = sorted(range(len(ids)), key=ids.__getitem__)

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from citebench import cli, synthetic
+from citebench.benchgen import read_benchmark_jsonl
 from citebench.cli import main
 from citebench.corpus import load_corpus, write_corpus_jsonl
 from citebench.dense import load_embeddings, save_embeddings
@@ -522,6 +523,20 @@ def test_name_path_spec_without_name_rejected(pipeline, tmp_path, capsys, flag):
     assert f"{flag} takes NAME=PATH, got 'no-equals-sign'" in _error(capsys)
 
 
+@pytest.mark.parametrize("flag", ["--embeddings", "--eval", "--run"])
+def test_name_path_spec_with_empty_path_rejected(pipeline, tmp_path, capsys, flag):
+    root, pref_path, emb, pools, run_files, bench_path = pipeline
+    command = {"--embeddings": "run", "--eval": "report", "--run": "benchgen"}[flag]
+    argv = [command, flag, "dense_a=", "--seed", "1", "--out", str(tmp_path / "out")]
+    if command != "report":
+        argv += ["--corpus", pref_path, "--pool", pools[0]]
+    if command == "run":
+        argv += ["--model", "dense_a"]
+    assert main(argv) == 1
+    assert _error(capsys) == f"{flag} 'dense_a=' has an empty PATH"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("flag", ["--embeddings", "--eval"])
 def test_repeated_name_rejected(pipeline, tmp_path, capsys, flag):
     root, pref_path, emb, pools, run_files, _ = pipeline
@@ -568,6 +583,25 @@ def test_run_rejects_cutoff_below_one(pipeline, tmp_path, capsys, model, source)
                  "--out", str(out)]) == 1
     assert _error(capsys) == "cutoff must be >= 1, got 0"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("model", ["bm25", "dense_a"])
+def test_run_benchmark_rejects_cutoff_below_a_closed_pool(pipeline, tmp_path, capsys, model):
+    root, pref_path, emb, pools, run_files, bench_path = pipeline
+    argv = ["run", "--corpus", pref_path, "--benchmark", bench_path, "--model", model,
+            "--embeddings", f"dense_a={emb['dense_a']}"]
+    assert main([*argv, "--cutoff", "3", "--out", str(tmp_path / "short")]) == 1
+    entry = read_benchmark_jsonl(bench_path).entries[0]
+    assert _error(capsys) == (f"{bench_path}: query {entry.query_id!r} has "
+                              f"{len(entry.candidate_ids())} candidates, more than --cutoff 3")
+    assert not (tmp_path / "short").exists()
+    # a cutoff that covers every closed pool ranks as no cutoff does
+    largest = max(len(e.candidate_ids()) for e in read_benchmark_jsonl(bench_path).entries)
+    assert main([*argv, "--cutoff", str(largest), "--out", str(tmp_path / "covered")]) == 0
+    assert main([*argv, "--out", str(tmp_path / "default")]) == 0
+    name = f"run_{model}.tsv"
+    assert ((tmp_path / "covered" / name).read_bytes()
+            == (tmp_path / "default" / name).read_bytes())
 
 
 @pytest.mark.parametrize("command, where", [("run", "query"), ("run", "pool"),

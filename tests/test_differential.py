@@ -34,9 +34,9 @@ from oracles import (add_at_ranked, counter_build_index, delete_cut_top, dict_bm
                      listwise_tune_params, listwise_tune_values, loop_average_precision,
                      loop_evaluate_run, loop_ndcg, loop_recall_at_k, mask_query_terms,
                      mask_search, mask_search_pool, per_query_build_benchmark,
-                     per_query_most_cited_negatives, per_query_random_negatives,
-                     per_query_run_retrieval, pool_mask, touched_mask_ranked,
-                     touched_mask_top, tuple_sort_knn)
+                     per_block_knn, per_block_scan, per_query_most_cited_negatives,
+                     per_query_random_negatives, per_query_run_retrieval, pool_mask,
+                     touched_mask_ranked, touched_mask_top, tuple_sort_knn)
 
 VOCAB = ["a", "b", "c", "d", "e", "f"]
 # ids whose sorted order differs from insertion order, mixed case included
@@ -1020,6 +1020,67 @@ def run_outcome(run, *args):
         return run(*args)
     except KeyError as exc:
         return str(exc)
+
+
+class TestScanAgainstPerBlockFinish:
+    """dense._scan finishes each score row once; per_block_scan, the scan it
+    replaced, ran each metric's whole score per (query, block of rows)."""
+
+    @SETTINGS
+    @given(case=dense_cases(), metric=st.sampled_from(METRIC_NAMES),
+           block=st.sampled_from([1, 2, 3, 512]), data=st.data())
+    def test_scan_knn_and_knn_pool_equal_per_block_scan(self, case, metric, block, data):
+        ids, matrix = case
+        store = EmbeddingStore(ids, matrix)
+        chunks = data.draw(st.integers(1, len(ids)))
+        pool = (set(data.draw(st.lists(st.sampled_from(ids), unique=True)))
+                if data.draw(st.booleans()) else None)
+        queries = data.draw(st.lists(st.sampled_from(ids), unique=True, max_size=6))
+        free = data.draw(st.lists(st.integers(-2, 2).map(float), min_size=store.dim,
+                                  max_size=store.dim))
+        k = data.draw(st.integers(1, len(ids) + 1))
+        rows = np.arange(len(ids)) if pool is None else store.numbering.rows(pool)
+        # the stored queries, a free one and a zero-norm one, scored together
+        vectors = np.array([*(matrix[store.numbering.row[q]] for q in queries), free,
+                            np.zeros(store.dim)], dtype=np.float64)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dense, "_BLOCK", block)
+            if rows.size:
+                got = dense._scan(store, rows, vectors, metric, chunks)
+                assert got.tobytes() == per_block_scan(store, rows, vectors, metric, chunks,
+                                                       block).tobytes()
+            for query in vectors[-2:]:
+                assert (knn(store, query, k, metric, pool, chunks)
+                        == per_block_knn(store, query, k, metric, pool, chunks))
+            ranked = dense.knn_pool(store, queries, pool, k, metric, chunks)
+        for q in queries:
+            assert ranked[q] == per_block_knn(store, store.vector(q), k, metric,
+                                              set(pool if pool is not None else ids) - {q},
+                                              chunks)
+
+    @pytest.mark.parametrize("metric", METRIC_NAMES)
+    def test_several_blocks_with_zero_norm_rows_and_query(self, metric):
+        rng = np.random.default_rng(7)
+        n, dim = 1300, 24
+        ids = [f"v{i:05d}" for i in rng.permutation(n)]
+        matrix = rng.standard_normal((n, dim)).astype(np.float32)
+        matrix[[4, 600, 1299]] = 0.0
+        matrix[900] = matrix[2]
+        store = EmbeddingStore(ids, matrix)
+        pool = set(rng.choice(ids, size=1200, replace=False).tolist()) | {ids[4], ids[600]}
+        queries = [ids[4], *rng.choice(ids, size=5, replace=False).tolist()]
+        rows = store.numbering.rows(pool)
+        vectors = np.vstack([store.vectors[[store.numbering.row[q] for q in queries]],
+                             np.zeros((1, dim))]).astype(np.float64)
+        for chunks in (1, 2, 5, 512, n):
+            assert (dense._scan(store, rows, vectors, metric, chunks).tobytes()
+                    == per_block_scan(store, rows, vectors, metric, chunks).tobytes())
+            assert (knn(store, vectors[-1], 300, metric, pool, chunks)
+                    == per_block_knn(store, vectors[-1], 300, metric, pool, chunks))
+            ranked = dense.knn_pool(store, queries, pool, 300, metric, chunks)
+            for q in queries:
+                assert ranked[q] == per_block_knn(store, store.vector(q), 300, metric,
+                                                  pool - {q}, chunks)
 
 
 class TestRunRetrievalErrors:

@@ -30,6 +30,38 @@ def candidate_sets(draw):
     return ids, np.array(rows, dtype=np.intp), np.array(scores, dtype=np.float64), k
 
 
+# scores that tie often, in both signed zeros and as NaN, so the k-th key is
+# often shared, a zero of either sign, or NaN
+EDGE_SCORES = [-1.0, -0.0, 0.0, 1.0, 2.0, float("nan")]
+
+
+@st.composite
+def selected_sets(draw):
+    """Candidate sets larger than k, scores drawn from EDGE_SCORES, and an
+    exclude row that is a candidate, another row, or None."""
+    ids = draw(st.lists(st.sampled_from(ID_POOL), min_size=2, unique=True))
+    rows = draw(st.lists(st.integers(0, len(ids) - 1), min_size=2, unique=True))
+    scores = draw(st.lists(st.sampled_from(EDGE_SCORES), min_size=len(rows),
+                           max_size=len(rows)))
+    k = draw(st.integers(1, len(rows) - 1))
+    exclude = draw(st.one_of(st.none(), st.sampled_from(rows), st.integers(0, len(ids) - 1)))
+    return ids, np.array(rows, dtype=np.intp), np.array(scores, dtype=np.float64), k, exclude
+
+
+def full_lexsort(ids, rows, scores, k, descending, exclude=None):
+    """rank_rows, the full lexsort, over the candidates left after the cut."""
+    if exclude is not None:
+        keep = rows != exclude
+        rows, scores = rows[keep], scores[keep]
+    return rank_rows(ids, id_ranks(ids), rows, scores, k, descending)
+
+
+def exact(ranked):
+    """A ranking with each score as its hex form: NaN equals NaN there, and
+    -0.0 differs from 0.0."""
+    return [(i, s.hex()) for i, s in ranked]
+
+
 class TestTop:
     @SETTINGS
     @given(case=candidate_sets(), descending=st.booleans())
@@ -41,6 +73,42 @@ class TestTop:
         by_tuple = sorted(((ids[r], s) for r, s in zip(rows.tolist(), scores.tolist())),
                           key=lambda item: (sign * item[1], item[0]))
         assert got == by_tuple[:k]
+
+    @SETTINGS
+    @given(case=selected_sets(), descending=st.booleans())
+    def test_selection_equals_full_lexsort(self, case, descending):
+        ids, rows, scores, k, exclude = case
+        got = Numbering(ids).top(rows, scores, k, descending, exclude=exclude)
+        assert exact(got) == exact(full_lexsort(ids, rows, scores, k, descending, exclude))
+
+    @pytest.mark.parametrize("descending", [True, False])
+    @pytest.mark.parametrize("scores, k", [
+        ([3.0, 2.0, 2.0, 2.0, 1.0], 2),  # a tie straddles the k-th key
+        ([0.0, -0.0, 0.0, -0.0, 1.0], 3),  # zeros of both signs tie
+        ([float("nan"), 1.0, float("nan"), float("nan"), 2.0], 3),  # the k-th key is NaN
+        ([float("nan"), 1.0, float("nan"), 1.0, 2.0], 2),  # NaN below a non-NaN k-th key
+    ], ids=["straddling-tie", "signed-zeros", "nan-kth", "nan-below-kth"])
+    def test_ties_signed_zeros_and_nan(self, scores, k, descending):
+        ids = ["e", "b", "d", "a", "c"]
+        rows = np.array([4, 0, 3, 1, 2], dtype=np.intp)
+        scores = np.array(scores)
+        for exclude in (None, 0, 2):
+            got = Numbering(ids).top(rows, scores, k, descending, exclude=exclude)
+            assert len(got) == k
+            assert exact(got) == exact(full_lexsort(ids, rows, scores, k, descending, exclude))
+
+    @pytest.mark.parametrize("descending", [True, False])
+    @pytest.mark.parametrize("cut", [False, True])
+    def test_5000_candidates_21_scores_at_k_500(self, descending, cut):
+        rng = np.random.default_rng(23)
+        ids = [f"a{i:05d}" for i in rng.permutation(6000)]
+        rows = rng.choice(6000, size=5000, replace=False).astype(np.intp)
+        scores = rng.integers(0, 21, size=5000).astype(np.float64)
+        exclude = int(rows[17]) if cut else None
+        got = Numbering(ids).top(rows, scores, 500, descending, exclude=exclude)
+        full = full_lexsort(ids, rows, scores, rows.size, descending, exclude)
+        assert full[499][1] == full[500][1]  # the k-th score's ties go past k
+        assert exact(got) == exact(full[:500])
 
     @SETTINGS
     @given(ids=st.lists(st.sampled_from(ID_POOL), unique=True))

@@ -1,11 +1,11 @@
-"""Smoke test of the setup-stage scale ladder at a tiny rung."""
+"""Smoke test of the scale ladder at a tiny rung."""
 
 import importlib.util
 import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-STAGES = ["load", "graph", "prefilter", "index", "save_index"]
+STAGES = ["load", "graph", "prefilter", "index", "save_index", "bm25_pool_run"]
 
 
 def load_scale():
