@@ -366,7 +366,9 @@ def read_benchmark_jsonl(path, manifest_path=None) -> Benchmark:
     """Read a benchmark file; errors name `path:line` or the manifest path.
     Each line is an object with string `query_id` and `field`, `positives`
     a list of strings and `negatives` an object of lists of strings, keyed by
-    the manifest's `types` (a list of strings) or else the first entry's."""
+    the manifest's `types` (a list of strings) or else the first entry's.
+    An entry needs a positive, and its query and candidates (positives and
+    negatives) must be distinct ids."""
     manifest = {} if manifest_path is None else checked(
         read_json(manifest_path), manifest_path, "benchmark manifest")
     if "types" in manifest:
@@ -393,4 +395,14 @@ def read_benchmark_jsonl(path, manifest_path=None) -> Benchmark:
 def _parse_entry(obj, where: str) -> BenchmarkEntry:
     checked(obj, where, "entry", query_id="a string", field="a string",
             positives="a list of strings", negatives="an object of lists of strings")
-    return BenchmarkEntry(obj["query_id"], obj["field"], obj["positives"], obj["negatives"])
+    entry = BenchmarkEntry(obj["query_id"], obj["field"], obj["positives"], obj["negatives"])
+    # a closed pool ranks its candidates once each, never against the query
+    if not entry.positives:
+        raise ValueError(f"{where}: entry has no positives")
+    candidates = entry.candidate_ids()
+    if entry.query_id in candidates:
+        raise ValueError(f"{where}: query {entry.query_id!r} is among its own candidates")
+    repeated = [i for i, n in Counter(candidates).items() if n > 1]
+    if repeated:
+        raise ValueError(f"{where}: candidate {repeated[0]!r} is listed more than once")
+    return entry

@@ -337,7 +337,7 @@ def cmd_run(args: argparse.Namespace, inputs: _Inputs) -> int:
     if args.benchmark is not None and args.cutoff is not None:
         # eval --benchmark scores a run as each closed pool's whole ranking
         for entry in to_rank.entries:
-            count = len(set(entry.candidate_ids()))
+            count = len(entry.candidate_ids())
             if count > cutoff:
                 raise ValueError(f"{args.benchmark}: query {entry.query_id!r} has {count} "
                                  f"candidates, more than --cutoff {cutoff}")
@@ -346,7 +346,7 @@ def cmd_run(args: argparse.Namespace, inputs: _Inputs) -> int:
         args.k1, args.b = tuned.k1, tuned.b
     model = inputs.model()
     rankings = (run_retrieval(model, to_rank, inputs.corpus, cutoff).rankings
-                if args.pool is not None else rank_benchmark(model, to_rank, inputs.corpus, cutoff))
+                if args.pool is not None else rank_benchmark(model, to_rank, inputs.corpus))
     run_path = inputs.out(f"run_{model.name}.tsv")
     write_run_tsv(rankings, run_path)
     inputs.write_manifest(run_path.stem)
@@ -484,7 +484,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--corpus", help="corpus JSON Lines file")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--seed", type=int, help="master RNG seed (never wall-clock)")
-    parser.add_argument("--threads", type=int, help="parallelism degree (results independent)")
+    parser.add_argument("--threads", type=int,
+                        help="row chunks a dense model scans (results independent)")
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:

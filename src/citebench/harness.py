@@ -121,43 +121,34 @@ class BenchmarkReport:
     per_query: dict[str, dict[str, float]]
 
 
-def _benchmark_metrics(recall_cutoff: int) -> dict:
-    """A closed benchmark's metrics by name: AP and recall at the cutoff."""
-    return {m: metrics.metric_named(m) for m in ("map", f"recall@{recall_cutoff}")}
-
-
 def score_benchmark_rankings(rankings: Mapping[str, Sequence], benchmark: Benchmark,
                              recall_cutoff: int = BENCHMARK_RECALL_CUTOFF) -> BenchmarkReport:
     """Score precomputed per-entry rankings (e.g. a run file) against a
     benchmark's positives: per-field means, macro-averaged over fields."""
-    scorers = _benchmark_metrics(recall_cutoff)
+    names = ("map", f"recall@{recall_cutoff}")
+    score = metrics._scorer(names)
     per_query: dict[str, dict[str, float]] = {}
-    field_of: dict[str, str] = {}
     for entry in benchmark.entries:
         if entry.query_id not in rankings:
             raise ValueError(f"benchmark query {entry.query_id!r} is missing from the run")
-        ranked = rankings[entry.query_id]
-        positives = frozenset(entry.positives)
-        per_query[entry.query_id] = {m: f(ranked, positives) for m, f in scorers.items()}
-        field_of[entry.query_id] = entry.field
+        per_query[entry.query_id] = score(rankings[entry.query_id], entry.positives)
     per_field: dict[str, dict[str, float]] = {}
     for abbrev in FIELD_ABBREVS:
-        queries = [q for q, f in field_of.items() if f == abbrev]
-        if queries:
-            per_field[abbrev] = metrics.metric_means([per_query[q] for q in queries], scorers)
-    return BenchmarkReport(per_field, metrics.metric_means(per_field.values(), scorers), per_query)
+        rows = [per_query[e.query_id] for e in benchmark.entries if e.field == abbrev]
+        if rows:
+            per_field[abbrev] = metrics.metric_means(rows, names)
+    return BenchmarkReport(per_field, metrics.metric_means(per_field.values(), names), per_query)
 
 
-def rank_benchmark(model: RetrievalModel, benchmark: Benchmark, corpus: Corpus,
-                   cutoff: int | None = None) -> dict[str, list[tuple[str, float]]]:
+def rank_benchmark(model: RetrievalModel, benchmark: Benchmark,
+                   corpus: Corpus) -> dict[str, list[tuple[str, float]]]:
     """Rank each entry's closed candidate pool (positives plus all negative
-    groups) once, keyed by query id. A ranking keeps min(cutoff, pool size)
-    items; with no cutoff the whole pool is ranked."""
+    groups) whole, keyed by query id."""
     rankings: dict[str, list[tuple[str, float]]] = {}
     for entry in benchmark.entries:
         candidates = frozenset(entry.candidate_ids())
-        k = len(candidates) if cutoff is None else min(cutoff, len(candidates))
-        rankings[entry.query_id] = model.rank(corpus.article(entry.query_id), candidates, k)
+        rankings[entry.query_id] = model.rank(corpus.article(entry.query_id), candidates,
+                                              len(candidates))
     return rankings
 
 
@@ -178,7 +169,8 @@ def candidate_type_breakdown(model: RetrievalModel, benchmark: Benchmark,
     because `RetrievalModel.rank` orders a subset as it orders the full set.
     The full pool is ranked whole, so filtering never loses a candidate.
     """
-    scorers = _benchmark_metrics(BENCHMARK_RECALL_CUTOFF)
+    names = ("map", f"recall@{BENCHMARK_RECALL_CUTOFF}")
+    score = metrics._scorer(names)
     types = benchmark.negative_types()
     rankings = rank_benchmark(model, benchmark, corpus)
     per_type: dict[str, list[dict[str, float]]] = {t: [] for t in types}
@@ -187,9 +179,8 @@ def candidate_type_breakdown(model: RetrievalModel, benchmark: Benchmark,
         ranked = rankings[entry.query_id]
         for t in types:
             keep = positives | frozenset(entry.negatives[t])
-            subset = [item for item in ranked if item[0] in keep]
-            per_type[t].append({m: f(subset, positives) for m, f in scorers.items()})
-    return {t: metrics.metric_means(rows, scorers) for t, rows in per_type.items()}
+            per_type[t].append(score([item for item in ranked if item[0] in keep], positives))
+    return {t: metrics.metric_means(rows, names) for t, rows in per_type.items()}
 
 
 # ---------------------------------------------------------------------------

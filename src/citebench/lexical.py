@@ -122,7 +122,7 @@ class Bm25Index:
     def _pool_rows(self, pool) -> np.ndarray:
         """The ascending distinct rows of the pool ids the index holds."""
         row = self.numbering.row
-        return np.array(sorted({row[i] for i in pool if i in row}), dtype=np.int32)
+        return self.numbering.rows(filter(row.__contains__, pool)).astype(np.int32)
 
 
 def _count_block(vocab: dict[str, int], tokens: list[str], lengths: np.ndarray):
@@ -310,7 +310,9 @@ def _ranked(index: Bm25Index, rows: np.ndarray, postings, params: Bm25Params, k:
     # candidate's sum starts from 0.0 and takes its terms in query-token
     # order, each with score()'s operations: sums are bit-identical to score()
     sums = np.bincount(place, weights=contrib, minlength=rows.size)
-    hit = np.flatnonzero(np.bincount(place, minlength=rows.size))
+    # every posting adds a positive term score (idf > 0, tf >= 1, k1 >= 0 and
+    # b in [0, 1]), so exactly the candidates hit have a nonzero sum
+    hit = np.flatnonzero(sums)
     return index.numbering.top(rows[hit], sums[hit], k, exclude=exclude)
 
 
@@ -400,7 +402,7 @@ def _grid_values(index: Bm25Index, validation, grid, pool, objective: str,
                  cutoff: int | None) -> list[list[float]]:
     """Each grid point's objective value per validation query, in order.
     The pool's postings are gathered once, then each query's from them."""
-    by_ranks = metrics._metric(objective)[1]
+    by_ranks = metrics._metric(objective)
     k = cutoff if cutoff is not None else (len(pool) if pool is not None else index.N)
     view = _whole(index) if pool is None else _pooled(index, index._pool_rows(pool))
     prepared = [_TuningQuery(index, view, analyze(text), positives)

@@ -6,8 +6,8 @@ denominator is always the full relevant count, so truncated runs are
 penalized for what they failed to retrieve.
 
 Each metric is one formula over three values: the ascending ranks of the
-relevant ids found, the ranking's length and |relevant|. The list forms
-(average_precision, ndcg, recall_at_k) read those values off a ranking;
+relevant ids found, the ranking's length and |relevant|. One walk of a
+ranking (_first_ranks) reads those values for every metric that scores it;
 BM25 tuning counts them with util.Numbering.positive_ranks instead, without
 ranking, and scores the same formulas, so both give the same values.
 """
@@ -98,22 +98,29 @@ def jaccard(a, b) -> float:
     return inter / (len(a) + len(b) - inter)
 
 
-def _metric(name: str) -> tuple[Callable[[Sequence, object], float], Callable[..., float]]:
-    """The metric "map", "ndcg" or "recall@K" (K >= 1) names, as the pair
-    (f(ranked, relevant), f(ranks, length, count))."""
+def _metric(name: str) -> Callable[[list[int], int, int], float]:
+    """The metric "map", "ndcg" or "recall@K" (K >= 1) names, as its rank
+    form f(ranks, length, count)."""
     k = name.removeprefix("recall@")
     if k != name and k.isdecimal() and int(k) >= 1:
-        return functools.partial(recall_at_k, k=int(k)), functools.partial(_recall, k=int(k))
+        return functools.partial(_recall, k=int(k))
     if name == "map":
-        return average_precision, _average_precision
+        return _average_precision
     if name == "ndcg":
-        return ndcg, _ndcg
+        return _ndcg
     raise ValueError(f"unknown metric {name!r}: expected map, ndcg or recall@K with K >= 1")
 
 
-def metric_named(name: str) -> Callable[[Sequence, object], float]:
-    """The metric "map", "ndcg" or "recall@K" (K >= 1) names, as f(ranked, relevant)."""
-    return _metric(name)[0]
+def _scorer(names: Iterable[str]) -> Callable[[Iterable, object], dict[str, float]]:
+    """f(ranked, relevant): each named metric of one ranking, all read off
+    one walk of it. An unknown name raises here, before any ranking is scored."""
+    forms = {name: _metric(name) for name in names}
+
+    def score(ranked: Iterable, relevant) -> dict[str, float]:
+        found = _first_ranks(ranked, relevant)
+        return {name: f(*found) for name, f in forms.items()}
+
+    return score
 
 
 def metric_means(rows: Collection[Mapping[str, float]], names) -> dict[str, float]:
@@ -140,12 +147,10 @@ def evaluate_run(run, qrels: Mapping[str, set], recall_cutoff: int = 30) -> Metr
     for q in rankings:
         if q not in qrels:
             raise ValueError(f"query {q!r} in run is missing from qrels")
-    scorers = {name: metric_named(name) for name in ("map", "ndcg", f"recall@{recall_cutoff}")}
-    per_query: dict[str, dict[str, float]] = {}
-    for q in sorted(qrels):
-        ranked = rankings.get(q, [])
-        per_query[q] = {name: f(ranked, qrels[q]) for name, f in scorers.items()}
-    return MetricsReport(metric_means(per_query.values(), scorers), per_query)
+    names = ("map", "ndcg", f"recall@{recall_cutoff}")
+    score = _scorer(names)
+    per_query = {q: score(rankings.get(q, []), qrels[q]) for q in sorted(qrels)}
+    return MetricsReport(metric_means(per_query.values(), names), per_query)
 
 
 # ---------------------------------------------------------------------------

@@ -127,8 +127,14 @@ class Numbering:
         return list(map(self.ids.__getitem__, order.tolist()))
 
     def rows(self, ids: Iterable[str]) -> np.ndarray:
-        """The rows of `ids` in ascending order; an unknown id raises KeyError naming it."""
-        return np.sort(np.fromiter(map(self.row.__getitem__, ids), dtype=np.intp))
+        """The distinct rows of `ids` in ascending order; an unknown id raises
+        KeyError naming it."""
+        rows = np.sort(np.fromiter(map(self.row.__getitem__, ids), dtype=np.intp))
+        # a row repeats only next to itself once sorted (np.unique would
+        # import numpy.ma on its first call)
+        first = np.ones(rows.size, dtype=bool)
+        np.not_equal(rows[1:], rows[:-1], out=first[1:])
+        return rows[first]
 
     def top(self, rows: np.ndarray, scores: np.ndarray, k: int,
             descending: bool = True, exclude: int | None = None) -> list[tuple[str, float]]:

@@ -26,7 +26,7 @@ from citebench.benchgen import (GRAPH_TYPE, MOST_CITED_TYPE, RANDOM_TYPE, Benchm
                                 top_negatives_per_model)
 from citebench.corpus import (FIELD_ABBREVS, PREFILTER_RULES, Corpus, PrefilterResult,
                               PrefilterRules, _article_obj, resolve_field)
-from citebench.harness import RetrievalRun
+from citebench.harness import BenchmarkReport, RetrievalRun
 from citebench.pools import FIELD_LEVEL, _build_pool
 from citebench.util import derive_seed, stable_digest
 
@@ -788,6 +788,75 @@ def loop_evaluate_run(run, qrels, recall_cutoff: int = 30) -> metrics.MetricsRep
 
 
 # ---------------------------------------------------------------------------
+# run and benchmark scoring as it was before each ranking was scored from one
+# walk of it: every metric walked the ranking itself, through its list form
+# ---------------------------------------------------------------------------
+
+
+def list_metric(name: str):
+    """The metric `name` names as f(ranked, relevant): the list form that
+    metrics._metric returned beside the rank form."""
+    k = name.removeprefix("recall@")
+    if k != name:
+        return lambda ranked, relevant: metrics.recall_at_k(ranked, relevant, int(k))
+    return {"map": metrics.average_precision, "ndcg": metrics.ndcg}[name]
+
+
+def listwise_evaluate_run(run, qrels, recall_cutoff: int = 30) -> metrics.MetricsReport:
+    """metrics.evaluate_run as it was: each query scored by each metric's list form."""
+    rankings = getattr(run, "rankings", run)
+    for q in rankings:
+        if q not in qrels:
+            raise ValueError(f"query {q!r} in run is missing from qrels")
+    scorers = {name: list_metric(name) for name in ("map", "ndcg", f"recall@{recall_cutoff}")}
+    per_query = {}
+    for q in sorted(qrels):
+        ranked = rankings.get(q, [])
+        per_query[q] = {name: f(ranked, qrels[q]) for name, f in scorers.items()}
+    return metrics.MetricsReport(metrics.metric_means(per_query.values(), scorers), per_query)
+
+
+def listwise_score_benchmark_rankings(rankings, benchmark,
+                                      recall_cutoff: int = 5) -> BenchmarkReport:
+    """harness.score_benchmark_rankings as it was: each entry scored by each
+    metric's list form, and each field's entries found through a query ->
+    field map."""
+    scorers = {m: list_metric(m) for m in ("map", f"recall@{recall_cutoff}")}
+    per_query: dict[str, dict[str, float]] = {}
+    field_of: dict[str, str] = {}
+    for entry in benchmark.entries:
+        if entry.query_id not in rankings:
+            raise ValueError(f"benchmark query {entry.query_id!r} is missing from the run")
+        ranked = rankings[entry.query_id]
+        positives = frozenset(entry.positives)
+        per_query[entry.query_id] = {m: f(ranked, positives) for m, f in scorers.items()}
+        field_of[entry.query_id] = entry.field
+    per_field: dict[str, dict[str, float]] = {}
+    for abbrev in FIELD_ABBREVS:
+        queries = [q for q, f in field_of.items() if f == abbrev]
+        if queries:
+            per_field[abbrev] = metrics.metric_means([per_query[q] for q in queries], scorers)
+    return BenchmarkReport(per_field, metrics.metric_means(per_field.values(), scorers), per_query)
+
+
+def listwise_type_breakdown(rankings, benchmark, recall_cutoff: int = 5):
+    """harness.candidate_type_breakdown's scoring loop as it was, over the
+    closed-pool `rankings` it took from rank_benchmark: each type's subset
+    of each ranking scored by each metric's list form."""
+    scorers = {m: list_metric(m) for m in ("map", f"recall@{recall_cutoff}")}
+    types = benchmark.negative_types()
+    per_type: dict[str, list[dict[str, float]]] = {t: [] for t in types}
+    for entry in benchmark.entries:
+        positives = frozenset(entry.positives)
+        ranked = rankings[entry.query_id]
+        for t in types:
+            keep = positives | frozenset(entry.negatives[t])
+            subset = [item for item in ranked if item[0] in keep]
+            per_type[t].append({m: f(subset, positives) for m, f in scorers.items()})
+    return {t: metrics.metric_means(rows, scorers) for t, rows in per_type.items()}
+
+
+# ---------------------------------------------------------------------------
 # BM25 tuning as it was before it counted ranks: every (grid point, query)
 # pair ranked into a full list, then walked by the list-form metric
 # ---------------------------------------------------------------------------
@@ -806,7 +875,7 @@ def listwise_tune_values(index, validation, grid, *, pool=None, objective="map",
     """lexical.tune_params's scoring loop as it was: each grid point's
     objective per validation query, from the ranked list of the old
     _ranked (touched_mask_ranked), scored by the list-form metric."""
-    objective_of = metrics.metric_named(objective)
+    objective_of = list_metric(objective)
     k = cutoff if cutoff is not None else (len(pool) if pool is not None else index.N)
     mask = None if pool is None else pool_mask(index, pool)
     prepared = [(mask_query_terms(index, lexical.analyze(text), mask), positives)

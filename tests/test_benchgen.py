@@ -419,9 +419,22 @@ class TestReadBenchmark:
          "negatives must be an object of lists of strings"),
         ('{"query_id":"q2","field":"Med","positives":["a"],"negatives":{"graph":[null]}}',
          "negatives must be an object of lists of strings"),
+        ('{"query_id":"q2","field":"Med","positives":[],"negatives":{"graph":["b"]}}',
+         "entry has no positives"),
+        ('{"query_id":"q2","field":"Med","positives":["a","q2"],"negatives":{"graph":["b"]}}',
+         "query 'q2' is among its own candidates"),
+        ('{"query_id":"q2","field":"Med","positives":["a"],"negatives":{"graph":["q2"]}}',
+         "query 'q2' is among its own candidates"),
+        ('{"query_id":"q2","field":"Med","positives":["a","a"],"negatives":{"graph":["b"]}}',
+         "candidate 'a' is listed more than once"),
+        ('{"query_id":"q2","field":"Med","positives":["a"],"negatives":{"graph":["b","a"]}}',
+         "candidate 'a' is listed more than once"),
+        ('{"query_id":"q2","field":"Med","positives":["a"],"negatives":{"graph":["b","b"]}}',
+         "candidate 'b' is listed more than once"),
     ], ids=["json", "not-object", "no-negatives", "no-query", "query-int", "field-null",
             "positives-str", "positives-int", "negatives-list", "negatives-str",
-            "negatives-null"])
+            "negatives-null", "positives-empty", "query-positive", "query-negative",
+            "positive-twice", "positive-and-negative", "negative-twice"])
     def test_bad_line_named(self, tmp_path, bad_line, message):
         path = tmp_path / "b.jsonl"
         path.write_text(f"{GOOD_LINE}\n\n{bad_line}\n")
@@ -449,6 +462,15 @@ class TestReadBenchmark:
         path.write_text(f"{GOOD_LINE}\n")
         manifest.write_text(manifest_text)
         with pytest.raises(ValueError, match=message):
+            read_benchmark_jsonl(path, manifest)
+
+    def test_id_in_two_groups_named(self, tmp_path):
+        path, manifest = tmp_path / "b.jsonl", tmp_path / "b.manifest.json"
+        good = GOOD_LINE.replace('{"graph":["b"]}', '{"graph":["b"],"random":["c"]}')
+        bad = GOOD_LINE.replace('{"graph":["b"]}', '{"graph":["b","c"],"random":["c"]}')
+        path.write_text(f"{good.replace('q1', 'q0')}\n{bad}\n")
+        manifest.write_text('{"types": ["graph", "random"]}')
+        with pytest.raises(ValueError, match="b.jsonl:2: candidate 'c' is listed more than once"):
             read_benchmark_jsonl(path, manifest)
 
     def test_groups_differ_from_first_entry(self, tmp_path):

@@ -604,6 +604,28 @@ def test_run_benchmark_rejects_cutoff_below_a_closed_pool(pipeline, tmp_path, ca
             == (tmp_path / "default" / name).read_bytes())
 
 
+@pytest.mark.parametrize("model", ["bm25", "dense_a"])
+def test_run_benchmark_ranks_a_closed_pool_past_500_whole(workspace, tmp_path, capsys, model):
+    root, _, pref_path, emb = workspace
+    ids = load_corpus(pref_path).ids()
+    entry = {"query_id": ids[0], "field": "Med", "positives": ids[1:6],
+             "negatives": {"random": ids[6:606]}}
+    bench_path = tmp_path / "benchmark.jsonl"
+    bench_path.write_text(json.dumps(entry) + "\n", encoding="utf-8")
+    argv = ["run", "--corpus", pref_path, "--benchmark", str(bench_path), "--model", model,
+            "--embeddings", f"dense_a={emb['dense_a']}"]
+    # the default depth of a pool run does not cut a closed pool
+    assert main([*argv, "--out", str(tmp_path / "whole")]) == 0
+    ranked = read_run_tsv(tmp_path / "whole" / f"run_{model}.tsv")[ids[0]]
+    if model == "dense_a":  # BM25 leaves out the candidates no query term hits
+        assert len(ranked) == 605
+    assert len(ranked) > 500 and {doc for doc, _ in ranked} <= set(ids[1:606])
+    capsys.readouterr()
+    assert main([*argv, "--cutoff", "500", "--out", str(tmp_path / "cut")]) == 1
+    assert _error(capsys) == (f"{bench_path}: query {ids[0]!r} has 605 candidates, "
+                              "more than --cutoff 500")
+
+
 @pytest.mark.parametrize("command, where", [("run", "query"), ("run", "pool"),
                                             ("breakdown", "negative")])
 def test_missing_embedding_row_names_the_vector_file(pipeline, tmp_path, capsys, command,

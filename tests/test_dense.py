@@ -175,6 +175,13 @@ class TestKnn:
         got = knn(store, [1, 0], k=5, metric="dot", pool={"b", "c"})
         assert {i for i, _ in got} == {"b", "c"}
 
+    def test_duplicated_pool_ids_rank_once(self):
+        store = EmbeddingStore(["a", "b", "c"], [[1, 0], [0, 1], [1, 1]])
+        pool = ["b", "c", "b", "c", "b"]
+        assert knn(store, [0, 1], k=4, metric="dot", pool=pool) == [("b", 1.0), ("c", 1.0)]
+        assert dense.knn_pool(store, ["a"], pool, 4, metric="dot") == {
+            "a": [("c", 1.0), ("b", 0.0)]}
+
     def test_missing_pool_id(self):
         store = EmbeddingStore(["a"], [[1.0, 0.0]])
         with pytest.raises(KeyError, match="ghost"):

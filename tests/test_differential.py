@@ -14,13 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citebench import dense, lexical, metrics
-from citebench.benchgen import (BenchmarkParams, build_benchmark, graph_negatives,
-                                most_cited, overlap_similarity, random_negatives,
-                                ranked_negatives)
+from citebench.benchgen import (Benchmark, BenchmarkEntry, BenchmarkParams, build_benchmark,
+                                graph_negatives, most_cited, overlap_similarity,
+                                random_negatives, ranked_negatives)
 from citebench.corpus import (Corpus, PrefilterRules, build_citation_graph, field_cited_set,
                               prefilter, resolve_field)
 from citebench.dense import EmbeddingStore, knn
-from citebench.harness import Bm25Model, DenseModel, RetrievalModel, run_retrieval
+from citebench.harness import (Bm25Model, DenseModel, RetrievalModel, candidate_type_breakdown,
+                               rank_benchmark, run_retrieval, score_benchmark_rankings)
 from citebench.lexical import (Bm25Params, analyze, build_index, load_index,
                                save_index, score, search, search_pool, tune_params)
 from citebench.pools import (DATASET_LEVEL, PoolSet, SamplingPlan, build_dataset_pool,
@@ -31,9 +32,10 @@ from oracles import (add_at_ranked, counter_build_index, delete_cut_top, dict_bm
                      dict_bm25_search, dict_build_field_pool, dict_citation_graph,
                      dict_field_cited_set, dict_graph_negatives, dict_overlap_similarity,
                      dict_prefilter, dict_sample_queries, inline_mean, listed_positive_ranks,
-                     listwise_tune_params, listwise_tune_values, loop_average_precision,
-                     loop_evaluate_run, loop_ndcg, loop_recall_at_k, mask_query_terms,
-                     mask_search, mask_search_pool, per_query_build_benchmark,
+                     list_metric, listwise_evaluate_run, listwise_score_benchmark_rankings,
+                     listwise_tune_params, listwise_tune_values, listwise_type_breakdown,
+                     loop_average_precision, loop_evaluate_run, loop_ndcg, loop_recall_at_k,
+                     mask_query_terms, mask_search, mask_search_pool, per_query_build_benchmark,
                      per_block_knn, per_block_scan, per_query_most_cited_negatives,
                      per_query_random_negatives, per_query_run_retrieval, pool_mask,
                      touched_mask_ranked, touched_mask_top, tuple_sort_knn)
@@ -97,7 +99,7 @@ class TestBm25AgainstDictKernel:
         pool = pool_from(data.draw, ids)
         cutoff = data.draw(st.one_of(st.none(), st.integers(1, len(ids) + 1)))
         objective = data.draw(objectives)
-        objective_of = metrics.metric_named(objective)
+        objective_of = list_metric(objective)
         k = cutoff if cutoff is not None else (len(pool) if pool is not None else len(ids))
         best_key, expected = None, None
         for params in grid:
@@ -273,8 +275,8 @@ class TestPositiveRanksAgainstRankedList:
         assert (got, length, count) == listed_positive_ranks(numbering, rows, scores, relevant, k)
         ranked = numbering.top(rows, scores, k)
         for name in ("map", "ndcg", "recall@1", "recall@3", "recall@30"):
-            list_form, by_ranks = metrics._metric(name)
-            assert by_ranks(got, length, count) == list_form(ranked, relevant)
+            assert metrics._metric(name)(got, length, count) == list_metric(name)(ranked,
+                                                                                 relevant)
         return got
 
     @SETTINGS
@@ -1229,11 +1231,14 @@ class TestRankWalkAgainstMetricLoops:
     @given(run=st.dictionaries(st.sampled_from(["a", "b", "c"]), rankings, max_size=3),
            extra=st.dictionaries(st.sampled_from(["d", "e"]), relevant_sets, max_size=2),
            relevant=st.lists(relevant_sets.filter(bool), min_size=3, max_size=3),
-           cutoff=st.integers(1, 6))
+           cutoff=st.integers(1, 20))
     def test_evaluate_run_equals_loops_and_inline_mean(self, run, extra, relevant, cutoff):
+        # a cutoff past a ranking's 12 items reads the whole ranking
         qrels = {**dict(zip("abc", relevant)), **{q: r for q, r in extra.items() if r}}
         got = metrics.evaluate_run(run, qrels, cutoff)
         assert got == loop_evaluate_run(run, qrels, cutoff)
+        # and with each metric's list form walking the ranking itself
+        assert got == listwise_evaluate_run(run, qrels, cutoff)
         assert list(got.per_query) == sorted(qrels)
 
     @SETTINGS
@@ -1241,3 +1246,67 @@ class TestRankWalkAgainstMetricLoops:
                          max_size=8))
     def test_metric_means_equal_inline_mean(self, rows):
         assert metrics.metric_means(rows, ["map", "ndcg"]) == inline_mean(rows, ["map", "ndcg"])
+
+
+@st.composite
+def closed_benchmarks(draw):
+    """A Benchmark of up to six entries over distinct ids, in a few fields
+    (one of them no field the library knows), with the ranking a run holds
+    for each: a shuffled prefix of the entry's candidates, so positives may
+    be missing, as bare ids or as (id, score) pairs."""
+    types = ["graph", "random", "m1"][:draw(st.integers(1, 3))]
+    entries, rankings = [], {}
+    for i in range(draw(st.integers(0, 6))):
+        q = f"q{i}"
+        positives = [f"{q}p{j}" for j in range(draw(st.integers(1, 5)))]
+        negatives = {t: [f"{q}{t}{j}" for j in range(draw(st.integers(0, 4)))] for t in types}
+        entry = BenchmarkEntry(q, draw(st.sampled_from(["Med", "CS", "Bio", "Zz"])), positives,
+                               negatives)
+        entries.append(entry)
+        candidates = entry.candidate_ids()
+        ranked = draw(st.permutations(candidates))[:draw(st.integers(0, len(candidates)))]
+        if draw(st.booleans()):
+            ranked = [(doc, float(-r)) for r, doc in enumerate(ranked)]
+        rankings[q] = ranked
+    return Benchmark(entries, {"types": types}), rankings
+
+
+class _Replay(RetrievalModel):
+    """Ranks a query's candidates in a fixed order, leaving out the ids that
+    order lacks, so a closed-pool ranking may miss positives."""
+
+    name = "replay"
+
+    def __init__(self, order):
+        self.order = order
+
+    def rank(self, query, candidates, k):
+        return [(doc, score) for doc, score in self.order[query.id] if doc in candidates][:k]
+
+
+class TestScoringAgainstListForms:
+    """score_benchmark_rankings and candidate_type_breakdown, which score
+    each ranking from one walk of it, against the per-metric list-form loops
+    they replaced: per-query, per-field, macro and per-type values compared
+    with == (evaluate_run's are in TestRankWalkAgainstMetricLoops)."""
+
+    @SETTINGS
+    @given(drawn=closed_benchmarks(), cutoff=st.integers(1, 20))
+    def test_score_benchmark_rankings(self, drawn, cutoff):
+        bench, rankings = drawn
+        got = score_benchmark_rankings(rankings, bench, cutoff)
+        assert got == listwise_score_benchmark_rankings(rankings, bench, cutoff)
+        assert list(got.per_query) == [e.query_id for e in bench.entries]
+
+    @SETTINGS
+    @given(drawn=closed_benchmarks())
+    def test_candidate_type_breakdown(self, drawn):
+        bench, rankings = drawn
+        order = {q: [(doc, -float(r)) for r, doc in enumerate(metrics.ranked_ids(ranked))]
+                 for q, ranked in rankings.items()}
+        model = _Replay(order)
+        corpus = Corpus([make_article(e.query_id) for e in bench.entries])
+        closed = rank_benchmark(model, bench, corpus)
+        assert closed == order
+        assert candidate_type_breakdown(model, bench, corpus) == listwise_type_breakdown(closed,
+                                                                                       bench)

@@ -18,7 +18,8 @@ from citebench.harness import (Bm25Model, DenseModel, RetrievalModel, RetrievalR
 from citebench.lexical import Bm25Params, build_index, search
 from citebench.pools import SamplingPlan, build_dataset_pool, sample_queries
 from conftest import make_article
-from oracles import subset_type_breakdown
+from oracles import (listwise_score_benchmark_rankings, listwise_type_breakdown,
+                     subset_type_breakdown)
 from test_benchgen import small_benchmark_inputs
 
 
@@ -181,14 +182,35 @@ class TestEvaluateBenchmark:
 
 
 class TestRankBenchmark:
-    def test_cutoff_keeps_the_top_of_the_full_ranking(self, bench_fixture):
+    @pytest.mark.parametrize("kind", ["bm25", "hashed"])
+    def test_ranks_each_closed_pool_whole(self, bench_fixture, kind):
         corpus, graph, bench = bench_fixture
-        model = Bm25Model(build_index(corpus))
-        full = rank_benchmark(model, bench, corpus)
-        cut = rank_benchmark(model, bench, corpus, cutoff=7)
-        assert list(cut) == [entry.query_id for entry in bench.entries]
-        for q, ranked in full.items():
-            assert cut[q] == ranked[:7]
+        if kind == "bm25":  # BM25 leaves out the candidates no query term hits
+            model = Bm25Model(build_index(corpus))
+        else:
+            model = OrderedModel(lambda q, d: zlib.crc32(f"{q}|{d}".encode()))
+        rankings = rank_benchmark(model, bench, corpus)
+        assert list(rankings) == [entry.query_id for entry in bench.entries]
+        for entry in bench.entries:
+            candidates = frozenset(entry.candidate_ids())
+            ranked = rankings[entry.query_id]
+            assert ranked == model.rank(corpus.article(entry.query_id), candidates,
+                                        len(candidates))
+            if kind == "hashed":
+                assert len(ranked) == len(candidates)
+
+    @pytest.mark.parametrize("kind", ["bm25", "cosine"])
+    def test_scores_equal_list_forms(self, bench_fixture, kind):
+        corpus, graph, bench = bench_fixture
+        if kind == "bm25":
+            model = Bm25Model(build_index(corpus))
+        else:
+            model = DenseModel(synthetic.embed_corpus(corpus, dim=16, label="lf"), name=kind)
+        rankings = rank_benchmark(model, bench, corpus)
+        assert evaluate_benchmark(model, bench, corpus) == listwise_score_benchmark_rankings(
+            rankings, bench)
+        assert candidate_type_breakdown(model, bench, corpus) == listwise_type_breakdown(
+            rankings, bench)
 
     def test_duplicate_query_entry_rejected(self, bench_fixture):
         *_, bench = bench_fixture

@@ -233,6 +233,14 @@ class TestSearch:
         got = search(ix, "a", k=10, pool={"d2", "d3"})
         assert sorted(doc for doc, _ in got) == ["d2", "d3"]
 
+    def test_duplicated_pool_ids_rank_once(self):
+        ix = build_index(corpus_from_texts({"d1": "a", "d2": "a b", "d3": "a"}))
+        pool = ["d2", "d3", "d2", "ghost", "d3", "d2"]
+        expected = search(ix, "a b", k=10, pool={"d2", "d3"})
+        assert [doc for doc, _ in expected] == ["d2", "d3"]
+        assert search(ix, "a b", k=10, pool=pool) == expected
+        assert lexical.search_pool(ix, [("d1", "a b")], pool, k=10) == {"d1": expected}
+
     def test_deterministic_across_calls(self):
         ix = build_index(corpus_from_texts({f"d{i}": f"w{i % 3} w{i % 5}" for i in range(20)}))
         first = search(ix, "w0 w1 w2", k=20)

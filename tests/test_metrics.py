@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citebench.metrics import (average_precision, evaluate_run, jaccard, metric_named, ndcg,
-                               read_run_tsv, recall_at_k, write_run_tsv)
+from citebench.metrics import (_first_ranks, _metric, _scorer, average_precision, evaluate_run,
+                               jaccard, ndcg, read_run_tsv, recall_at_k, write_run_tsv)
 from oracles import frac_average_precision, frac_recall_at_k, mp_ndcg
 
 
@@ -218,16 +218,21 @@ class TestMetricNamed:
     def test_equals_direct_calls(self, ranked, relevant, k, pairs):
         if pairs:
             ranked = [(doc, float(-i)) for i, doc in enumerate(ranked)]
-        assert metric_named("map")(ranked, relevant) == average_precision(ranked, relevant)
-        assert metric_named("ndcg")(ranked, relevant) == ndcg(ranked, relevant)
-        assert (metric_named(f"recall@{k}")(ranked, relevant)
-                == recall_at_k(ranked, relevant, k))
+        found = _first_ranks(ranked, relevant)
+        assert _metric("map")(*found) == average_precision(ranked, relevant)
+        assert _metric("ndcg")(*found) == ndcg(ranked, relevant)
+        assert _metric(f"recall@{k}")(*found) == recall_at_k(ranked, relevant, k)
+        assert _scorer(["map", "ndcg", f"recall@{k}"])(ranked, relevant) == {
+            "map": average_precision(ranked, relevant), "ndcg": ndcg(ranked, relevant),
+            f"recall@{k}": recall_at_k(ranked, relevant, k)}
 
     @pytest.mark.parametrize("name", ["ndgc", "recall@x", "recall@0", "recall@-1", "recall@",
                                       "recall5", "MAP", "precision@5", ""])
     def test_bad_name_rejected(self, name):
         with pytest.raises(ValueError, match=f"unknown metric {name!r}"):
-            metric_named(name)
+            _metric(name)
+        with pytest.raises(ValueError, match=f"unknown metric {name!r}"):
+            _scorer(["map", name])
 
     def test_evaluate_run_rejects_bad_cutoff(self):
         with pytest.raises(ValueError, match="'recall@0'"):

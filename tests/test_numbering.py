@@ -131,6 +131,11 @@ class TestRows:
             assert rows.dtype == np.intp and rows.tolist() == [0, 2, 3]
         assert numbering.rows([]).tolist() == []
 
+    def test_repeated_ids_give_distinct_rows(self):
+        numbering = Numbering(["c", "a", "b", "d"])
+        assert numbering.rows(["d", "c", "d", "b", "c", "d"]).tolist() == [0, 2, 3]
+        assert numbering.rows(["a", "a"]).tolist() == [1]
+
     def test_unknown_id_raises_key_error_naming_it(self):
         with pytest.raises(KeyError) as exc:
             Numbering(["a", "b"]).rows(["a", "ghost"])
