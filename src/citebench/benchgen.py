@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import CitationGraph, Corpus, FIELD_ABBREVS, resolve_field
-from .metrics import jaccard, ranked_ids
+from .metrics import _ranked_ids, jaccard
 from .util import checked, derive_seed, parse_json, read_json, sum_in_order
 
 GRAPH_TYPE = "graph"
@@ -111,7 +111,7 @@ def top_negatives_per_model(run, qrels: Mapping[str, frozenset], depth: int = 20
     for q, ranked in rankings.items():
         relevant = qrels.get(q, frozenset())
         negatives: list[str] = []
-        for doc in ranked_ids(ranked):
+        for doc in _ranked_ids(ranked):
             if doc in relevant:
                 continue
             negatives.append(doc)

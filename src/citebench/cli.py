@@ -8,6 +8,9 @@ byte-identical output tree. Every artifact gets a sibling
 ``<name>.manifest.json`` embedding the tool version and a hash of the
 resolved configuration (output paths excluded from the hash).
 
+`main` rejects each flag, set by flag or by --config, that `_unread` says the
+invocation never reads; unset flags are not checked, so config_hash is kept.
+
 `main` hands each subcommand an _Inputs, its one input context: it loads
 each input at most once, checks each id file in one step, and creates --out
 at the first write, so a command that fails leaves no directory behind.
@@ -43,8 +46,8 @@ _METRIC_DISPLAY = {"map": "MAP", "ndcg": "nDCG"}
 
 # defaults of flags that no library parameter has
 _CLI_DEFAULTS = {"queries": 200, "cutoff": DEFAULT_CUTOFF, "model": "bm25"}
-# the subcommands that read each common flag that some leave unread;
-# --threads is a dense model's row chunks
+# the subcommands that read each common flag that some leave unread (the
+# first rule of _unread); --threads is a dense model's row chunks
 _READERS = {"threads": ("run", "breakdown"),
             "corpus": ("ingest", "prefilter", "pool", "tune", "run", "benchgen", "breakdown")}
 
@@ -124,6 +127,29 @@ def _name_paths(specs: list[str], flag: str, *, unique: bool) -> list[tuple[str,
     return pairs
 
 
+def _vec_path(args: argparse.Namespace) -> str | None:
+    """--model's vector file; None for BM25. A name that is neither is an error."""
+    embeddings = dict(_name_paths(args.embeddings or [], "--embeddings", unique=True))
+    name = _flag(args, "model")
+    if name not in embeddings and name != "bm25":
+        raise ValueError(f"unknown model {name!r}: not 'bm25' and no --embeddings entry")
+    return embeddings.get(name)
+
+
+def _unread(args: argparse.Namespace):
+    """(who, flags) pairs: the flags this invocation never reads, each with the
+    command and flags that decide it. A flag that the subcommand lacks is never set."""
+    yield args.command, [flag for flag, readers in _READERS.items() if args.command not in readers]
+    if hasattr(args, "model"):  # run and breakdown
+        dense = _vec_path(args) is not None
+        yield (f"{args.command} --model {_flag(args, 'model')}",
+               ("k1", "b", "params", "tune") if dense else ("metric", "threads"))
+    if getattr(args, "tune", None):  # tunes BM25 on its one --pool
+        yield "run --tune", ("k1", "b", "params", "benchmark")
+    if getattr(args, "benchmark", None) is not None:  # its entries' candidates, with no depth cut
+        yield f"{args.command} --benchmark", ("cutoff", "pool")
+
+
 def _bm25_params(args: argparse.Namespace) -> Bm25Params:
     """k1 and b from their flags, else from the --params file, else Bm25Params' defaults."""
     params = _given(args, k1="k1", b="b")
@@ -157,22 +183,9 @@ class _Inputs:
             raise ValueError(f"cutoff must be >= 1, got {cutoff}")
         return cutoff
 
-    @cached_property
-    def vec_path(self) -> str | None:
-        """--model's vector file; None for BM25 or a command without model flags. A set model
-        flag that the backend never reads is an error: BM25 reads --k1, --b and --params, a dense
-        model --metric and --threads. Unset flags are not checked, so config_hash is kept."""
-        if not hasattr(self.args, "model"):
-            return None
-        embeddings = dict(_name_paths(self.args.embeddings or [], "--embeddings", unique=True))
-        name = _flag(self.args, "model")
-        if name not in embeddings and name != "bm25":
-            raise ValueError(f"unknown model {name!r}: not 'bm25' and no --embeddings entry")
-        vec_path = embeddings.get(name)
-        for flag in ("metric", "threads") if vec_path is None else ("k1", "b", "params"):
-            if getattr(self.args, flag) is not None:
-                raise ValueError(f"{self.args.command} --model {name} does not read --{flag}")
-        return vec_path
+    # --model's vector file; None for BM25 or a command without model flags
+    vec_path = cached_property(lambda self: _vec_path(self.args) if hasattr(self.args, "model")
+                               else None)
 
     store = cached_property(lambda self: None if self.vec_path is None
                             else load_embeddings(self.vec_path, self.vec_path + ".json"))
@@ -324,23 +337,8 @@ def cmd_run(args: argparse.Namespace, inputs: _Inputs) -> int:
     _require(args, "corpus", "out")
     if (args.pool is None) == (args.benchmark is None):
         raise ValueError("run needs exactly one of --pool or --benchmark")
-    if args.tune:  # a flag that would make a tuned run rank otherwise is an error
-        if args.benchmark is not None:
-            raise ValueError("run --tune tunes on a --pool and cannot be used with --benchmark")
-        if _flag(args, "model") != "bm25":
-            raise ValueError(f"run --tune tunes BM25 only, not --model {args.model}")
-        for name in ("k1", "b", "params"):
-            if getattr(args, name) is not None:
-                raise ValueError(f"run --tune sets k1 and b itself; drop --{name}")
     cutoff = inputs.cutoff
     to_rank = inputs.pool if args.pool is not None else inputs.benchmark  # read and checked
-    if args.benchmark is not None and args.cutoff is not None:
-        # eval --benchmark scores a run as each closed pool's whole ranking
-        for entry in to_rank.entries:
-            count = len(entry.candidate_ids())
-            if count > cutoff:
-                raise ValueError(f"{args.benchmark}: query {entry.query_id!r} has {count} "
-                                 f"candidates, more than --cutoff {cutoff}")
     if args.tune:
         tuned = inputs.tuned_params(cutoff=cutoff)
         args.k1, args.b = tuned.k1, tuned.b
@@ -356,10 +354,8 @@ def cmd_run(args: argparse.Namespace, inputs: _Inputs) -> int:
 
 def cmd_eval(args: argparse.Namespace, inputs: _Inputs) -> int:
     _require(args, "run", "out")
-    if args.benchmark and args.pool is not None:
-        raise ValueError("eval --benchmark scores the benchmark's own candidates; drop --pool")
     stem = f"eval_{Path(args.run[0]).stem}"
-    if args.benchmark:
+    if args.benchmark is not None:
         if len(args.run) != 1:
             raise ValueError("benchmark evaluation takes exactly one --run")
         benchmark = inputs.benchmark
@@ -581,9 +577,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _merge_config(args, parser)
-        for flag, readers in _READERS.items():
-            if getattr(args, flag) is not None and args.command not in readers:
-                raise ValueError(f"{args.command} does not read --{flag}")
+        for who, flags in _unread(args):
+            for flag in flags:
+                if getattr(args, flag, None) is not None:
+                    raise ValueError(f"{who} does not read --{flag}")
         return args.func(args, _Inputs(args))
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}

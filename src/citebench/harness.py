@@ -143,7 +143,8 @@ def score_benchmark_rankings(rankings: Mapping[str, Sequence], benchmark: Benchm
 def rank_benchmark(model: RetrievalModel, benchmark: Benchmark,
                    corpus: Corpus) -> dict[str, list[tuple[str, float]]]:
     """Rank each entry's closed candidate pool (positives plus all negative
-    groups) whole, keyed by query id."""
+    groups) with no depth cut, keyed by query id. A dense ranking holds every
+    candidate; a BM25 ranking only those that some query term hits."""
     rankings: dict[str, list[tuple[str, float]]] = {}
     for entry in benchmark.entries:
         candidates = frozenset(entry.candidate_ids())
@@ -167,7 +168,8 @@ def candidate_type_breakdown(model: RetrievalModel, benchmark: Benchmark,
     The subset ranking is the closed-pool ranking with the other types'
     negatives filtered out, which equals ranking the subset on its own
     because `RetrievalModel.rank` orders a subset as it orders the full set.
-    The full pool is ranked whole, so filtering never loses a candidate.
+    The full pool is ranked with no depth cut, so filtering never loses a
+    candidate that the subset's own ranking would hold.
     """
     names = ("map", f"recall@{BENCHMARK_RECALL_CUTOFF}")
     score = metrics._scorer(names)

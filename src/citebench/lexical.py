@@ -120,9 +120,11 @@ class Bm25Index:
         return (1.0 - b) + (b * self.lengths[rows]) / self.avgdl
 
     def _pool_rows(self, pool) -> np.ndarray:
-        """The ascending distinct rows of the pool ids the index holds."""
-        row = self.numbering.row
-        return self.numbering.rows(filter(row.__contains__, pool)).astype(np.int32)
+        """The ascending distinct rows of the pool's ids; an id the index lacks raises KeyError."""
+        try:
+            return self.numbering.rows(pool).astype(np.int32)
+        except KeyError as exc:
+            raise KeyError(f"pool id {exc.args[0]!r} is not in the index") from None
 
 
 def _count_block(vocab: dict[str, int], tokens: list[str], lengths: np.ndarray):
@@ -319,8 +321,9 @@ def _ranked(index: Bm25Index, rows: np.ndarray, postings, params: Bm25Params, k:
 def search(index: Bm25Index, query_text: str, params: Bm25Params = Bm25Params(),
            k: int = 500, pool=None) -> list[tuple[str, float]]:
     """Top-k documents matching the query, optionally restricted to a pool
-    of doc ids; pool ids the index lacks are skipped. Descending score,
-    ties by ascending doc id; every returned score equals score() exactly.
+    of doc ids; a pool id the index lacks raises KeyError naming it.
+    Descending score, ties by ascending doc id; every returned score equals
+    score() exactly.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -346,6 +349,8 @@ def search_pool(index: Bm25Index, queries, pool, params: Bm25Params = Bm25Params
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if not queries:  # no query runs a search, so no pool id is checked (as in knn_pool)
+        return {}
     view = _pooled(index, index._pool_rows(pool))
     return {qid: _ranked(index, view.rows, view.postings(*_token_terms(index, analyze(text))),
                          params, k, exclude=index.numbering.row.get(qid))
@@ -423,7 +428,7 @@ def tune_params(index: Bm25Index, validation: list[tuple[str, set]], grid: list[
     `validation` pairs query text with the query's positive id set. Ties
     break toward smaller (b, k1). The top k is taken over the pool (k =
     `cutoff`, else the pool's or the index's size), and validation queries
-    are not left out of it.
+    are not left out of it. A pool id the index lacks raises KeyError.
 
     The pool's postings are gathered once; each query is analyzed, sliced
     from them and its hits numbered once. A grid point is then scored from

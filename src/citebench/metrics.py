@@ -26,7 +26,7 @@ from .util import sum_in_order
 DEFAULT_OBJECTIVE = "map"
 
 
-def ranked_ids(ranked: Iterable) -> list[str]:
+def _ranked_ids(ranked: Iterable) -> list[str]:
     """The ids of a ranking given as bare ids or (id, score) pairs, in rank order."""
     return [item[0] if isinstance(item, tuple) else item for item in ranked]
 
@@ -44,7 +44,7 @@ def _first_ranks(ranked: Iterable, relevant) -> tuple[list[int], int, int]:
     arguments of every metric's rank form."""
     missing = _relevant_set(relevant)
     count = len(missing)
-    ids = ranked_ids(ranked)
+    ids = _ranked_ids(ranked)
     ranks = []
     for rank, doc in enumerate(ids, start=1):
         if doc in missing:

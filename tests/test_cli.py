@@ -581,27 +581,23 @@ def test_run_rejects_cutoff_below_one(pipeline, tmp_path, capsys, model, source)
     assert main(["run", "--corpus", pref_path, *ids, "--model", model,
                  "--embeddings", f"dense_a={emb['dense_a']}", "--cutoff", "0",
                  "--out", str(out)]) == 1
-    assert _error(capsys) == "cutoff must be >= 1, got 0"
+    # a closed pool is ranked whole, so run --benchmark takes no cutoff at all
+    assert _error(capsys) == ("cutoff must be >= 1, got 0" if source == "pool"
+                              else "run --benchmark does not read --cutoff")
     assert not out.exists()
 
 
 @pytest.mark.parametrize("model", ["bm25", "dense_a"])
-def test_run_benchmark_rejects_cutoff_below_a_closed_pool(pipeline, tmp_path, capsys, model):
+def test_run_benchmark_rejects_a_cutoff_of_any_size(pipeline, tmp_path, capsys, model):
     root, pref_path, emb, pools, run_files, bench_path = pipeline
     argv = ["run", "--corpus", pref_path, "--benchmark", bench_path, "--model", model,
             "--embeddings", f"dense_a={emb['dense_a']}"]
-    assert main([*argv, "--cutoff", "3", "--out", str(tmp_path / "short")]) == 1
-    entry = read_benchmark_jsonl(bench_path).entries[0]
-    assert _error(capsys) == (f"{bench_path}: query {entry.query_id!r} has "
-                              f"{len(entry.candidate_ids())} candidates, more than --cutoff 3")
-    assert not (tmp_path / "short").exists()
-    # a cutoff that covers every closed pool ranks as no cutoff does
+    # one below a closed pool's candidate count and one that covers every pool
     largest = max(len(e.candidate_ids()) for e in read_benchmark_jsonl(bench_path).entries)
-    assert main([*argv, "--cutoff", str(largest), "--out", str(tmp_path / "covered")]) == 0
-    assert main([*argv, "--out", str(tmp_path / "default")]) == 0
-    name = f"run_{model}.tsv"
-    assert ((tmp_path / "covered" / name).read_bytes()
-            == (tmp_path / "default" / name).read_bytes())
+    for cutoff in ("3", str(largest)):
+        assert main([*argv, "--cutoff", cutoff, "--out", str(tmp_path / "out")]) == 1
+        assert _error(capsys) == "run --benchmark does not read --cutoff"
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("model", ["bm25", "dense_a"])
@@ -622,8 +618,8 @@ def test_run_benchmark_ranks_a_closed_pool_past_500_whole(workspace, tmp_path, c
     assert len(ranked) > 500 and {doc for doc, _ in ranked} <= set(ids[1:606])
     capsys.readouterr()
     assert main([*argv, "--cutoff", "500", "--out", str(tmp_path / "cut")]) == 1
-    assert _error(capsys) == (f"{bench_path}: query {ids[0]!r} has 605 candidates, "
-                              "more than --cutoff 500")
+    assert _error(capsys) == "run --benchmark does not read --cutoff"
+    assert not (tmp_path / "cut").exists()
 
 
 @pytest.mark.parametrize("command, where", [("run", "query"), ("run", "pool"),
@@ -787,6 +783,48 @@ def test_model_flag_the_backend_never_reads_rejected(pipeline, tmp_path, capsys,
     assert not out.exists()
 
 
+_DENSE = ["--model", "dense_a", "--embeddings", "dense_a=dense_a.f32"]
+# (argv, flag, value, who) for every flag that an invocation never reads:
+# `who` is the command and the flags in argv that decide it
+_UNREAD = [
+    *(([command], "threads", 7, command)
+      for command in ("ingest", "prefilter", "pool", "tune", "eval", "benchgen", "report")),
+    *(([command], "corpus", "corpus.jsonl", command) for command in ("eval", "report")),
+    *(([command, "--model", "bm25"], flag, value, f"{command} --model bm25")
+      for command in ("run", "breakdown") for flag, value in (("metric", "dot"), ("threads", 7))),
+    *(([command, *_DENSE], flag, value, f"{command} --model dense_a")
+      for command in ("run", "breakdown")
+      for flag, value in (("k1", 1.5), ("b", 0.5), ("params", "params.json"), ("tune", True))
+      if (command, flag) != ("breakdown", "tune")),
+    *((["run", "--tune"], flag, value, "run --tune")
+      for flag, value in (("k1", 1.5), ("b", 0.5), ("params", "params.json"),
+                          ("benchmark", "benchmark.jsonl"))),
+    *(([command, "--benchmark", "benchmark.jsonl"], flag, value, f"{command} --benchmark")
+      for command, flag, value in (("run", "cutoff", 500), ("run", "pool", ["pool.json"]),
+                                   ("eval", "pool", ["pool.json"]))),
+]
+
+
+@pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("argv, flag, value, who", _UNREAD,
+                         ids=[f"{who.replace(' --', '-').replace(' ', '-')}-{flag}"
+                              for _, flag, _, who in _UNREAD])
+def test_flag_the_invocation_never_reads_rejected(tmp_path, capsys, by_config, argv, flag,
+                                                  value, who):
+    if by_config:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({flag: value}))
+        argv = [*argv, "--config", str(config)]
+    elif value is True:
+        argv = [*argv, f"--{flag}"]
+    else:
+        argv = [*argv, f"--{flag}", *map(str, value if isinstance(value, list) else [value])]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert _error(capsys) == f"{who} does not read --{flag}"
+    assert not out.exists()
+
+
 def _with_ghosts(pool_path, tmp_path, *, pool_ids=(), query_ids=()) -> str:
     """A copy of the pool file with ids that no corpus holds added."""
     obj = json.loads(Path(pool_path).read_text(encoding="utf-8"))
@@ -851,3 +889,55 @@ def test_benchmark_ids_outside_the_corpus_rejected(pipeline, tmp_path, capsys, w
                  "--out", str(out)]) == 1
     assert _error(capsys) == f"{bench}: id 'GHOST' is not in the corpus"
     assert not out.exists()
+
+
+# one accepted invocation per subcommand, and a --config form of two, with the
+# config_hash its manifests record; a change to a flag's dest, default, type
+# or config coercion changes these digests
+_HASHED = [
+    (["ingest", "--corpus", "corpus.jsonl", "--reject-budget", "3"], {},
+     "2b94d939f8ff29b0c8677d1d48a8b999784c5e9ece00db04fa8b3305539e4852"),
+    (["prefilter", "--corpus", "corpus.jsonl", "--min-citations", "2"], {},
+     "7d8bda023e00fa11e525eea7920e4822f52aa6580fb655dcc62258e8b61ce276"),
+    (["pool", "--corpus", "pref.jsonl", "--setup", "field", "--field", "Med", "--size", "250",
+      "--queries", "4", "--repetitions", "1", "--seed", "97"], {},
+     "a169cad9f8c9e11de356b791c46c1765cc9a29bc25c502be63cb44e69e2bb8ff"),
+    (["tune", "--corpus", "pref.jsonl", "--pool", "pool.json", "--cutoff", "100"], {},
+     "322b442a48606a097ce25109ed1bee8b0d41d71c62535a66712147b123d6ac87"),
+    (["tune", "--pool", "pool.json"], {"corpus": "pref.jsonl", "cutoff": 100},
+     "322b442a48606a097ce25109ed1bee8b0d41d71c62535a66712147b123d6ac87"),
+    (["run", "--corpus", "pref.jsonl", "--pool", "pool.json", "--model", "bm25",
+      "--params", "params.json", "--cutoff", "200"], {},
+     "7437354cdec09d29d236c7d04c5c3b8f94bc21e1509db8e8f6e2ad80629df11e"),
+    (["run", "--corpus", "pref.jsonl", "--pool", "pool.json", *_DENSE, "--metric", "dot",
+      "--threads", "2"], {},
+     "651e58737e6086950074ff00ca71f4e0f8dce320c53ab06673f0bbdea141102e"),
+    (["run", "--pool", "pool.json"], {"corpus": "pref.jsonl", "k1": 1, "b": 0.5, "tune": False},
+     "7d823eb57c3079a45d8e1e41c71e04777d4a973a7a136a4f31b4ee6c3676d885"),
+    (["run", "--corpus", "pref.jsonl", "--benchmark", "benchmark.jsonl", "--model", "bm25"],
+     {}, "52bf7ecd52aa65af27a0cf0ea5c8b8bd30eea566d72a3b4813241eb085c55c57"),
+    (["eval", "--run", "run_bm25.tsv", "--pool", "pool.json", "--recall-cutoff", "30"], {},
+     "b07fd25f67dcf595c2451ab9e88c87777706f1dabab2622e28183e9ff48b87b9"),
+    (["eval", "--run", "run_bm25.tsv", "--benchmark", "benchmark.jsonl"], {},
+     "e7f35d299da32241fb850e274b0769f13ce6eccf188d2873bca9bd597bd47638"),
+    (["benchgen", "--corpus", "pref.jsonl", "--seed", "98", "--pool", "pool.json",
+      "--run", "bm25=run_bm25.tsv", "--depth", "50"], {},
+     "c67739e1eecc59af6f9821f7f9bf609c7aeafa06a49a4749eb1edb258c45e02b"),
+    (["breakdown", "--corpus", "pref.jsonl", "--benchmark", "benchmark.jsonl", *_DENSE], {},
+     "6a7ef30c02a486bcd2823916c8a6872a3f8ef70ce035c8cb12acf545a344f8bb"),
+    (["report", "--eval", "bm25=eval.json", "--format", "markdown"], {},
+     "4a5c5850e84f7f7aa7d83bf9ef57adbe4ada1285dc6690ea03bc873b64f2bc4a"),
+]
+
+
+@pytest.mark.parametrize("argv, config, digest", _HASHED,
+                         ids=[f"{argv[0]}-{i}" for i, (argv, _, _) in enumerate(_HASHED)])
+def test_config_hash_is_pinned(tmp_path, argv, config, digest):
+    if config:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    parser = cli.build_parser()
+    args = parser.parse_args([*argv, "--out", str(tmp_path / "out")])
+    cli._merge_config(args, parser)
+    assert cli._config_hash(args) == digest

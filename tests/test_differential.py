@@ -66,9 +66,7 @@ def index_of(docs):
 def pool_from(draw, ids):
     if draw(st.booleans()):
         return None
-    chosen = draw(st.lists(st.sampled_from(ids), unique=True))
-    ghosts = draw(st.lists(st.sampled_from(["ghost", "x404"]), unique=True))
-    return set(chosen) | set(ghosts)
+    return set(draw(st.lists(st.sampled_from(ids), unique=True)))
 
 
 class TestBm25AgainstDictKernel:
@@ -152,9 +150,7 @@ class TestBm25AgainstMaskSearch:
         docs = tied_docs(docs)
         ix, _ = index_of(docs)
         ids = [i for i, _ in docs]
-        pool = data.draw(st.one_of(st.none(), st.just(set()), st.builds(
-            lambda chosen, ghosts: chosen | ghosts, st.sets(st.sampled_from(ids)),
-            st.sets(st.sampled_from(["ghost", "x404"])))))
+        pool = data.draw(st.one_of(st.none(), st.just(set()), st.sets(st.sampled_from(ids))))
         k = data.draw(st.integers(1, ix.N + 2))
         params, query = Bm25Params(k1, b), " ".join(tokens)
         assert search(ix, query, params, k, pool) == mask_search(ix, query, params, k, pool)
@@ -165,7 +161,7 @@ class TestBm25AgainstMaskSearch:
         docs = tied_docs(docs)
         ix, _ = index_of(docs)
         ids = [i for i, _ in docs]
-        pool = data.draw(st.sets(st.sampled_from(ids + ["ghost"])))
+        pool = data.draw(st.sets(st.sampled_from(ids)))
         # query ids inside the pool, outside it, and unknown to the index
         queries = data.draw(st.lists(st.tuples(st.sampled_from(ids + ["q404"]),
                                                query_tokens.map(" ".join)),
@@ -181,7 +177,7 @@ class TestBm25AgainstMaskSearch:
     def test_gathers_equal_mask_gather(self, docs, tokens, k1, b, data):
         docs = tied_docs(docs)
         ix, _ = index_of(docs)
-        pool = data.draw(st.sets(st.sampled_from([i for i, _ in docs] + ["ghost"])))
+        pool = data.draw(st.sets(st.sampled_from([i for i, _ in docs])))
         rows = ix._pool_rows(pool)
         terms = mask_query_terms(ix, tokens, pool_mask(ix, pool))
         exclude = data.draw(st.one_of(st.none(), st.integers(0, ix.N - 1)))
@@ -205,8 +201,7 @@ class TestBm25AgainstMaskSearch:
         ix, _ = index_of(docs)
         cases = [
             ("a c", set()),                       # an empty pool
-            ("a c", {"ghost", "x404"}),           # only ids the index lacks
-            ("a b", {"d3", "ghost"}),             # no pooled token
+            ("a b", {"d3"}),                      # no pooled token
             ("zz unseen", None),                  # no token in the index
             ("a a c a", {"d1", "d4", "d5"}),      # repeated tokens
             ("a c", {"d4", "d5", "d3", "d1"}),    # d4 and d5 tie
@@ -218,7 +213,7 @@ class TestBm25AgainstMaskSearch:
                     got = search(ix, query, params, k, pool)
                     assert got == mask_search(ix, query, params, k, pool)
         assert search(ix, "a c", k=10, pool=set()) == []
-        assert search(ix, "a b", k=10, pool={"d3", "ghost"}) == []
+        assert search(ix, "a b", k=10, pool={"d3"}) == []
         assert [d for d, _ in search(ix, "a c", k=10, pool={"d4", "d5", "d3"})] == [
             "d4", "d5", "d3"]
 
@@ -352,7 +347,7 @@ class TestTuneAgainstListwise:
     def test_query_with_no_pooled_token(self):
         docs = [("d1", ["a", "a", "b"]), ("d2", ["b", "c"]), ("d3", ["c"]), ("d4", ["a", "c"])]
         ix, _ = index_of(docs)
-        pool = {"d1", "d2", "d3", "ghost"}
+        pool = {"d1", "d2", "d3"}
         # "d" is in no document and "a c" reaches the pool only through d1 and d3
         validation = [("d", {"d1"}), ("a c", {"d4", "d3"}), ("unseen", {"d2", "ghost"}),
                       ("b a", {"d1", "d2"})]
@@ -898,11 +893,12 @@ def draw_pool_and_queries(draw, query_ids, pool_ids):
     """Queries drawn from `query_ids`; a pool drawn from `pool_ids` that may
     be empty, hold only one query, or hold or miss any query."""
     queries = draw(st.lists(st.sampled_from(query_ids), unique=True, max_size=6))
+    pooled = [q for q in queries if q in pool_ids]
     shape = draw(st.sampled_from(["any", "any", "empty", "only-query"]))
     if shape == "empty":
         pool = set()
-    elif shape == "only-query" and queries:
-        pool = {draw(st.sampled_from(queries))}
+    elif shape == "only-query" and pooled:
+        pool = {draw(st.sampled_from(pooled))}
     else:
         pool = set(draw(st.lists(st.sampled_from(pool_ids), unique=True)))
     return pool, queries
@@ -913,8 +909,7 @@ def assert_same_run(run, expected):
     assert list(run.rankings) == list(expected.rankings)
 
 
-# articles outside the index: queries with no indexed row and pool ids the
-# index lacks
+# articles outside the index: queries with no indexed row
 UNINDEXED = ["u1", "Q0", "zz0"]
 
 
@@ -928,7 +923,7 @@ class TestRunRetrievalBm25AgainstPerQuery:
         corpus = Corpus([make_article(i, title=" ".join(tokens), abstract="")
                          for i, tokens in list(docs) + list(zip(UNINDEXED, extra))])
         ids = list(corpus.ids())
-        pool, queries = draw_pool_and_queries(data.draw, ids, ids + ["ghost", "x404"])
+        pool, queries = draw_pool_and_queries(data.draw, ids, [i for i, _ in docs])
         cutoff = data.draw(st.integers(1, len(ids) + 3))
         model = Bm25Model(ix, Bm25Params(k1, b))
         run = run_retrieval(model, pool_set_of(pool, queries), corpus, cutoff)
@@ -945,7 +940,7 @@ class TestRunRetrievalBm25AgainstPerQuery:
         ix, _ = index_of([(i, t.split()) for i, t in texts.items()])
         corpus = Corpus([make_article(i, title=t, abstract="") for i, t in texts.items()])
         model = Bm25Model(ix)
-        for pool in ({"Q0"}, {"d1"}, {"Q0", "d2"}, {"ghost"}, set()):
+        for pool in ({"Q0"}, {"d1"}, {"Q0", "d2"}, set()):
             pool_set = pool_set_of(pool, ["Q0", "d2"])
             run = run_retrieval(model, pool_set, corpus, 5)
             assert_same_run(run, per_query_run_retrieval(model, pool_set, corpus, 5))
@@ -1103,6 +1098,15 @@ class TestRunRetrievalErrors:
         model = DenseModel(self._store(["a", "b", "c"]))
         pool_set = pool_set_of({"a", "ghost"}, ["b", "c"])
         with pytest.raises(KeyError, match="pool id 'ghost' has no embedding row"):
+            run_retrieval(model, pool_set, corpus, 5)
+        assert (run_outcome(run_retrieval, model, pool_set, corpus, 5)
+                == run_outcome(per_query_run_retrieval, model, pool_set, corpus, 5))
+
+    def test_pool_id_outside_the_index(self):
+        corpus = Corpus([make_article(i) for i in ("a", "b", "c")])
+        model = Bm25Model(build_index(corpus))
+        pool_set = pool_set_of({"a", "ghost"}, ["b", "c"])
+        with pytest.raises(KeyError, match="pool id 'ghost' is not in the index"):
             run_retrieval(model, pool_set, corpus, 5)
         assert (run_outcome(run_retrieval, model, pool_set, corpus, 5)
                 == run_outcome(per_query_run_retrieval, model, pool_set, corpus, 5))
@@ -1302,7 +1306,7 @@ class TestScoringAgainstListForms:
     @given(drawn=closed_benchmarks())
     def test_candidate_type_breakdown(self, drawn):
         bench, rankings = drawn
-        order = {q: [(doc, -float(r)) for r, doc in enumerate(metrics.ranked_ids(ranked))]
+        order = {q: [(doc, -float(r)) for r, doc in enumerate(metrics._ranked_ids(ranked))]
                  for q, ranked in rankings.items()}
         model = _Replay(order)
         corpus = Corpus([make_article(e.query_id) for e in bench.entries])

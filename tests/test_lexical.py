@@ -235,11 +235,22 @@ class TestSearch:
 
     def test_duplicated_pool_ids_rank_once(self):
         ix = build_index(corpus_from_texts({"d1": "a", "d2": "a b", "d3": "a"}))
-        pool = ["d2", "d3", "d2", "ghost", "d3", "d2"]
+        pool = ["d2", "d3", "d2", "d3", "d2"]
         expected = search(ix, "a b", k=10, pool={"d2", "d3"})
         assert [doc for doc, _ in expected] == ["d2", "d3"]
         assert search(ix, "a b", k=10, pool=pool) == expected
         assert lexical.search_pool(ix, [("d1", "a b")], pool, k=10) == {"d1": expected}
+
+    def test_pool_id_the_index_lacks_raises(self):
+        ix = build_index(corpus_from_texts({"d1": "a", "d2": "a b"}))
+        pool = ["d1", "GHOST", "d2"]
+        for call in (lambda: search(ix, "a", pool=pool),
+                     lambda: search_pool(ix, [("d1", "a")], pool),
+                     lambda: tune_params(ix, [("a", {"d2"})], [Bm25Params()], pool=pool)):
+            with pytest.raises(KeyError, match="pool id 'GHOST' is not in the index"):
+                call()
+        # a query outside the index is still ranked against the pool
+        assert search_pool(ix, [("q404", "a")], ["d1"]) == {"q404": search(ix, "a", pool=["d1"])}
 
     def test_deterministic_across_calls(self):
         ix = build_index(corpus_from_texts({f"d{i}": f"w{i % 3} w{i % 5}" for i in range(20)}))

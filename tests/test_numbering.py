@@ -183,7 +183,7 @@ class TestSharedNumbering:
         assert loaded.numbering is not corpus.numbering
         assert loaded.numbering.row == corpus.numbering.row
         ids = corpus.ids()
-        pool = set(data.draw(st.lists(st.sampled_from(ids)))) | {"ghost"}
+        pool = set(data.draw(st.lists(st.sampled_from(ids))))
         query = " ".join(data.draw(st.lists(st.sampled_from(VOCAB + ["unseen"]), max_size=5)))
         k = data.draw(st.integers(1, len(ids) + 1))
         assert search(loaded, query, k=k) == search(index, query, k=k)
