@@ -364,11 +364,11 @@ def write_benchmark_jsonl(benchmark: Benchmark, path, manifest_path=None) -> Non
 
 def read_benchmark_jsonl(path, manifest_path=None) -> Benchmark:
     """Read a benchmark file; errors name `path:line` or the manifest path.
-    Each line is an object with string `query_id` and `field`, `positives`
-    a list of strings and `negatives` an object of lists of strings, keyed by
-    the manifest's `types` (a list of strings) or else the first entry's.
-    An entry needs a positive, and its query and candidates (positives and
-    negatives) must be distinct ids."""
+    Each line is an object with string `query_id`, `field` one of
+    FIELD_ABBREVS, `positives` a list of strings and `negatives` an object
+    of lists of strings, keyed by the manifest's `types` (a list of strings)
+    or else the first entry's. An entry needs a positive, and its query and
+    candidates (positives and negatives) must be distinct ids."""
     manifest = {} if manifest_path is None else checked(
         read_json(manifest_path), manifest_path, "benchmark manifest")
     if "types" in manifest:
@@ -396,6 +396,8 @@ def _parse_entry(obj, where: str) -> BenchmarkEntry:
     checked(obj, where, "entry", query_id="a string", field="a string",
             positives="a list of strings", negatives="an object of lists of strings")
     entry = BenchmarkEntry(obj["query_id"], obj["field"], obj["positives"], obj["negatives"])
+    if entry.field not in FIELD_ABBREVS:
+        raise ValueError(f"{where}: field {entry.field!r} is not one of the field abbreviations")
     # a closed pool ranks its candidates once each, never against the query
     if not entry.positives:
         raise ValueError(f"{where}: entry has no positives")

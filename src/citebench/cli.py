@@ -9,7 +9,7 @@ byte-identical output tree. Every artifact gets a sibling
 resolved configuration (output paths excluded from the hash).
 
 `main` rejects each flag, set by flag or by --config, that `_unread` says the
-invocation never reads; unset flags are not checked, so config_hash is kept.
+invocation never reads or that is below _LEAST; unset flags keep config_hash.
 
 `main` hands each subcommand an _Inputs, its one input context: it loads
 each input at most once, checks each id file in one step, and creates --out
@@ -50,6 +50,8 @@ _CLI_DEFAULTS = {"queries": 200, "cutoff": DEFAULT_CUTOFF, "model": "bm25"}
 # first rule of _unread); --threads is a dense model's row chunks
 _READERS = {"threads": ("run", "breakdown"),
             "corpus": ("ingest", "prefilter", "pool", "tune", "run", "benchgen", "breakdown")}
+# the least value of each integer flag that has one, checked only when the flag is set
+_LEAST = {"cutoff": 1, "threads": 1, "reject_budget": 0}
 
 
 def _display_metric(key: str) -> str:
@@ -101,9 +103,10 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 
 
 def _given(args: argparse.Namespace, **params: str) -> dict:
-    """{parameter: flag value} for the flags that were set; the callee's defaults do the rest."""
+    """{parameter: flag value} for the flags that were set (a flag the subcommand
+    lacks never is); the callee's defaults do the rest."""
     return {param: getattr(args, flag) for param, flag in params.items()
-            if getattr(args, flag) is not None}
+            if getattr(args, flag, None) is not None}
 
 
 def _flag(args: argparse.Namespace, name: str):
@@ -148,6 +151,8 @@ def _unread(args: argparse.Namespace):
         yield "run --tune", ("k1", "b", "params", "benchmark")
     if getattr(args, "benchmark", None) is not None:  # its entries' candidates, with no depth cut
         yield f"{args.command} --benchmark", ("cutoff", "pool")
+    if getattr(args, "setup", None) == "dataset":
+        yield "pool --setup dataset", ("field",)
 
 
 def _bm25_params(args: argparse.Namespace) -> Bm25Params:
@@ -167,21 +172,11 @@ class _Inputs:
     def __init__(self, args: argparse.Namespace):
         self.args = args
 
-    @cached_property
-    def corpus(self):
-        budget = getattr(self.args, "reject_budget", None)  # only ingest and prefilter
-        options = {} if budget is None else {"reject_budget": budget}
-        return load_corpus(self.args.corpus, **options)
+    corpus = cached_property(lambda self: load_corpus(
+        self.args.corpus, **_given(self.args, reject_budget="reject_budget")))
 
     graph = cached_property(lambda self: build_citation_graph(self.corpus))
     index = cached_property(lambda self: build_index(self.corpus))
-
-    @cached_property
-    def cutoff(self) -> int:
-        cutoff = _flag(self.args, "cutoff")
-        if cutoff < 1:
-            raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-        return cutoff
 
     # --model's vector file; None for BM25 or a command without model flags
     vec_path = cached_property(lambda self: _vec_path(self.args) if hasattr(self.args, "model")
@@ -304,11 +299,10 @@ def cmd_pool(args: argparse.Namespace, inputs: _Inputs) -> int:
     if args.exclude:
         options["exclusion_ids"] = frozenset(Path(args.exclude).read_text(encoding="utf-8").split())
     plan = SamplingPlan(queries_per_unit=_flag(args, "queries"), rng_seed=args.seed, **options)
-    field = args.field if args.setup == "field" else None
-    queries = sample_queries(corpus, graph, plan, field=field)
+    queries = sample_queries(corpus, graph, plan, field=args.field)  # None for --setup dataset
     if args.setup == "field":
-        builder = lambda s: build_field_pool(corpus, graph, field, queries, args.size, s)
-        stem = f"pool_field_{field}_{args.size}"
+        builder = lambda s: build_field_pool(corpus, graph, args.field, queries, args.size, s)
+        stem = f"pool_field_{args.field}_{args.size}"
     else:
         builder = lambda s: build_dataset_pool(corpus, graph, queries, args.size, s)
         stem = f"pool_dataset_{args.size}"
@@ -326,7 +320,7 @@ def cmd_pool(args: argparse.Namespace, inputs: _Inputs) -> int:
 
 def cmd_tune(args: argparse.Namespace, inputs: _Inputs) -> int:
     _require(args, "corpus", "pool", "out")
-    best = inputs.tuned_params(cutoff=inputs.cutoff, **_given(args, objective="objective"))
+    best = inputs.tuned_params(cutoff=_flag(args, "cutoff"), **_given(args, objective="objective"))
     inputs.write_json("bm25_params.json", {"k1": best.k1, "b": best.b})
     inputs.write_manifest("bm25_params")
     print(f"tune: best k1={best.k1} b={best.b}")
@@ -337,7 +331,7 @@ def cmd_run(args: argparse.Namespace, inputs: _Inputs) -> int:
     _require(args, "corpus", "out")
     if (args.pool is None) == (args.benchmark is None):
         raise ValueError("run needs exactly one of --pool or --benchmark")
-    cutoff = inputs.cutoff
+    cutoff = _flag(args, "cutoff")
     to_rank = inputs.pool if args.pool is not None else inputs.benchmark  # read and checked
     if args.tune:
         tuned = inputs.tuned_params(cutoff=cutoff)
@@ -581,6 +575,10 @@ def main(argv: list[str] | None = None) -> int:
             for flag in flags:
                 if getattr(args, flag, None) is not None:
                     raise ValueError(f"{who} does not read --{flag}")
+        for flag, least in _LEAST.items():
+            value = getattr(args, flag, None)
+            if value is not None and value < least:
+                raise ValueError(f"{flag} must be >= {least}, got {value}")
         return args.func(args, _Inputs(args))
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}

@@ -170,6 +170,8 @@ def load_corpus(path, *, reject_budget: int = 0) -> Corpus:
     Malformed lines are rejected and counted; exceeding `reject_budget`
     raises, naming `path:line`. A duplicate id always raises, naming the path.
     """
+    if reject_budget < 0:
+        raise ValueError(f"reject_budget must be >= 0, got {reject_budget}")
     articles: list[Article] = []
     rejected = 0
     with open(path, "r", encoding="utf-8") as fh:

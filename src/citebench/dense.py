@@ -6,8 +6,8 @@ the file is mapped read-only, so its pages stay the file's, not the heap's.
 Search is an exhaustive scan, never approximate: each block of rows is
 reduced row by row in float64, and each query's score row then gets its
 metric's elementwise finish once, so results do not depend on how the rows
-are chunked. util.Numbering.top selects each query's k best before sorting
-only those.
+are chunked. knn and knn_pool are one-query and batch calls of one core,
+_knn; util.Numbering.top selects each query's k best before sorting only those.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ METRICS = ("cosine", "dot", "euclidean")
 # memory
 _BLOCK = 512
 
-# Most bytes of float64 scores that knn_pool holds for one group of queries
+# Most bytes of float64 scores that _knn holds for one group of queries
 _SCORE_BUDGET = 32 << 20
 
 
@@ -128,21 +128,13 @@ def save_embeddings(ids: Sequence[str], vectors: np.ndarray, vector_path, manife
         fh.write("\n")
 
 
-def _check(k: int, metric: str) -> None:
+def _check(k: int, metric: str, chunks: int) -> None:
     if k < 1:
         raise ValueError("k must be >= 1")
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
-
-
-def _pool_rows(store: EmbeddingStore, pool) -> np.ndarray:
-    """The pool's rows in ascending order, or every row when pool is None."""
-    if pool is None:
-        return np.arange(len(store.ids), dtype=np.intp)
-    try:
-        return store.numbering.rows(pool)
-    except KeyError as exc:
-        raise KeyError(f"pool id {exc.args[0]!r} has no embedding row") from None
+    if chunks < 1:
+        raise ValueError(f"chunks must be >= 1, got {chunks}")
 
 
 def _scan(store: EmbeddingStore, rows: np.ndarray, queries: np.ndarray, metric: str,
@@ -178,6 +170,28 @@ def _scan(store: EmbeddingStore, rows: np.ndarray, queries: np.ndarray, metric: 
     return scores
 
 
+def _knn(store: EmbeddingStore, queries: np.ndarray, excluded: list, pool, k: int,
+         metric: str, chunks: int) -> list[list[tuple[str, float]]]:
+    """The top k of each row of `queries` over the pool (every row when None),
+    its row in `excluded` cut; groups of queries are cast to float64 and
+    scanned at once, each group's scores within _SCORE_BUDGET bytes."""
+    try:
+        rows = (np.arange(len(store.ids), dtype=np.intp) if pool is None
+                else store.numbering.rows(pool))
+    except KeyError as exc:
+        raise KeyError(f"pool id {exc.args[0]!r} has no embedding row") from None
+    if rows.size == 0:
+        return [[] for _ in excluded]
+    descending = metric in ("cosine", "dot")
+    group = max(1, _SCORE_BUDGET // (8 * rows.size))
+    ranked = []
+    for start in range(0, len(queries), group):
+        scores = _scan(store, rows, queries[start:start + group].astype(np.float64), metric, chunks)
+        ranked += [store.numbering.top(rows, row_scores, k, descending, exclude=row)
+                   for row_scores, row in zip(scores, excluded[start:start + group])]
+    return ranked
+
+
 def knn(store: EmbeddingStore, query, k: int, metric: str = "cosine",
         pool=None, chunks: int = 1) -> list[tuple[str, float]]:
     """Exact top-k under the metric, optionally restricted to a pool of ids.
@@ -188,15 +202,11 @@ def knn(store: EmbeddingStore, query, k: int, metric: str = "cosine",
     for scanning, in blocks of at most _BLOCK rows; scores are row-local, so
     results are identical for every partition.
     """
-    _check(k, metric)
+    _check(k, metric, chunks)
     q = np.asarray(query, dtype=np.float64).reshape(-1)
     if q.shape[0] != store.dim:
         raise ValueError(f"query has dimension {q.shape[0]}, store has {store.dim}")
-    rows = _pool_rows(store, pool)
-    if rows.size == 0:
-        return []
-    scores = _scan(store, rows, q[np.newaxis], metric, chunks)[0]
-    return store.numbering.top(rows, scores, k, descending=metric in ("cosine", "dot"))
+    return _knn(store, q[np.newaxis], [None], pool, k, metric, chunks)[0]
 
 
 def knn_pool(store: EmbeddingStore, query_ids: Sequence[str], pool, k: int,
@@ -205,29 +215,15 @@ def knn_pool(store: EmbeddingStore, query_ids: Sequence[str], pool, k: int,
     query id in the given order; a query is never its own candidate.
 
     Equal to knn(store, store.vector(q), k, metric, pool - {q}, chunks) for
-    every q, but the pool's rows are sorted once, and each block of rows is
-    gathered and cast once per group of queries rather than once per query.
-    A group's score matrix stays within _SCORE_BUDGET bytes; each of its
-    rows is finished once and its query's row is cut before the top k is
-    selected.
+    every q, but each block of rows is gathered and cast once per group of
+    queries rather than once per query.
     """
-    _check(k, metric)
+    _check(k, metric, chunks)
     if not query_ids:
         return {}
     try:
         query_rows = [store.numbering.row[q] for q in query_ids]
     except KeyError as exc:
         raise KeyError(f"no embedding row for query {exc.args[0]!r}") from None
-    rows = _pool_rows(store, pool)
-    if rows.size == 0:
-        return {q: [] for q in query_ids}
-    descending = metric in ("cosine", "dot")
-    group = max(1, _SCORE_BUDGET // (8 * rows.size))
-    out = {}
-    for start in range(0, len(query_ids), group):
-        group_rows = query_rows[start:start + group]
-        queries = store.vectors[group_rows].astype(np.float64)
-        for q, q_row, scores in zip(query_ids[start:start + group], group_rows,
-                                    _scan(store, rows, queries, metric, chunks)):
-            out[q] = store.numbering.top(rows, scores, k, descending, exclude=q_row)
-    return out
+    return dict(zip(query_ids, _knn(store, store.vectors[query_rows], query_rows, pool, k,
+                                    metric, chunks)))

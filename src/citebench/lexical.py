@@ -14,18 +14,18 @@ by ascending doc id.
 Search ranks a candidate set, held as ascending rows, from the query's
 postings restricted to it: each posting carries its place among the
 candidates, its tf and its token's idf, laid out in query-token order (a
-repeated token repeats its postings). Two gathers make them. A pooled view
-keeps a pool's postings under the index's term numbering, so each query
-only slices it: search_pool and tune_params build one per call, search one
-for just the query's terms. A lookup binary-searches each candidate in
-each distinct query term's posting list, which is cheaper for small sets
-such as a closed benchmark entry; search picks it when the candidates
-times the distinct terms are fewer than those terms' postings. The
-contributions are summed by place with one np.bincount, which adds one
-weight at a time in posting order from 0.0, so each sum takes its terms in
-query-token order with score()'s operations: every returned score equals
-score() exactly. No array of the index's size is made per query, except
-when the whole index is the candidate set.
+repeated token repeats its postings). search and search_pool are the
+one-query and batch calls of one private core, _rank. Several queries
+slice one pooled view, which keeps a pool's postings under the index's
+term numbering. One query against a pool never builds it: it
+binary-searches each candidate in each distinct term's posting list when
+the candidates times the distinct terms are fewer than those terms'
+postings, as in a closed benchmark entry, and else filters its terms'
+lists to the candidates. The contributions are summed by place with one
+np.bincount, which adds one weight at a time in posting order from 0.0, so
+each sum takes its terms in query-token order with score()'s operations:
+every returned score equals score() exactly. No array of the index's size
+is made per query unless the whole index is the candidate set.
 
 Tuning (tune_params) scores each grid point from counted ranks instead of
 ranked lists. It sums the same contributions from the same pooled view
@@ -318,6 +318,33 @@ def _ranked(index: Bm25Index, rows: np.ndarray, postings, params: Bm25Params, k:
     return index.numbering.top(rows[hit], sums[hit], k, exclude=exclude)
 
 
+def _single(index: Bm25Index, rows: np.ndarray, terms: np.ndarray, idfs: np.ndarray):
+    """One query's (place, tf, idf) arrays over candidate `rows`: a lookup when
+    the candidates times its distinct terms are fewer than their postings."""
+    distinct = np.fromiter(set(terms.tolist()), dtype=np.intp)
+    listed = int((index.indptr[distinct + 1] - index.indptr[distinct]).sum())
+    gather = _looked_up if rows.size * distinct.size < listed else _filtered
+    return gather(index, rows, terms, idfs)
+
+
+def _rank(index: Bm25Index, queries: list[tuple[str, int | None]], pool, params: Bm25Params,
+          k: int) -> list[list[tuple[str, float]]]:
+    """The top k of each (query text, row left out) pair over one candidate
+    set: the pool's ids, or every row when pool is None."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not queries:  # no query runs a search, so no pool id is checked (as in knn_pool)
+        return []
+    if pool is None or len(queries) > 1:
+        view = _whole(index) if pool is None else _pooled(index, index._pool_rows(pool))
+        rows, gather = view.rows, view.postings
+    else:
+        rows = index._pool_rows(pool)
+        gather = lambda *query: _single(index, rows, *query)
+    return [_ranked(index, rows, gather(*_token_terms(index, analyze(text))), params, k, exclude)
+            for text, exclude in queries]
+
+
 def search(index: Bm25Index, query_text: str, params: Bm25Params = Bm25Params(),
            k: int = 500, pool=None) -> list[tuple[str, float]]:
     """Top-k documents matching the query, optionally restricted to a pool
@@ -325,19 +352,7 @@ def search(index: Bm25Index, query_text: str, params: Bm25Params = Bm25Params(),
     Descending score, ties by ascending doc id; every returned score equals
     score() exactly.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    terms, idfs = _token_terms(index, analyze(query_text))
-    if pool is None:
-        view = _whole(index)
-        return _ranked(index, view.rows, view.postings(terms, idfs), params, k)
-    rows = index._pool_rows(pool)
-    # a lookup costs about a binary search per candidate and distinct term,
-    # the pooled view about one per posting of the query's terms
-    distinct = np.fromiter(set(terms.tolist()), dtype=np.intp)
-    listed = int((index.indptr[distinct + 1] - index.indptr[distinct]).sum())
-    gather = _looked_up if rows.size * distinct.size < listed else _filtered
-    return _ranked(index, rows, gather(index, rows, terms, idfs), params, k)
+    return _rank(index, [(query_text, None)], pool, params, k)[0]
 
 
 def search_pool(index: Bm25Index, queries, pool, params: Bm25Params = Bm25Params(),
@@ -345,16 +360,11 @@ def search_pool(index: Bm25Index, queries, pool, params: Bm25Params = Bm25Params
     """Top-k for many (query id, query text) pairs against one shared pool,
     keyed by query id in the given order; a query is never its own
     candidate. Equal to search(index, text, params, k, pool - {id}) for each
-    pair, with the pool's postings gathered once for all of them.
+    pair; several queries share one gather of the pool's postings.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not queries:  # no query runs a search, so no pool id is checked (as in knn_pool)
-        return {}
-    view = _pooled(index, index._pool_rows(pool))
-    return {qid: _ranked(index, view.rows, view.postings(*_token_terms(index, analyze(text))),
-                         params, k, exclude=index.numbering.row.get(qid))
-            for qid, text in queries}
+    row = index.numbering.row
+    return dict(zip([qid for qid, _ in queries],
+                    _rank(index, [(text, row.get(qid)) for qid, text in queries], pool, params, k)))
 
 
 def default_tuning_grid() -> list[Bm25Params]:
@@ -405,8 +415,7 @@ class _TuningQuery:
 
 def _grid_values(index: Bm25Index, validation, grid, pool, objective: str,
                  cutoff: int | None) -> list[list[float]]:
-    """Each grid point's objective value per validation query, in order.
-    The pool's postings are gathered once, then each query's from them."""
+    """Each grid point's objective value per validation query, in order."""
     by_ranks = metrics._metric(objective)
     k = cutoff if cutoff is not None else (len(pool) if pool is not None else index.N)
     view = _whole(index) if pool is None else _pooled(index, index._pool_rows(pool))
@@ -428,15 +437,9 @@ def tune_params(index: Bm25Index, validation: list[tuple[str, set]], grid: list[
     `validation` pairs query text with the query's positive id set. Ties
     break toward smaller (b, k1). The top k is taken over the pool (k =
     `cutoff`, else the pool's or the index's size), and validation queries
-    are not left out of it. A pool id the index lacks raises KeyError.
-
-    The pool's postings are gathered once; each query is analyzed, sliced
-    from them and its hits numbered once. A grid point is then scored from
-    counted ranks, not from a ranked list: the postings' contributions are
-    summed per hit with np.bincount, in posting order from 0.0 as search
-    sums them, and Numbering.positive_ranks counts the positives' ranks
-    under top's one tie rule. So every objective value equals the one
-    scored from search's ranking, bit for bit.
+    are not left out of it. A pool id the index lacks raises KeyError. Each
+    objective value equals the one scored from search's ranking, bit for bit
+    (see the module docstring).
     """
     if not grid:
         raise ValueError("empty parameter grid")
@@ -444,15 +447,9 @@ def tune_params(index: Bm25Index, validation: list[tuple[str, set]], grid: list[
         raise ValueError("empty validation set")
     if cutoff is not None and cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    best_key = None
-    best_params = None
-    for params, values in zip(grid, _grid_values(index, validation, grid, pool, objective,
-                                                  cutoff)):
-        mean = sum_in_order(values) / len(validation)
-        key = (-mean, params.b, params.k1)
-        if best_key is None or key < best_key:
-            best_key, best_params = key, params
-    return best_params
+    means = [sum_in_order(values) / len(validation)
+             for values in _grid_values(index, validation, grid, pool, objective, cutoff)]
+    return min(zip(grid, means), key=lambda point: (-point[1], point[0].b, point[0].k1))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -167,9 +167,9 @@ def read_pool_json(path) -> PoolSet:
 
     Every key write_pool_json writes is required (`field` when `setup` is
     "field"): string `setup` and `field`, integer `seed`, `query_year` and
-    `target_size` (not bools), boolean `shortfall`, `pool_ids` a list of
-    distinct strings, and `queries` a list of {"query_id": str, "positives":
-    [str, ...]} objects with distinct query ids and positives in `pool_ids`.
+    `target_size` (not bools), boolean `shortfall`, distinct string `pool_ids`
+    and `queries`, {"query_id": str, "positives": [str, ...]} objects with
+    distinct ids, each query's positives distinct pool ids other than itself.
     """
     obj = checked(read_json(path), path, "pool file", setup="a string", seed="an integer",
                   query_year="an integer", target_size="an integer", shortfall="a boolean",
@@ -186,10 +186,15 @@ def read_pool_json(path) -> PoolSet:
         q = entry["query_id"]
         if q in positives:
             raise ValueError(f"{path}: duplicate query id {q!r}")
-        outside = [p for p in entry["positives"] if p not in members]
-        if outside:
-            raise ValueError(f"{path}: query {q!r} has positives outside pool_ids: {outside[:3]}")
-        positives[q] = entry["positives"]
+        found = entry["positives"]
+        outside = [p for p in found if p not in members]
+        for fault, bad in ((f"has positives outside pool_ids: {outside[:3]}", outside),
+                           ("has no positives", not found),
+                           ("is among its own positives", q in found),
+                           ("lists a positive more than once", len(set(found)) < len(found))):
+            if bad:
+                raise ValueError(f"{path}: query {q!r} {fault}")
+        positives[q] = found
     return PoolSet(
         setup=obj["setup"],
         field=obj.get("field"),

@@ -409,6 +409,8 @@ class TestReadBenchmark:
          "query_id must be a string"),
         ('{"query_id":"q2","field":null,"positives":["a"],"negatives":{}}',
          "field must be a string"),
+        ('{"query_id":"q2","field":"Medicine","positives":["a"],"negatives":{"graph":["b"]}}',
+         "field 'Medicine' is not one of the field abbreviations"),
         ('{"query_id":"q2","field":"Med","positives":"ab","negatives":{}}',
          "positives must be a list of strings"),
         ('{"query_id":"q2","field":"Med","positives":["a",1],"negatives":{}}',
@@ -432,6 +434,7 @@ class TestReadBenchmark:
         ('{"query_id":"q2","field":"Med","positives":["a"],"negatives":{"graph":["b","b"]}}',
          "candidate 'b' is listed more than once"),
     ], ids=["json", "not-object", "no-negatives", "no-query", "query-int", "field-null",
+            "field-name",
             "positives-str", "positives-int", "negatives-list", "negatives-str",
             "negatives-null", "positives-empty", "query-positive", "query-negative",
             "positive-twice", "positive-and-negative", "negative-twice"])

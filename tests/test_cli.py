@@ -237,7 +237,7 @@ def test_eval_benchmark_rejects_pool(pipeline, tmp_path, capsys):
     out = tmp_path / "eval"
     assert main(["eval", "--run", _bench_run(pipeline, tmp_path), "--benchmark", bench_path,
                  "--pool", pools[0], "--out", str(out)]) == 1
-    assert "--pool" in _error(capsys)
+    assert _error(capsys) == "eval --benchmark does not read --pool"
     assert not out.exists()
 
 
@@ -366,22 +366,21 @@ def test_each_subcommand_loads_and_builds_as_often_as_before(pipeline, tmp_path,
         assert counts == expected, argv
 
 
-@pytest.mark.parametrize("extra, flag", [
-    (["--benchmark", "BENCH"], "--benchmark"),
-    (["--pool", "POOL", "--model", "dense_a"], "--model dense_a"),
-    (["--pool", "POOL", "--k1", "1.5"], "--k1"),
-    (["--pool", "POOL", "--b", "0.2"], "--b"),
-    (["--pool", "POOL", "--params", "bm25_params.json"], "--params"),
+@pytest.mark.parametrize("extra, message", [
+    (["--benchmark", "BENCH"], "run --tune does not read --benchmark"),
+    (["--pool", "POOL", "--model", "dense_a"], "run --model dense_a does not read --tune"),
+    (["--pool", "POOL", "--k1", "1.5"], "run --tune does not read --k1"),
+    (["--pool", "POOL", "--b", "0.2"], "run --tune does not read --b"),
+    (["--pool", "POOL", "--params", "bm25_params.json"], "run --tune does not read --params"),
 ], ids=["benchmark", "dense", "k1", "b", "params"])
-def test_run_tune_conflicting_flag_rejected(pipeline, capsys, extra, flag):
+def test_run_tune_conflicting_flag_rejected(pipeline, capsys, extra, message):
     root, pref_path, emb, pools, run_files, bench_path = pipeline
     paths = {"BENCH": bench_path, "POOL": pools[0]}
     out = root / "tune_conflict"
     rc = main(["run", "--corpus", pref_path, *(paths.get(a, a) for a in extra), "--tune",
                "--embeddings", f"dense_a={emb['dense_a']}", "--out", str(out)])
     assert rc == 1
-    message = json.loads(capsys.readouterr().err)["error"]["message"]
-    assert "--tune" in message and flag in message
+    assert _error(capsys) == message
     assert not out.exists()
 
 
@@ -563,15 +562,6 @@ def test_demo_tune_config_equals_flag_form(tmp_path, monkeypatch):
         assert (work / "out/tune" / name).read_bytes() == (work / "out/tune_flags" / name).read_bytes()
 
 
-@pytest.mark.parametrize("cutoff", ["0", "-3"])
-def test_tune_rejects_cutoff_below_one(pipeline, tmp_path, capsys, cutoff):
-    root, pref_path, emb, pools, run_files, _ = pipeline
-    assert main(["tune", "--corpus", pref_path, "--pool", pools[0], "--cutoff", cutoff,
-                 "--out", str(tmp_path / "tune")]) == 1
-    assert f"cutoff must be >= 1, got {cutoff}" in _error(capsys)
-    assert not (tmp_path / "tune").exists()
-
-
 @pytest.mark.parametrize("source", ["pool", "benchmark"])
 @pytest.mark.parametrize("model", ["bm25", "dense_a"])
 def test_run_rejects_cutoff_below_one(pipeline, tmp_path, capsys, model, source):
@@ -699,32 +689,6 @@ def test_benchgen_rejects_counts_below_one(pipeline, tmp_path, capsys, flag, val
     assert not (out / "benchmark.jsonl").exists()
 
 
-@pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
-@pytest.mark.parametrize("command",
-                         ["ingest", "prefilter", "pool", "tune", "eval", "benchgen", "report"])
-def test_threads_rejected_where_never_read(tmp_path, capsys, command, by_config):
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"threads": 7}))
-    argv = [command, "--config", str(config)] if by_config else [command, "--threads", "7"]
-    out = tmp_path / "out"
-    assert main([*argv, "--out", str(out)]) == 1
-    assert _error(capsys) == f"{command} does not read --threads"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
-@pytest.mark.parametrize("command", ["eval", "report"])
-def test_corpus_rejected_where_never_read(tmp_path, capsys, command, by_config):
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"corpus": "/nonexistent.jsonl"}))
-    argv = ([command, "--config", str(config)] if by_config
-            else [command, "--corpus", "/nonexistent.jsonl"])
-    out = tmp_path / "out"
-    assert main([*argv, "--out", str(out)]) == 1
-    assert _error(capsys) == f"{command} does not read --corpus"
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("mode", ["pool", "benchmark"])
 def test_eval_creates_out_only_after_its_inputs_pass(pipeline, tmp_path, capsys, mode):
     root, pref_path, emb, pools, run_files, bench_path = pipeline
@@ -802,6 +766,7 @@ _UNREAD = [
     *(([command, "--benchmark", "benchmark.jsonl"], flag, value, f"{command} --benchmark")
       for command, flag, value in (("run", "cutoff", 500), ("run", "pool", ["pool.json"]),
                                    ("eval", "pool", ["pool.json"]))),
+    (["pool", "--setup", "dataset"], "field", "Nonsense", "pool --setup dataset"),
 ]
 
 
@@ -825,11 +790,44 @@ def test_flag_the_invocation_never_reads_rejected(tmp_path, capsys, by_config, a
     assert not out.exists()
 
 
+# (argv, flag, value) for an integer flag set below its least value in an
+# otherwise valid invocation; the error names the flag by its dest
+_BELOW_LEAST = [
+    *((["run", "--pool", "POOL", "--model", "dense_a"], "threads", value) for value in (0, -3)),
+    (["breakdown", "--benchmark", "BENCH", "--model", "dense_a"], "threads", 0),
+    *(([command], "reject_budget", -1) for command in ("ingest", "prefilter")),
+    *((["tune", "--pool", "POOL"], "cutoff", value) for value in (0, -3)),
+]
+
+
+@pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("argv, flag, value", _BELOW_LEAST,
+                         ids=[f"{argv[0]}-{flag}={value}" for argv, flag, value in _BELOW_LEAST])
+def test_flag_below_its_least_value_rejected(pipeline, tmp_path, capsys, by_config, argv, flag,
+                                             value):
+    root, pref_path, emb, pools, run_files, bench_path = pipeline
+    paths = {"POOL": pools[0], "BENCH": bench_path}
+    argv = [*(paths.get(a, a) for a in argv), "--corpus", pref_path]
+    if argv[0] in ("run", "breakdown"):
+        argv += ["--embeddings", f"dense_a={emb['dense_a']}"]
+    if by_config:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({flag: value}))
+        argv += ["--config", str(config)]
+    else:
+        argv += [f"--{flag.replace('_', '-')}", str(value)]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    least = 0 if flag == "reject_budget" else 1
+    assert _error(capsys) == f"{flag} must be >= {least}, got {value}"
+    assert not out.exists()
+
+
 def _with_ghosts(pool_path, tmp_path, *, pool_ids=(), query_ids=()) -> str:
     """A copy of the pool file with ids that no corpus holds added."""
     obj = json.loads(Path(pool_path).read_text(encoding="utf-8"))
     obj["pool_ids"] += list(pool_ids)
-    obj["queries"] += [{"query_id": q, "positives": []} for q in query_ids]
+    obj["queries"] += [{"query_id": q, "positives": obj["pool_ids"][:1]} for q in query_ids]
     path = tmp_path / "ghost_pool.json"
     path.write_text(json.dumps(obj), encoding="utf-8")
     return str(path)

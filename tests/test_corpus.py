@@ -68,6 +68,11 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="budget"):
             load_corpus(path, reject_budget=0)
 
+    def test_negative_budget_rejected(self, tmp_path):
+        path = _write_lines(tmp_path / "c.jsonl", [_record("A")])
+        with pytest.raises(ValueError, match="reject_budget must be >= 0, got -1"):
+            load_corpus(path, reject_budget=-1)
+
     def test_unknown_keys_ignored_and_null_year(self, tmp_path):
         path = _write_lines(tmp_path / "c.jsonl",
                             [_record("A", year=None, venue="ignored", extra=[1, 2])])

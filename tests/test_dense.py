@@ -219,6 +219,11 @@ class TestKnn:
             knn(store, [1, 0, 0], k=1)
         with pytest.raises(ValueError, match="metric"):
             knn(store, [1, 0], k=1, metric="manhattan")
+        for chunks in (0, -3):
+            with pytest.raises(ValueError, match=f"chunks must be >= 1, got {chunks}"):
+                knn(store, [1, 0], k=1, chunks=chunks)
+            with pytest.raises(ValueError, match=f"chunks must be >= 1, got {chunks}"):
+                dense.knn_pool(store, ["a"], None, 1, chunks=chunks)
 
     def test_k_truncates(self):
         store = EmbeddingStore(["a", "b", "c"], [[1, 0], [0.5, 0], [0.1, 0]])

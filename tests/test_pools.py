@@ -292,6 +292,16 @@ def _outside_positive(obj):
     obj["queries"][0]["positives"].append("NOT-IN-POOL")
 
 
+def _own_positive(obj):
+    obj["pool_ids"].append("Q1")
+    obj["queries"][0]["positives"].append("Q1")
+
+
+def _repeated_positive(obj):
+    positives = obj["queries"][0]["positives"]
+    positives.append(positives[0])
+
+
 BAD_POOL_FILES = {
     **{f"missing-{key}": (_without(key), f"missing key '{key}'")
        for key in ("setup", "field", "seed", "query_year", "target_size", "shortfall",
@@ -314,6 +324,9 @@ BAD_POOL_FILES = {
     "duplicate-pool-id": (_duplicate_pool_id, "duplicate pool ids"),
     "duplicate-query": (_duplicate_query, "duplicate query id 'Q1'"),
     "positive-outside-pool": (_outside_positive, "positives outside pool_ids"),
+    "positives-empty": (_query_setting("positives", []), "query 'Q1' has no positives"),
+    "positive-is-query": (_own_positive, "query 'Q1' is among its own positives"),
+    "positive-twice": (_repeated_positive, "query 'Q1' lists a positive more than once"),
 }
 
 
