@@ -102,7 +102,8 @@ class Benchmark:
         )
 
 
-def top_negatives_per_model(run, qrels: Mapping[str, frozenset], depth: int = 200) -> dict[str, list[str]]:
+def top_negatives_per_model(run, qrels: Mapping[str, frozenset],
+                            depth: int = BenchmarkParams.model_pool_depth) -> dict[str, list[str]]:
     """Per query: the ranked candidates with the true positives removed,
     truncated to `depth`. Positives are filtered before truncation so the
     full depth stays available."""

@@ -9,7 +9,8 @@ byte-identical output tree. Every artifact gets a sibling
 resolved configuration (output paths excluded from the hash).
 
 `main` rejects each flag, set by flag or by --config, that `_unread` says the
-invocation never reads or that is below _LEAST; unset flags keep config_hash.
+invocation never reads or that is below _LEAST, then each missing flag of
+_REQUIRED; unset flags keep config_hash. Conditional rules come after these.
 
 `main` hands each subcommand an _Inputs, its one input context: it loads
 each input at most once, checks each id file in one step, and creates --out
@@ -46,12 +47,14 @@ _METRIC_DISPLAY = {"map": "MAP", "ndcg": "nDCG"}
 
 # defaults of flags that no library parameter has
 _CLI_DEFAULTS = {"queries": 200, "cutoff": DEFAULT_CUTOFF, "model": "bm25"}
-# the subcommands that read each common flag that some leave unread (the
-# first rule of _unread); --threads is a dense model's row chunks
-_READERS = {"threads": ("run", "breakdown"),
-            "corpus": ("ingest", "prefilter", "pool", "tune", "run", "benchgen", "breakdown")}
+# the flags each subcommand requires, in the order `main` checks them
+_REQUIRED = {"ingest": ("corpus", "out"), "prefilter": ("corpus", "out"),
+             "pool": ("corpus", "out", "setup", "size", "seed"), "tune": ("corpus", "pool", "out"),
+             "run": ("corpus", "out"), "eval": ("run", "out"),
+             "benchgen": ("corpus", "pool", "run", "seed", "out"),
+             "breakdown": ("corpus", "benchmark", "out"), "report": ("eval", "out")}
 # the least value of each integer flag that has one, checked only when the flag is set
-_LEAST = {"cutoff": 1, "threads": 1, "reject_budget": 0}
+_LEAST = {"cutoff": 1, "threads": 1, "reject_budget": 0, "recall_cutoff": 1}
 
 
 def _display_metric(key: str) -> str:
@@ -79,8 +82,10 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             raise ValueError(f"{args.config}: key {key!r} is not a flag of {args.command}")
         if isinstance(action, argparse._AppendAction):
             takes, ok = "a non-empty list of strings", is_str_list(value) and value != []
+        elif action.nargs == 0:  # a store-true flag is set or absent, never false
+            takes, ok = "true", value is True
         else:
-            kind = bool if action.nargs == 0 else action.type or str
+            kind = action.type or str
             kinds = (int, float) if kind is float else (kind,)
             takes = action.choices or " or ".join(k.__name__ for k in kinds)
             ok = type(value) in kinds and value in (action.choices or [value])
@@ -94,12 +99,6 @@ def _config_hash(args: argparse.Namespace) -> str:
     skip = {"config", "out", "func", "command"}
     resolved = {k: v for k, v in sorted(vars(args).items()) if k not in skip and not callable(v)}
     return stable_digest(canonical_json(resolved))
-
-
-def _require(args: argparse.Namespace, *names: str) -> None:
-    for name in names:
-        if getattr(args, name) is None:
-            raise ValueError(f"--{name.replace('_', '-')} is required for {args.command}")
 
 
 def _given(args: argparse.Namespace, **params: str) -> dict:
@@ -142,7 +141,10 @@ def _vec_path(args: argparse.Namespace) -> str | None:
 def _unread(args: argparse.Namespace):
     """(who, flags) pairs: the flags this invocation never reads, each with the
     command and flags that decide it. A flag that the subcommand lacks is never set."""
-    yield args.command, [flag for flag, readers in _READERS.items() if args.command not in readers]
+    # --threads is a dense model's row chunks; --corpus is read where it is required
+    yield args.command, [flag for flag, read in (("threads", hasattr(args, "model")),
+                                                 ("corpus", "corpus" in _REQUIRED[args.command]))
+                         if not read]
     if hasattr(args, "model"):  # run and breakdown
         dense = _vec_path(args) is not None
         yield (f"{args.command} --model {_flag(args, 'model')}",
@@ -256,7 +258,6 @@ class _Inputs:
 
 
 def cmd_ingest(args: argparse.Namespace, inputs: _Inputs) -> int:
-    _require(args, "corpus", "out")
     corpus, graph = inputs.corpus, inputs.graph
     summary = {
         "articles": len(corpus),
@@ -272,7 +273,6 @@ def cmd_ingest(args: argparse.Namespace, inputs: _Inputs) -> int:
 
 
 def cmd_prefilter(args: argparse.Namespace, inputs: _Inputs) -> int:
-    _require(args, "corpus", "out")
     corpus = inputs.corpus
     rules = PrefilterRules(**_given(args, min_abstract_chars="min_abstract_chars",
                                     min_citations="min_citations"))
@@ -291,9 +291,8 @@ def cmd_prefilter(args: argparse.Namespace, inputs: _Inputs) -> int:
 
 
 def cmd_pool(args: argparse.Namespace, inputs: _Inputs) -> int:
-    _require(args, "corpus", "out", "setup", "size", "seed")
-    if args.setup == "field":
-        _require(args, "field")
+    if args.setup == "field" and args.field is None:
+        raise ValueError("--field is required for pool")
     corpus, graph = inputs.corpus, inputs.graph
     options = _given(args, query_year="query_year", repetitions="repetitions")
     if args.exclude:
@@ -319,7 +318,6 @@ def cmd_pool(args: argparse.Namespace, inputs: _Inputs) -> int:
 
 
 def cmd_tune(args: argparse.Namespace, inputs: _Inputs) -> int:
-    _require(args, "corpus", "pool", "out")
     best = inputs.tuned_params(cutoff=_flag(args, "cutoff"), **_given(args, objective="objective"))
     inputs.write_json("bm25_params.json", {"k1": best.k1, "b": best.b})
     inputs.write_manifest("bm25_params")
@@ -328,7 +326,6 @@ def cmd_tune(args: argparse.Namespace, inputs: _Inputs) -> int:
 
 
 def cmd_run(args: argparse.Namespace, inputs: _Inputs) -> int:
-    _require(args, "corpus", "out")
     if (args.pool is None) == (args.benchmark is None):
         raise ValueError("run needs exactly one of --pool or --benchmark")
     cutoff = _flag(args, "cutoff")
@@ -347,7 +344,6 @@ def cmd_run(args: argparse.Namespace, inputs: _Inputs) -> int:
 
 
 def cmd_eval(args: argparse.Namespace, inputs: _Inputs) -> int:
-    _require(args, "run", "out")
     stem = f"eval_{Path(args.run[0]).stem}"
     if args.benchmark is not None:
         if len(args.run) != 1:
@@ -388,7 +384,6 @@ def cmd_eval(args: argparse.Namespace, inputs: _Inputs) -> int:
 
 
 def cmd_benchgen(args: argparse.Namespace, inputs: _Inputs) -> int:
-    _require(args, "corpus", "pool", "run", "seed", "out")
     queries_by_field: dict[str, list[str]] = {}
     for pool_path, pool_set in zip(args.pool, inputs.pools):
         if pool_set.field is None:
@@ -421,7 +416,6 @@ def cmd_benchgen(args: argparse.Namespace, inputs: _Inputs) -> int:
 
 
 def cmd_breakdown(args: argparse.Namespace, inputs: _Inputs) -> int:
-    _require(args, "corpus", "benchmark", "out")
     benchmark = inputs.benchmark
     model = inputs.model()
     table = candidate_type_breakdown(model, benchmark, inputs.corpus)
@@ -435,32 +429,46 @@ def cmd_breakdown(args: argparse.Namespace, inputs: _Inputs) -> int:
 
 
 def _read_eval(path: str) -> dict:
+    """A benchmark eval file: per_field keys are field abbreviations, and avg and
+    each per_field object map the same metrics to numbers."""
     try:
-        return checked(read_json(path), path, "eval file", per_field="an object", avg="an object")
+        data = checked(read_json(path), path, "eval file", per_field="an object", avg="an object")
     except ValueError as exc:
         raise ValueError(f"{exc}; report takes benchmark eval files") from None
+    avg = data["avg"]
+    for field, values in [(None, avg), *data["per_field"].items()]:
+        where = "avg" if field is None else f"per_field {field!r}"
+        if field is not None and field not in FIELD_ABBREVS:
+            raise ValueError(f"{path}: {where} is not one of the field abbreviations")
+        if not isinstance(values, dict) or values.keys() != avg.keys():
+            raise ValueError(f"{path}: {where} must be an object of avg's metrics {sorted(avg)}")
+        bad = next((m for m, v in values.items() if type(v) not in (int, float)), None)
+        if bad is not None:
+            raise ValueError(f"{path}: {where} metric {bad!r} must be a number, "
+                             f"got {values[bad]!r}")
+    return data
 
 
 def cmd_report(args: argparse.Namespace, inputs: _Inputs) -> int:
-    _require(args, "eval", "out")
-    models = {name: _read_eval(path)
+    models = {name: (path, _read_eval(path))
               for name, path in _name_paths(args.eval, "--eval", unique=True)}
-    table: dict[str, dict[str, float]] = {}
-    row_keys = [*FIELD_ABBREVS, "AVG"]
-    for row in row_keys:
-        cells: dict[str, float] = {}
-        for name, data in models.items():
-            source = data["avg"] if row == "AVG" else data["per_field"].get(row)
-            if source is None:
-                continue
-            for metric_key, value in source.items():
-                cells[f"{name} {_display_metric(metric_key)}"] = value
-        if cells:
-            table[row] = cells
+    (first_path, first), *others = models.values()
+    fields = [f for f in FIELD_ABBREVS if f in first["per_field"]]  # the table's rows
+    for path, data in others:
+        differ = next((f for f in FIELD_ABBREVS if (f in fields) != (f in data["per_field"])), None)
+        if differ is not None:
+            has, lacks = (first_path, path) if differ in fields else (path, first_path)
+            raise ValueError(f"{lacks} has no field {differ!r}, which {has} has; "
+                             "report needs the same fields in every eval file")
+    table = {row: {f"{name} {_display_metric(metric)}": value
+                   for name, (_, data) in models.items()
+                   for metric, value in (data["avg"] if row == "AVG"
+                                         else data["per_field"][row]).items()}
+             for row in [*fields, "AVG"]}
     path = inputs.out(f"report.{'md' if args.format == 'markdown' else 'tsv'}")
     emit_report(table, path, row_header="Field", **_given(args, fmt="format"))
     inputs.write_manifest("report")
-    print(f"report: {len(table)} rows x {len(next(iter(table.values())) if table else [])} columns -> {path.name}")
+    print(f"report: {len(table)} rows x {len(table['AVG'])} columns -> {path.name}")
     return 0
 
 
@@ -469,44 +477,38 @@ def cmd_report(args: argparse.Namespace, inputs: _Inputs) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; flags override its values")
-    parser.add_argument("--corpus", help="corpus JSON Lines file")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--seed", type=int, help="master RNG seed (never wall-clock)")
-    parser.add_argument("--threads", type=int,
-                        help="row chunks a dense model scans (results independent)")
-
-
-def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", help="'bm25' or an --embeddings name")
-    parser.add_argument("--embeddings", action="append",
-                        help="NAME=VECTOR_PATH (manifest at VECTOR_PATH + '.json'); repeatable")
-    parser.add_argument("--metric", choices=["cosine", "dot", "euclidean"])
-    parser.add_argument("--k1", type=float)
-    parser.add_argument("--b", type=float)
-    parser.add_argument("--params", help="JSON file with tuned k1/b")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON config file; flags override its values")
+    common.add_argument("--corpus", help="corpus JSON Lines file")
+    common.add_argument("--out", help="output directory")
+    common.add_argument("--seed", type=int, help="master RNG seed (never wall-clock)")
+    common.add_argument("--threads", type=int,
+                        help="row chunks a dense model scans (results independent)")
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--model", help="'bm25' or an --embeddings name")
+    model.add_argument("--embeddings", action="append",
+                       help="NAME=VECTOR_PATH (manifest at VECTOR_PATH + '.json'); repeatable")
+    model.add_argument("--metric", choices=["cosine", "dot", "euclidean"])
+    model.add_argument("--k1", type=float)
+    model.add_argument("--b", type=float)
+    model.add_argument("--params", help="JSON file with tuned k1/b")
+
     parser = argparse.ArgumentParser(prog="citebench")
     parser.add_argument("--version", action="version", version=f"citebench {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="load and validate a corpus")
-    _add_common(p)
+    p = sub.add_parser("ingest", help="load and validate a corpus", parents=[common])
     p.add_argument("--reject-budget", type=int, dest="reject_budget")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("prefilter", help="apply the corpus prefiltering rules")
-    _add_common(p)
+    p = sub.add_parser("prefilter", help="apply the corpus prefiltering rules", parents=[common])
     p.add_argument("--reject-budget", type=int, dest="reject_budget")
     p.add_argument("--min-abstract-chars", type=int, dest="min_abstract_chars")
     p.add_argument("--min-citations", type=int, dest="min_citations")
     p.set_defaults(func=cmd_prefilter)
 
-    p = sub.add_parser("pool", help="sample queries and build candidate pools")
-    _add_common(p)
+    p = sub.add_parser("pool", help="sample queries and build candidate pools", parents=[common])
     p.add_argument("--setup", choices=["dataset", "field"])
     p.add_argument("--field", help="field abbreviation (field setup)")
     p.add_argument("--size", type=int)
@@ -516,16 +518,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exclude", help="file of article ids to exclude from query sampling")
     p.set_defaults(func=cmd_pool)
 
-    p = sub.add_parser("tune", help="grid-search BM25 parameters on a pool")
-    _add_common(p)
+    p = sub.add_parser("tune", help="grid-search BM25 parameters on a pool", parents=[common])
     p.add_argument("--pool", action="append")
     p.add_argument("--objective")
     p.add_argument("--cutoff", type=int)
     p.set_defaults(func=cmd_tune)
 
-    p = sub.add_parser("run", help="rank a pool or benchmark with one model")
-    _add_common(p)
-    _add_model_flags(p)
+    p = sub.add_parser("run", help="rank a pool or benchmark with one model",
+                       parents=[common, model])
     p.add_argument("--pool", action="append")
     p.add_argument("--benchmark")
     p.add_argument("--cutoff", type=int)
@@ -533,16 +533,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tune BM25 on the pool before running")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("eval", help="score run files against pools or a benchmark")
-    _add_common(p)
+    p = sub.add_parser("eval", help="score run files against pools or a benchmark",
+                       parents=[common])
     p.add_argument("--run", action="append")
     p.add_argument("--pool", action="append")
     p.add_argument("--benchmark")
     p.add_argument("--recall-cutoff", type=int, dest="recall_cutoff")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("benchgen", help="construct a typed hard-negative benchmark")
-    _add_common(p)
+    p = sub.add_parser("benchgen", help="construct a typed hard-negative benchmark",
+                       parents=[common])
     p.add_argument("--pool", action="append", help="field-level pool file; repeatable")
     p.add_argument("--run", action="append", help="NAME=RUN_TSV; repeatable, at least 3")
     p.add_argument("--depth", type=int, help="model negative pool depth")
@@ -551,14 +551,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--negatives", type=int)
     p.set_defaults(func=cmd_benchgen)
 
-    p = sub.add_parser("breakdown", help="per-candidate-type metrics on a benchmark")
-    _add_common(p)
-    _add_model_flags(p)
+    p = sub.add_parser("breakdown", help="per-candidate-type metrics on a benchmark",
+                       parents=[common, model])
     p.add_argument("--benchmark")
     p.set_defaults(func=cmd_breakdown)
 
-    p = sub.add_parser("report", help="merge eval artifacts into one table")
-    _add_common(p)
+    p = sub.add_parser("report", help="merge eval artifacts into one table", parents=[common])
     p.add_argument("--eval", action="append", help="NAME=EVAL_JSON; repeatable")
     p.add_argument("--format", choices=["tsv", "markdown"])
     p.set_defaults(func=cmd_report)
@@ -579,6 +577,9 @@ def main(argv: list[str] | None = None) -> int:
             value = getattr(args, flag, None)
             if value is not None and value < least:
                 raise ValueError(f"{flag} must be >= {least}, got {value}")
+        for flag in _REQUIRED[args.command]:
+            if getattr(args, flag) is None:
+                raise ValueError(f"--{flag} is required for {args.command}")
         return args.func(args, _Inputs(args))
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}

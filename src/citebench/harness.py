@@ -10,10 +10,9 @@ from pathlib import Path
 from . import dense, lexical, metrics
 from .benchgen import Benchmark
 from .corpus import Article, Corpus, FIELD_ABBREVS
+from .lexical import DEFAULT_CUTOFF
 from .pools import PoolSet
 
-# ranking depth of a pool run when the caller names none
-DEFAULT_CUTOFF = 500
 # the R@ cutoff of a closed benchmark, whose entries hold 5 positives
 BENCHMARK_RECALL_CUTOFF = 5
 

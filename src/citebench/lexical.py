@@ -66,6 +66,8 @@ from .corpus import Corpus
 from .util import Numbering, checked, sum_in_order
 
 _WORD = re.compile(r"\w+")
+# ranking depth of a search, and of a pool run, when the caller names none
+DEFAULT_CUTOFF = 500
 
 # Documents analyzed and counted at once by build_index; larger blocks only
 # raise peak memory
@@ -346,7 +348,7 @@ def _rank(index: Bm25Index, queries: list[tuple[str, int | None]], pool, params:
 
 
 def search(index: Bm25Index, query_text: str, params: Bm25Params = Bm25Params(),
-           k: int = 500, pool=None) -> list[tuple[str, float]]:
+           k: int = DEFAULT_CUTOFF, pool=None) -> list[tuple[str, float]]:
     """Top-k documents matching the query, optionally restricted to a pool
     of doc ids; a pool id the index lacks raises KeyError naming it.
     Descending score, ties by ascending doc id; every returned score equals
@@ -356,7 +358,7 @@ def search(index: Bm25Index, query_text: str, params: Bm25Params = Bm25Params(),
 
 
 def search_pool(index: Bm25Index, queries, pool, params: Bm25Params = Bm25Params(),
-                k: int = 500) -> dict[str, list[tuple[str, float]]]:
+                k: int = DEFAULT_CUTOFF) -> dict[str, list[tuple[str, float]]]:
     """Top-k for many (query id, query text) pairs against one shared pool,
     keyed by query id in the given order; a query is never its own
     candidate. Equal to search(index, text, params, k, pool - {id}) for each

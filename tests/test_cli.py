@@ -1,3 +1,5 @@
+import argparse
+import copy
 import json
 import subprocess
 from pathlib import Path
@@ -56,13 +58,66 @@ def test_pool_determinism_byte_identical(workspace):
         assert (root / "pools_a" / name).read_bytes() == (root / "pools_b" / name).read_bytes()
 
 
-def test_pool_requires_seed(workspace, capsys):
-    root, _, pref_path, _ = workspace
-    rc = main(["pool", "--corpus", pref_path, "--setup", "dataset", "--size", "100",
-               "--queries", "3", "--out", str(root / "noseed")])
-    assert rc == 1
-    err = json.loads(capsys.readouterr().err)
-    assert "--seed" in err["error"]["message"]
+# the flags each subcommand requires, in the order they are checked
+_REQUIRED = {
+    "ingest": ["corpus", "out"], "prefilter": ["corpus", "out"],
+    "pool": ["corpus", "out", "setup", "size", "seed"], "tune": ["corpus", "pool", "out"],
+    "run": ["corpus", "out"], "eval": ["run", "out"],
+    "benchgen": ["corpus", "pool", "run", "seed", "out"],
+    "breakdown": ["corpus", "benchmark", "out"], "report": ["eval", "out"],
+}
+# a value for each; no input file is read before the required flags are checked
+_REQUIRED_VALUES = {"corpus": "corpus.jsonl", "setup": "dataset", "size": "10", "seed": "1",
+                    "pool": "pool.json", "run": "run.tsv", "benchmark": "benchmark.jsonl",
+                    "eval": "a=eval.json"}
+
+
+@pytest.mark.parametrize("command, flag", [
+    *((command, flag) for command, flags in _REQUIRED.items() for flag in flags),
+    ("pool", "field"),  # required with --setup field
+], ids=lambda v: v)
+def test_required_flag_omitted_rejected(tmp_path, capsys, command, flag):
+    """With the flag and every flag checked after it omitted, the error names the flag."""
+    required = _REQUIRED[command] + (["field"] if flag == "field" else [])
+    values = {**_REQUIRED_VALUES, "out": str(tmp_path / "out"),
+              "setup": "field" if flag == "field" else "dataset"}
+    given = required[:required.index(flag)]
+    argv = [command, *(a for f in given for a in (f"--{f}", values[f]))]
+    assert main(argv) == 1
+    assert _error(capsys) == f"--{flag} is required for {command}"
+    assert not any(tmp_path.iterdir())
+
+
+# each subcommand's flags in parser order; every flag's dest is its name and
+# its default None, so these and the dests fix the keys config_hash covers
+_OPTIONS = {
+    "ingest": ["--config", "--corpus", "--out", "--seed", "--threads", "--reject-budget"],
+    "prefilter": ["--config", "--corpus", "--out", "--seed", "--threads", "--reject-budget",
+                  "--min-abstract-chars", "--min-citations"],
+    "pool": ["--config", "--corpus", "--out", "--seed", "--threads", "--setup", "--field",
+             "--size", "--queries", "--query-year", "--repetitions", "--exclude"],
+    "tune": ["--config", "--corpus", "--out", "--seed", "--threads", "--pool", "--objective",
+             "--cutoff"],
+    "run": ["--config", "--corpus", "--out", "--seed", "--threads", "--model", "--embeddings",
+            "--metric", "--k1", "--b", "--params", "--pool", "--benchmark", "--cutoff", "--tune"],
+    "eval": ["--config", "--corpus", "--out", "--seed", "--threads", "--run", "--pool",
+             "--benchmark", "--recall-cutoff"],
+    "benchgen": ["--config", "--corpus", "--out", "--seed", "--threads", "--pool", "--run",
+                 "--depth", "--top", "--positives", "--negatives"],
+    "breakdown": ["--config", "--corpus", "--out", "--seed", "--threads", "--model",
+                  "--embeddings", "--metric", "--k1", "--b", "--params", "--benchmark"],
+    "report": ["--config", "--corpus", "--out", "--seed", "--threads", "--eval", "--format"],
+}
+
+
+@pytest.mark.parametrize("command", _OPTIONS)
+def test_subcommand_flags_are_pinned(command):
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    flags = [a for a in sub.choices[command]._actions if a.dest != "help"]
+    assert [o for a in flags for o in a.option_strings] == _OPTIONS[command]
+    assert [(a.dest, a.default) for a in flags] == [
+        (o[2:].replace("-", "_"), None) for o in _OPTIONS[command]]
 
 
 def test_config_file_defaults_and_flag_override(workspace, tmp_path):
@@ -254,6 +309,60 @@ def test_report_rejects_pool_eval_file(pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def bench_eval(pipeline, tmp_path_factory):
+    """The benchmark eval file of a BM25 benchmark run, as a dict."""
+    _, pref_path, *_, bench_path = pipeline
+    root = tmp_path_factory.mktemp("bench_eval")
+    assert main(["run", "--corpus", pref_path, "--benchmark", bench_path, "--model", "bm25",
+                 "--out", str(root / "run")]) == 0
+    assert main(["eval", "--run", str(root / "run" / "run_bm25.tsv"), "--benchmark", bench_path,
+                 "--out", str(root / "eval")]) == 0
+    return json.loads((root / "eval" / "eval_run_bm25.json").read_text(encoding="utf-8"))
+
+
+_METRICS = "an object of avg's metrics ['map', 'recall@5']"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["per_field"].update(Medicine=d["per_field"].pop("Med")),
+     "per_field 'Medicine' is not one of the field abbreviations"),
+    (lambda d: d["per_field"]["Med"].update(map="0.5"),
+     "per_field 'Med' metric 'map' must be a number, got '0.5'"),
+    (lambda d: d["avg"].update({"recall@5": True}),
+     "avg metric 'recall@5' must be a number, got True"),
+    (lambda d: d["per_field"]["CS"].pop("map"), f"per_field 'CS' must be {_METRICS}"),
+    (lambda d: d["per_field"]["Med"].update(ndcg=0.5), f"per_field 'Med' must be {_METRICS}"),
+    (lambda d: d["per_field"].update(CS=[0.5]), f"per_field 'CS' must be {_METRICS}"),
+], ids=["field-name", "str-metric", "bool-metric", "missing-metric", "extra-metric",
+        "list-for-object"])
+def test_report_rejects_malformed_eval_file(bench_eval, tmp_path, capsys, edit, message):
+    data = copy.deepcopy(bench_eval)
+    edit(data)
+    path = tmp_path / "eval.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["report", "--eval", f"bm25={path}", "--out", str(out)]) == 1
+    assert _error(capsys) == f"{path}: {message}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lacking", ["first", "second"])
+def test_report_rejects_eval_files_of_different_fields(bench_eval, tmp_path, capsys, lacking):
+    full, partial = tmp_path / "full.json", tmp_path / "partial.json"
+    full.write_text(json.dumps(bench_eval), encoding="utf-8")
+    data = copy.deepcopy(bench_eval)
+    del data["per_field"]["CS"]
+    partial.write_text(json.dumps(data), encoding="utf-8")
+    first, second = (partial, full) if lacking == "first" else (full, partial)
+    out = tmp_path / "out"
+    assert main(["report", "--eval", f"a={first}", "--eval", f"b={second}",
+                 "--out", str(out)]) == 1
+    assert _error(capsys) == (f"{partial} has no field 'CS', which {full} has; "
+                              "report needs the same fields in every eval file")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("types, expected", [
     (["m1", "m2", "m3", "graph", "most_cited", "randm"], "are not the benchmark types"),
     ("graph", "types must be a list of strings"),
@@ -434,6 +543,19 @@ def test_config_rejects_bad_key_or_value(workspace, tmp_path, capsys, command, c
     assert main([command, "--config", str(path), "--out", str(out)]) == 1
     message = _error(capsys)
     assert str(path) in message and repr(key) in message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model", ["bm25", "dense_a"])
+def test_config_store_true_flag_takes_only_true(pipeline, tmp_path, capsys, model):
+    root, pref_path, emb, pools, run_files, _ = pipeline
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"tune": False}))
+    out = tmp_path / "out"
+    assert main(["run", "--corpus", pref_path, "--pool", pools[0], "--model", model,
+                 "--embeddings", f"dense_a={emb['dense_a']}", "--config", str(config),
+                 "--out", str(out)]) == 1
+    assert _error(capsys) == f"{config}: key 'tune' takes true, got False"
     assert not out.exists()
 
 
@@ -797,6 +919,7 @@ _BELOW_LEAST = [
     (["breakdown", "--benchmark", "BENCH", "--model", "dense_a"], "threads", 0),
     *(([command], "reject_budget", -1) for command in ("ingest", "prefilter")),
     *((["tune", "--pool", "POOL"], "cutoff", value) for value in (0, -3)),
+    *((["eval", "--run", "RUN", "--pool", "POOL"], "recall_cutoff", value) for value in (0, -2)),
 ]
 
 
@@ -806,8 +929,10 @@ _BELOW_LEAST = [
 def test_flag_below_its_least_value_rejected(pipeline, tmp_path, capsys, by_config, argv, flag,
                                              value):
     root, pref_path, emb, pools, run_files, bench_path = pipeline
-    paths = {"POOL": pools[0], "BENCH": bench_path}
-    argv = [*(paths.get(a, a) for a in argv), "--corpus", pref_path]
+    paths = {"POOL": pools[0], "BENCH": bench_path, "RUN": run_files["bm25"][0]}
+    argv = [paths.get(a, a) for a in argv]
+    if argv[0] != "eval":  # eval reads no --corpus
+        argv += ["--corpus", pref_path]
     if argv[0] in ("run", "breakdown"):
         argv += ["--embeddings", f"dense_a={emb['dense_a']}"]
     if by_config:
@@ -910,8 +1035,8 @@ _HASHED = [
     (["run", "--corpus", "pref.jsonl", "--pool", "pool.json", *_DENSE, "--metric", "dot",
       "--threads", "2"], {},
      "651e58737e6086950074ff00ca71f4e0f8dce320c53ab06673f0bbdea141102e"),
-    (["run", "--pool", "pool.json"], {"corpus": "pref.jsonl", "k1": 1, "b": 0.5, "tune": False},
-     "7d823eb57c3079a45d8e1e41c71e04777d4a973a7a136a4f31b4ee6c3676d885"),
+    (["run", "--pool", "pool.json"], {"corpus": "pref.jsonl", "k1": 1, "b": 0.5},
+     "1c2587de3f0577c19efabf580a04ffff11d3c2136aa5103fb378a1b8ba226560"),
     (["run", "--corpus", "pref.jsonl", "--benchmark", "benchmark.jsonl", "--model", "bm25"],
      {}, "52bf7ecd52aa65af27a0cf0ea5c8b8bd30eea566d72a3b4813241eb085c55c57"),
     (["eval", "--run", "run_bm25.tsv", "--pool", "pool.json", "--recall-cutoff", "30"], {},
