@@ -21,19 +21,17 @@ term numbering. One query against a pool never builds it: it
 binary-searches each candidate in each distinct term's posting list when
 the candidates times the distinct terms are fewer than those terms'
 postings, as in a closed benchmark entry, and else filters its terms'
-lists to the candidates. The contributions are summed by place with one
-np.bincount, which adds one weight at a time in posting order from 0.0, so
-each sum takes its terms in query-token order with score()'s operations:
-every returned score equals score() exactly. No array of the index's size
-is made per query unless the whole index is the candidate set.
+lists to the candidates. One routine, _sums, adds the contributions by
+place with one np.bincount, one weight at a time in posting order from
+0.0, so each sum takes its terms in query-token order with score()'s
+operations: every returned score equals score() exactly. No array of the
+index's size is made per query unless the whole index is the candidate set.
 
-Tuning (tune_params) scores each grid point from counted ranks instead of
-ranked lists. It sums the same contributions from the same pooled view
-with np.bincount, so every sum is bit-identical to search's. It then
-counts each positive's rank with Numbering.positive_ranks, which applies
-top's one tie rule (descending score, then ascending id). The metrics
-take only those ranks, the ranking's length and |positives|, so every
-objective value equals the one scored from search's ranked list.
+Tuning (tune_params) scores each grid point with the same _sums as search,
+over the same pooled view, then counts each positive's rank with
+Numbering.positive_ranks (top's tie rule: descending score, then ascending
+id) instead of ranking a list. The metrics take only those ranks, the
+ranking's length and |positives|: each objective value equals search's.
 
 build_index works in blocks of _BLOCK documents. Each document is analyzed
 once; the block's new terms are numbered in first-seen order, its tokens
@@ -85,8 +83,8 @@ class Bm25Params:
     b: float = 0.4
 
     def __post_init__(self) -> None:
-        if self.k1 < 0:
-            raise ValueError("k1 must be >= 0")
+        if not (math.isfinite(self.k1) and self.k1 >= 0):
+            raise ValueError("k1 must be a finite number >= 0")
         if not 0.0 <= self.b <= 1.0:
             raise ValueError("b must be in [0, 1]")
 
@@ -253,13 +251,12 @@ class _Pooled(NamedTuple):
         return _laid(self.indptr, self.place, self.tfs, terms, idfs)
 
 
-def _whole(index: Bm25Index) -> _Pooled:
-    """Every row as a candidate: the index's own postings, its rows their places."""
-    return _Pooled(np.arange(index.N, dtype=np.int32), index.indptr, index.rows, index.tfs)
-
-
-def _pooled(index: Bm25Index, rows: np.ndarray) -> _Pooled:
-    """The postings of candidate `rows`, gathered once for many queries."""
+def _view(index: Bm25Index, pool) -> _Pooled:
+    """The postings of the pool's ids, gathered once for many queries; when
+    pool is None, every row as a candidate: the index's own postings."""
+    if pool is None:
+        return _Pooled(np.arange(index.N, dtype=np.int32), index.indptr, index.rows, index.tfs)
+    rows = index._pool_rows(pool)
     mask = np.zeros(index.N, dtype=bool)
     mask[rows] = True
     kept = np.flatnonzero(mask[index.rows])
@@ -297,11 +294,14 @@ def _looked_up(index: Bm25Index, rows: np.ndarray, terms: np.ndarray, idfs: np.n
     return place, index.tfs[at[which[token], place]], idfs[token]
 
 
-def _contributions(params: Bm25Params, norm: np.ndarray, tfs: np.ndarray,
-                   idfs: np.ndarray) -> np.ndarray:
-    """Each gathered posting's term score with score()'s operations; `norm`
-    is the length norm at the postings' rows."""
-    return (idfs * (tfs * (params.k1 + 1.0))) / (tfs + params.k1 * norm)
+def _sums(size: int, place: np.ndarray, tfs: np.ndarray, idfs: np.ndarray,
+          params: Bm25Params, norm: np.ndarray) -> np.ndarray:
+    """The score of each of `size` candidates: a gather's (place, tf, idf)
+    postings' term scores, with score()'s operations, summed by place in
+    posting order from 0.0, so bit-identical to score(); `norm` is the
+    length norm at the postings' rows."""
+    contrib = (idfs * (tfs * (params.k1 + 1.0))) / (tfs + params.k1 * norm)
+    return np.bincount(place, weights=contrib, minlength=size)
 
 
 def _ranked(index: Bm25Index, rows: np.ndarray, postings, params: Bm25Params, k: int,
@@ -309,11 +309,7 @@ def _ranked(index: Bm25Index, rows: np.ndarray, postings, params: Bm25Params, k:
     """The top k of the candidate `rows` that a gather's (place, tf, idf)
     `postings` hit, row `exclude` left out."""
     place, tfs, idfs = postings
-    contrib = _contributions(params, index._length_norm(rows[place], params.b), tfs, idfs)
-    # bincount adds one weight at a time in posting order, so each
-    # candidate's sum starts from 0.0 and takes its terms in query-token
-    # order, each with score()'s operations: sums are bit-identical to score()
-    sums = np.bincount(place, weights=contrib, minlength=rows.size)
+    sums = _sums(rows.size, place, tfs, idfs, params, index._length_norm(rows[place], params.b))
     # every posting adds a positive term score (idf > 0, tf >= 1, k1 >= 0 and
     # b in [0, 1]), so exactly the candidates hit have a nonzero sum
     hit = np.flatnonzero(sums)
@@ -338,7 +334,7 @@ def _rank(index: Bm25Index, queries: list[tuple[str, int | None]], pool, params:
     if not queries:  # no query runs a search, so no pool id is checked (as in knn_pool)
         return []
     if pool is None or len(queries) > 1:
-        view = _whole(index) if pool is None else _pooled(index, index._pool_rows(pool))
+        view = _view(index, pool)
         rows, gather = view.rows, view.postings
     else:
         rows = index._pool_rows(pool)
@@ -380,37 +376,29 @@ def default_tuning_grid() -> list[Bm25Params]:
 
 class _TuningQuery:
     """One validation query, prepared once for every grid point: its
-    postings over a pooled view, their rows, each posting's place among the
-    hit rows (ascending), the places of the positives that were hit, and
-    |positives|."""
+    (place, tf, idf) postings over a pooled view's rows, how many rows they
+    hit, the places of the positives hit, and |positives|. A row no posting
+    hits scores 0.0, below every hit, so it moves no positive's rank."""
 
     def __init__(self, index: Bm25Index, view: _Pooled, tokens: list[str], positives):
         relevant = metrics._relevant_set(positives)
-        self.index, self.count = index, len(relevant)
-        place, self.tfs, self.idfs = view.postings(*_token_terms(index, tokens))
-        self.rows = view.rows[place]
-        hits = np.bincount(place, minlength=view.rows.size) > 0
-        self.hit_rows = view.rows[hits]
-        self.place = (np.cumsum(hits) - 1)[place]
+        self.index, self.rows, self.count = index, view.rows, len(relevant)
+        self.place, self.tfs, self.idfs = view.postings(*_token_terms(index, tokens))
+        hit = np.bincount(self.place, minlength=self.rows.size) > 0
+        self.hits = int(np.count_nonzero(hit))
         positive_rows = np.fromiter(
             (r for r in map(index.numbering.row.get, relevant) if r is not None), dtype=np.int32)
-        self.at = self.hit_rows.searchsorted(positive_rows[np.isin(positive_rows, self.hit_rows)])
-
-    def scores(self, params: Bm25Params, norm: np.ndarray) -> np.ndarray:
-        """Each hit's score at `params`; `norm` is the length norm at self.rows."""
-        contrib = _contributions(params, norm, self.tfs, self.idfs)
-        # like _ranked's, bincount adds in posting order from 0.0, so each
-        # hit's sum is bit-identical to the one _ranked ranks
-        return np.bincount(self.place, weights=contrib, minlength=self.hit_rows.size)
+        self.at = np.flatnonzero(hit & np.isin(self.rows, positive_rows))
 
     def values(self, points: list[Bm25Params], k: int, by_ranks) -> list[float]:
         """The objective `by_ranks` of the top k at each of `points`, which
         share one b, so the length norm is computed once for all of them."""
-        norm = self.index._length_norm(self.rows, points[0].b)
-        numbering, length = self.index.numbering, min(k, self.hit_rows.size)
+        norm = self.index._length_norm(self.rows[self.place], points[0].b)
+        numbering, length = self.index.numbering, min(k, self.hits)
         values = []
         for params in points:
-            ranks = numbering.positive_ranks(self.hit_rows, self.scores(params, norm), self.at, k)
+            scores = _sums(self.rows.size, self.place, self.tfs, self.idfs, params, norm)
+            ranks = numbering.positive_ranks(self.rows, scores, self.at, k)
             values.append(by_ranks(ranks, length, self.count))
         return values
 
@@ -420,7 +408,7 @@ def _grid_values(index: Bm25Index, validation, grid, pool, objective: str,
     """Each grid point's objective value per validation query, in order."""
     by_ranks = metrics._metric(objective)
     k = cutoff if cutoff is not None else (len(pool) if pool is not None else index.N)
-    view = _whole(index) if pool is None else _pooled(index, index._pool_rows(pool))
+    view = _view(index, pool)
     prepared = [_TuningQuery(index, view, analyze(text), positives)
                 for text, positives in validation]
     del view

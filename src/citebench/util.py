@@ -11,8 +11,15 @@ from typing import Any
 import numpy as np
 
 
-# json.dumps with non-default arguments builds a new encoder on every call
+def _no_constant(name: str):
+    """json's parse_constant: NaN, Infinity and -Infinity are not JSON."""
+    raise ValueError(f"{name} is not a JSON value")
+
+
+# json.dumps and json.loads with non-default arguments build a new encoder or
+# decoder on every call
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+_DECODER = json.JSONDecoder(parse_constant=_no_constant)
 
 
 def canonical_json(obj: Any) -> str:
@@ -48,10 +55,11 @@ _SHAPES = {
 
 
 def parse_json(text: str, where) -> Any:
-    """Decode JSON text; malformed JSON raises ValueError naming `where`."""
+    """Decode JSON text; malformed JSON, NaN and Infinity included, raises
+    ValueError naming `where`."""
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return _DECODER.decode(text)
+    except ValueError as exc:  # json.JSONDecodeError or _no_constant's
         raise ValueError(f"{where}: malformed JSON: {exc}") from None
 
 

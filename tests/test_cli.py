@@ -1,6 +1,7 @@
 import argparse
 import copy
 import json
+import math
 import subprocess
 from pathlib import Path
 
@@ -623,7 +624,9 @@ def test_malformed_json_names_its_path(workspace, tmp_path, capsys, command):
     ({"k1": 0.9, "b": None}, "b must be a number"),
     ({"k1": True, "b": 0.4}, "k1 must be a number"),
     ([0.9, 0.4], "params file must be a JSON object"),
-], ids=["missing-k1", "str-k1", "null-b", "bool-k1", "not-an-object"])
+    # json.dumps writes NaN, which no JSON reader may take as a number
+    ({"k1": math.nan, "b": 0.4}, "malformed JSON: NaN is not a JSON value"),
+], ids=["missing-k1", "str-k1", "null-b", "bool-k1", "not-an-object", "nan-k1"])
 def test_params_file_needs_numeric_k1_and_b(pipeline, tmp_path, capsys, params, expected):
     root, pref_path, emb, pools, run_files, _ = pipeline
     path = tmp_path / "params.json"
@@ -696,6 +699,18 @@ def test_run_rejects_cutoff_below_one(pipeline, tmp_path, capsys, model, source)
     # a closed pool is ranked whole, so run --benchmark takes no cutoff at all
     assert _error(capsys) == ("cutoff must be >= 1, got 0" if source == "pool"
                               else "run --benchmark does not read --cutoff")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k1", ["nan", "inf", "-inf"])
+def test_run_rejects_a_non_finite_k1(pipeline, tmp_path, capsys, k1):
+    root, pref_path, emb, pools, run_files, bench_path = pipeline
+    out = tmp_path / "run"
+    # argparse's float() reads these spellings (the = form lets "-inf" be a value);
+    # the run would score every candidate nan
+    assert main(["run", "--corpus", pref_path, "--pool", pools[0], "--model", "bm25",
+                 f"--k1={k1}", "--out", str(out)]) == 1
+    assert _error(capsys) == "k1 must be a finite number >= 0"
     assert not out.exists()
 
 

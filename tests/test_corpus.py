@@ -38,9 +38,11 @@ class TestLoadCorpus:
 
     @pytest.mark.parametrize("line, expected", [
         ("{broken", ":2: malformed JSON"),
+        ('{"id": "B", "year": NaN}',
+         ":2: malformed JSON: NaN is not a JSON value (rejection budget 0 exceeded)"),
         ('{"id": 3}', ":2: missing or invalid 'id' (rejection budget 0 exceeded)"),
         (_record("A"), ": duplicate article id: 'A'"),
-    ], ids=["malformed-json", "bad-record", "duplicate-id"])
+    ], ids=["malformed-json", "non-finite", "bad-record", "duplicate-id"])
     def test_errors_name_the_file_once(self, tmp_path, line, expected):
         path = _write_lines(tmp_path / "c.jsonl", [_record("A"), line])
         with pytest.raises(CorpusError) as info:
@@ -61,6 +63,13 @@ class TestLoadCorpus:
                 pass
         corpus = load_corpus(path, reject_budget=1)
         assert len(corpus) == parseable == 2
+        assert corpus.rejected == 1
+
+    def test_non_finite_line_counts_against_the_budget(self, tmp_path):
+        path = _write_lines(tmp_path / "c.jsonl",
+                            [_record("A"), '{"id": "B", "year": Infinity}', _record("C")])
+        corpus = load_corpus(path, reject_budget=1)
+        assert [a.id for a in corpus] == ["A", "C"]
         assert corpus.rejected == 1
 
     def test_budget_exceeded_raises(self, tmp_path):

@@ -126,12 +126,12 @@ class TestBm25AgainstDictKernel:
         assert search(ix, "a b", k=5) == []
 
 
-def gathers(ix, rows, tokens):
-    """Every gather's (place, tf, idf) arrays of one query over candidate
-    `rows`: the lookup, the pooled view of the whole pool and, for a
-    non-empty pool, that of just the query's terms."""
-    query = lexical._token_terms(ix, tokens)
-    found = [lexical._looked_up(ix, rows, *query), lexical._pooled(ix, rows).postings(*query)]
+def gathers(ix, pool, tokens):
+    """Every gather's (place, tf, idf) arrays of one query over the pool's
+    rows: the lookup, the pooled view of the whole pool and, for a non-empty
+    pool, that of just the query's terms."""
+    query, rows = lexical._token_terms(ix, tokens), ix._pool_rows(pool)
+    found = [lexical._looked_up(ix, rows, *query), lexical._view(ix, pool).postings(*query)]
     return found + [lexical._filtered(ix, rows, *query)] if rows.size else found
 
 
@@ -185,7 +185,7 @@ class TestBm25AgainstMaskSearch:
         params = Bm25Params(k1, b)
         expected = add_at_ranked(ix, terms, params, k, exclude)
         first = None
-        for postings in gathers(ix, rows, tokens):
+        for postings in gathers(ix, pool, tokens):
             # every gather lays out the same postings, in query-token order
             if first is None:
                 first = postings
@@ -312,15 +312,21 @@ class TestTuneAgainstListwise:
     @SETTINGS
     @given(docs=doc_texts, data=st.data())
     def test_values_equal_listwise(self, docs, data):
-        ix, _ = index_of(docs)
-        ids = [i for i, _ in docs]
-        validation = data.draw(st.lists(
-            st.tuples(query_tokens.map(" ".join),
-                      st.sets(st.sampled_from(ids + ["ghost"]), min_size=1)),
-            min_size=1, max_size=4))
+        # "unhit" shares no token with any query: every pool holds it, it
+        # scores 0.0 at every grid point, and it is often a positive that no
+        # query hits, so a zero-scored candidate may move no rank or length
+        ix, _ = index_of(docs + [("unhit", ["g", "h", "g"])])
+        ids = [i for i, _ in docs] + ["unhit"]
+        positives = st.builds(lambda drawn, unhit: drawn | ({"unhit"} if unhit else set()),
+                              st.sets(st.sampled_from(ids + ["ghost"]), min_size=1),
+                              st.booleans())
+        validation = data.draw(st.lists(st.tuples(query_tokens.map(" ".join), positives),
+                                        min_size=1, max_size=4))
         grid = data.draw(st.lists(st.builds(Bm25Params, k1_values, b_values), min_size=1,
                                   max_size=6))
         pool = pool_from(data.draw, ids)
+        if pool is not None:
+            pool.add("unhit")
         cutoff = data.draw(st.one_of(st.none(), st.integers(1, len(ids) + 1)))
         objective = data.draw(objectives)
         got = lexical._grid_values(ix, validation, grid, pool, objective, cutoff)
@@ -335,11 +341,15 @@ class TestTuneAgainstListwise:
     def test_hit_scores_equal_search_scores(self, docs, tokens, k1, b, data):
         ix, _ = index_of(docs)
         pool = pool_from(data.draw, [i for i, _ in docs])
-        view = lexical._whole(ix) if pool is None else lexical._pooled(ix, ix._pool_rows(pool))
-        query = lexical._TuningQuery(ix, view, tokens, {"ghost"})
+        query = lexical._TuningQuery(ix, lexical._view(ix, pool), tokens, {"ghost"})
         params = Bm25Params(k1, b)
-        scores = query.scores(params, ix._length_norm(query.rows, b))
-        got = dict(zip([ix.ids[r] for r in query.hit_rows.tolist()], scores.tolist()))
+        # the scores that tuning ranks: _sums again on the arguments values() gave it
+        with mock.patch.object(lexical, "_sums", wraps=lexical._sums) as sums:
+            query.values([params], len(docs), metrics._metric("map"))
+        scores = lexical._sums(*sums.call_args.args)
+        every = dict(zip([ix.ids[r] for r in query.rows.tolist()], scores.tolist()))
+        got = {doc: s for doc, s in every.items() if s}
+        assert len(got) == query.hits
         assert got == dict(search(ix, " ".join(tokens), params, k=len(docs), pool=pool))
         for doc, s in got.items():
             assert s == score(ix, tokens, doc, params)
@@ -1197,7 +1207,7 @@ class TestCutAgainstOldCuts:
         docs = docs + [(f"{i}x", words) for i, words in docs]
         ix, _ = index_of(docs)
         pool = pool_from(data.draw, [i for i, _ in docs])
-        view = lexical._whole(ix) if pool is None else lexical._pooled(ix, ix._pool_rows(pool))
+        view = lexical._view(ix, pool)
         terms = mask_query_terms(ix, tokens, None if pool is None else pool_mask(ix, pool))
         exclude = data.draw(st.one_of(st.none(), st.integers(0, ix.N - 1)))
         k = data.draw(st.integers(1, ix.N + 2))

@@ -182,6 +182,11 @@ class TestScore:
             Bm25Params(k1=-0.1)
         with pytest.raises(ValueError):
             Bm25Params(b=1.5)
+        for k1 in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=r"^k1 must be a finite number >= 0$"):
+                Bm25Params(k1=k1)
+        with pytest.raises(ValueError, match=r"^b must be in \[0, 1\]$"):
+            Bm25Params(b=math.nan)
 
 
 class TestSearch:
