@@ -22,32 +22,21 @@ from __future__ import annotations
 
 import functools
 import json
-import random
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from .corpus import CitationGraph, Corpus, FIELD_ABBREVS, resolve_field
 from .metrics import _ranked_ids, jaccard
-from .util import checked, derive_seed, parse_json, read_json, sum_in_order
+from .util import Selection, checked, derive_seed, parse_json, read_json, sample, sum_in_order
 
 GRAPH_TYPE = "graph"
 MOST_CITED_TYPE = "most_cited"
 RANDOM_TYPE = "random"
 RESERVED_TYPES = (GRAPH_TYPE, MOST_CITED_TYPE, RANDOM_TYPE)
-
-
-class Selection(NamedTuple):
-    ids: list[str]
-    shortfall: bool
-
-
-class QueryRejected(ValueError):
-    """The query cannot supply its candidate quota and is dropped."""
 
 
 @dataclass(frozen=True)
@@ -102,12 +91,11 @@ class Benchmark:
         )
 
 
-def top_negatives_per_model(run, qrels: Mapping[str, frozenset],
+def top_negatives_per_model(rankings: Mapping[str, Sequence], qrels: Mapping[str, frozenset],
                             depth: int = BenchmarkParams.model_pool_depth) -> dict[str, list[str]]:
-    """Per query: the ranked candidates with the true positives removed,
-    truncated to `depth`. Positives are filtered before truncation so the
-    full depth stays available."""
-    rankings = getattr(run, "rankings", run)
+    """Per query of a run's rankings: the ranked candidates with the true
+    positives removed, truncated to `depth`. Positives are filtered before
+    truncation so the full depth stays available."""
     out: dict[str, list[str]] = {}
     for q, ranked in rankings.items():
         relevant = qrels.get(q, frozenset())
@@ -155,15 +143,7 @@ def ranked_negatives(ranked: Sequence[str], query_id: str, n: int, exclude,
                      seed: int) -> Selection:
     """Uniform sample of n ids from a ranked list (a model's top negatives or
     a field's most-cited articles) minus the query and `exclude`."""
-    return _sample([d for d in ranked if d not in exclude and d != query_id], n, seed)
-
-
-def _sample(eligible: Sequence, n: int, seed: int) -> Selection:
-    """Uniform sample of n of `eligible`, or all of it (a shortfall) when it
-    holds fewer than n."""
-    if len(eligible) < n:
-        return Selection(list(eligible), True)
-    return Selection(random.Random(seed).sample(eligible, n), False)
+    return sample([d for d in ranked if d not in exclude and d != query_id], n, seed)
 
 
 def overlap_similarity(graph: CitationGraph, query_id: str, cited_id: str) -> float:
@@ -228,25 +208,21 @@ def random_negatives(corpus: Corpus, query_id: str, n: int, exclude, seed: int) 
     dropped = np.sort(numbering.id_rank[drop])
     # kept ids before each dropped rank; nondecreasing
     kept_before = dropped - np.arange(len(dropped))
-    positions = _sample(range(len(corpus) - len(dropped)), n, seed)
+    positions = sample(range(len(corpus) - len(dropped)), n, seed)
     ranks = np.array(positions.ids, dtype=np.intp)
     ranks += np.searchsorted(kept_before, ranks, side="right")
-    return Selection(list(map(numbering.sorted_ids.__getitem__, ranks.tolist())),
-                     positions.shortfall)
+    return positions._replace(ids=list(map(numbering.sorted_ids.__getitem__, ranks.tolist())))
 
 
-def sample_positives(graph: CitationGraph, query_id: str, n: int, seed: int) -> list[str]:
-    """Uniform sample of n articles cited by the query; rejects the query
-    (raises) when it cites fewer than n corpus articles."""
-    cited = graph.outgoing.ids_of(query_id)
-    if len(cited) < n:
-        raise QueryRejected(f"query {query_id!r} cites {len(cited)} articles, needs {n}")
-    return random.Random(seed).sample(cited, n)
+def sample_positives(graph: CitationGraph, query_id: str, n: int, seed: int) -> Selection:
+    """Uniform sample of n articles cited by the query, or all of them (a
+    shortfall) when it cites fewer than n corpus articles."""
+    return sample(graph.outgoing.ids_of(query_id), n, seed)
 
 
 def build_benchmark(corpus: Corpus, graph: CitationGraph,
                     queries_by_field: Mapping[str, Sequence[str]],
-                    model_runs: Mapping[str, object],
+                    model_runs: Mapping[str, Mapping[str, Sequence]],
                     params: BenchmarkParams = BenchmarkParams(),
                     seed: int = 0) -> Benchmark:
     """Assemble benchmark entries for every query, dropping queries with any
@@ -272,8 +248,8 @@ def build_benchmark(corpus: Corpus, graph: CitationGraph,
             field_of[q] = field_key
             qrels[q] = set(graph.outgoing.ids_of(q))
     per_model = {
-        name: top_negatives_per_model(run, qrels, params.model_pool_depth)
-        for name, run in model_runs.items()
+        name: top_negatives_per_model(rankings, qrels, params.model_pool_depth)
+        for name, rankings in model_runs.items()
     }
     chosen = select_diverse_models(per_model, params.model_count)
     types = [*chosen, *RESERVED_TYPES]
@@ -311,12 +287,9 @@ def build_benchmark(corpus: Corpus, graph: CitationGraph,
 
 
 def _build_entry(corpus, graph, query_id, abbrev, types, per_model, params, seed, most_cited_of):
-    try:
-        positives = sorted(
-            sample_positives(graph, query_id, params.positives_per_query,
-                             derive_seed(seed, query_id, "positives"))
-        )
-    except QueryRejected:
+    positives = sample_positives(graph, query_id, params.positives_per_query,
+                                 derive_seed(seed, query_id, "positives"))
+    if positives.shortfall:
         return None
     # the positives are among the query's cited articles
     exclude = {query_id, *graph.outgoing.ids_of(query_id)}
@@ -337,7 +310,7 @@ def _build_entry(corpus, graph, query_id, abbrev, types, per_model, params, seed
             return None
         groups[label] = sorted(sel.ids)
         exclude |= set(sel.ids)
-    return BenchmarkEntry(query_id, abbrev, positives, groups)
+    return BenchmarkEntry(query_id, abbrev, sorted(positives.ids), groups)
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,8 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             kinds = (int, float) if kind is float else (kind,)
             takes = action.choices or " or ".join(k.__name__ for k in kinds)
             ok = type(value) in kinds and value in (action.choices or [value])
+            if ok and kind is float:  # float(value) would raise OverflowError
+                takes, ok = "a number within a float's range", abs(value) <= sys.float_info.max
         if not ok:
             raise ValueError(f"{args.config}: key {key!r} takes {takes}, got {value!r}")
         if getattr(args, key) is None:
@@ -442,7 +444,8 @@ def _read_eval(path: str) -> dict:
             raise ValueError(f"{path}: {where} is not one of the field abbreviations")
         if not isinstance(values, dict) or values.keys() != avg.keys():
             raise ValueError(f"{path}: {where} must be an object of avg's metrics {sorted(avg)}")
-        bad = next((m for m, v in values.items() if type(v) not in (int, float)), None)
+        bad = next((m for m, v in values.items() if type(v) not in (int, float)
+                    or abs(v) > sys.float_info.max), None)
         if bad is not None:
             raise ValueError(f"{path}: {where} metric {bad!r} must be a number, "
                              f"got {values[bad]!r}")

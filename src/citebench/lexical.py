@@ -200,6 +200,8 @@ def score(index: Bm25Index, query_terms: list[str], doc_id: str, params: Bm25Par
     row = index.numbering.row.get(doc_id)
     if row is None:
         raise KeyError(f"unknown doc id {doc_id!r}")
+    if not index.avgdl:  # every document is empty, so no term has a posting
+        return 0.0
     norm = params.k1 * (1.0 - params.b + params.b * int(index.lengths[row]) / index.avgdl)
     total = 0.0
     for term in query_terms:

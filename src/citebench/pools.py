@@ -10,13 +10,12 @@ year rule so noisy citation data cannot silently delete relevant items.
 from __future__ import annotations
 
 import json
-import random
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import Article, CitationGraph, Corpus, FieldLabel, field_cited_set, resolve_field
-from .util import checked, read_json
+from .util import checked, read_json, sample
 
 DATASET_LEVEL = "dataset"
 FIELD_LEVEL = "field"
@@ -58,11 +57,11 @@ def sample_queries(corpus: Corpus, graph: CitationGraph, plan: SamplingPlan,
             continue
         eligible.append(art.id)
     eligible.sort()
-    if len(eligible) < plan.queries_per_unit:
-        raise ValueError(
-            f"only {len(eligible)} eligible query articles, need {plan.queries_per_unit}"
-        )
-    return random.Random(plan.rng_seed).sample(eligible, plan.queries_per_unit)
+    queries, shortfall = sample(eligible, plan.queries_per_unit, plan.rng_seed)
+    if shortfall:
+        raise ValueError(f"only {len(eligible)} eligible query articles, "
+                         f"need {plan.queries_per_unit}")
+    return queries
 
 
 @dataclass
@@ -126,9 +125,7 @@ def _build_pool(corpus: Corpus, graph: CitationGraph, queries: Iterable[str], si
         art.id for art in population
         if art.id not in taken and art.year is not None and art.year <= query_year
     )
-    need = size - len(cited)
-    shortfall = need > len(fill_population)
-    fill = fill_population if shortfall else random.Random(seed).sample(fill_population, need)
+    fill, shortfall = sample(fill_population, size - len(cited), seed)
     return PoolSet(setup, field, seed, query_year, size, shortfall, sorted(cited.union(fill)),
                    positives)
 

@@ -1,12 +1,15 @@
-"""Shared helpers: JSON input files, canonical JSON, hashing, seeds, float sums, row numbering."""
+"""Shared helpers: JSON inputs, canonical JSON, hashing, seeded draws, float sums, row numbering."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Callable, Iterable
+import math
+import random
+import sys
+from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -16,10 +19,17 @@ def _no_constant(name: str):
     raise ValueError(f"{name} is not a JSON value")
 
 
+def _finite_float(text: str) -> float:
+    """json's parse_float: a number past a float's range (1e999) is not infinity."""
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"{text} is out of a float's range")
+    return value
+
+
 # json.dumps and json.loads with non-default arguments build a new encoder or
 # decoder on every call
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-_DECODER = json.JSONDecoder(parse_constant=_no_constant)
+_DECODER = json.JSONDecoder(parse_constant=_no_constant, parse_float=_finite_float)
 
 
 def canonical_json(obj: Any) -> str:
@@ -40,11 +50,11 @@ def is_str_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
 
-# checked()'s shapes, by the words its errors use; integers and numbers are never bools
+# checked()'s shapes, by the words its errors use; no bool is an integer or a number
 _SHAPES = {
     "a string": lambda v: isinstance(v, str),
     "an integer": lambda v: type(v) is int,
-    "a number": lambda v: type(v) in (int, float),
+    "a number": lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
     "a boolean": lambda v: isinstance(v, bool),
     "a list": lambda v: isinstance(v, list),
     "a list of strings": is_str_list,
@@ -55,11 +65,11 @@ _SHAPES = {
 
 
 def parse_json(text: str, where) -> Any:
-    """Decode JSON text; malformed JSON, NaN and Infinity included, raises
-    ValueError naming `where`."""
+    """Decode JSON text; malformed JSON, NaN, Infinity and numbers past a
+    float's range included, raises ValueError naming `where`."""
     try:
         return _DECODER.decode(text)
-    except ValueError as exc:  # json.JSONDecodeError or _no_constant's
+    except ValueError as exc:  # json.JSONDecodeError, _no_constant's or _finite_float's
         raise ValueError(f"{where}: malformed JSON: {exc}") from None
 
 
@@ -104,6 +114,20 @@ def derive_seed(master: int, *labels: str) -> int:
         h.update(b"\x1f")
         h.update(label.encode("utf-8"))
     return int.from_bytes(h.digest()[:8], "little")
+
+
+class Selection(NamedTuple):
+    """Ids picked for a quota, and whether too few were there to fill it."""
+    ids: list
+    shortfall: bool
+
+
+def sample(population: Sequence, n: int, seed: int) -> Selection:
+    """random.Random(seed).sample(population, n), or all of `population` as a list
+    (a shortfall) when it holds fewer than n: every seeded draw of pools and benchmarks."""
+    if len(population) < n:
+        return Selection(list(population), True)
+    return Selection(random.Random(seed).sample(population, n), False)
 
 
 class Numbering:

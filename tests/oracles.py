@@ -21,14 +21,13 @@ from mpmath import log as mplog
 
 from citebench import lexical, metrics
 from citebench.benchgen import (GRAPH_TYPE, MOST_CITED_TYPE, RANDOM_TYPE, Benchmark,
-                                BenchmarkEntry, BenchmarkParams, QueryRejected, Selection,
-                                sample_positives, select_diverse_models,
+                                BenchmarkEntry, BenchmarkParams, select_diverse_models,
                                 top_negatives_per_model)
 from citebench.corpus import (FIELD_ABBREVS, PREFILTER_RULES, Corpus, PrefilterResult,
                               PrefilterRules, _article_obj, resolve_field)
 from citebench.harness import BenchmarkReport, RetrievalRun
 from citebench.pools import FIELD_LEVEL, _build_pool
-from citebench.util import derive_seed, stable_digest
+from citebench.util import Selection, derive_seed, stable_digest
 
 
 def naive_bm25_rank(doc_tokens: dict[str, list[str]], query_tokens: list[str],
@@ -513,14 +512,12 @@ def per_query_model_based_negatives(query_id, model_negatives, n, exclude, seed)
 
 
 def per_query_build_entry(corpus, graph, query_id, abbrev, chosen, per_model, params, seed):
-    try:
-        positives = sorted(
-            sample_positives(graph, query_id, params.positives_per_query,
-                             derive_seed(seed, query_id, "positives"))
-        )
-    except QueryRejected:
+    cited = sorted(graph.outgoing.get(query_id, frozenset()))
+    if len(cited) < params.positives_per_query:
         return None
-    exclude = {query_id} | set(positives) | set(graph.outgoing.get(query_id, frozenset()))
+    positives = sorted(random.Random(derive_seed(seed, query_id, "positives"))
+                       .sample(cited, params.positives_per_query))
+    exclude = {query_id} | set(positives) | set(cited)
     groups: dict[str, list[str]] = {}
     for label in chosen:
         sel = per_query_model_based_negatives(query_id, per_model[label].get(query_id, []),

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from citebench.benchgen import (BenchmarkParams, QueryRejected, build_benchmark,
+from citebench.benchgen import (BenchmarkParams, build_benchmark,
                                 graph_negatives, most_cited, overlap_similarity,
                                 random_negatives, ranked_negatives,
                                 read_benchmark_jsonl, sample_positives,
@@ -261,16 +261,16 @@ class TestSamplePositives:
 
     def test_exactly_five(self):
         got = sample_positives(self._graph(5), "q", 5, seed=1)
-        assert sorted(got) == [f"p{i}" for i in range(5)]
+        assert sorted(got.ids) == [f"p{i}" for i in range(5)] and not got.shortfall
 
-    def test_four_cited_rejected(self):
-        with pytest.raises(QueryRejected):
-            sample_positives(self._graph(4), "q", 5, seed=1)
+    def test_four_cited_fall_short(self):
+        got = sample_positives(self._graph(4), "q", 5, seed=1)
+        assert got.ids == [f"p{i}" for i in range(4)] and got.shortfall
 
     def test_subset_of_cited(self):
         g = self._graph(20)
         got = sample_positives(g, "q", 5, seed=2)
-        assert len(got) == 5 and set(got) <= set(g.outgoing.ids_of("q"))
+        assert len(got.ids) == 5 and set(got.ids) <= set(g.outgoing.ids_of("q"))
 
 
 def small_benchmark_inputs(synth_prefiltered, fields=("Med", "CS"), queries_per_field=5):

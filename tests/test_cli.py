@@ -332,11 +332,14 @@ _METRICS = "an object of avg's metrics ['map', 'recall@5']"
      "per_field 'Med' metric 'map' must be a number, got '0.5'"),
     (lambda d: d["avg"].update({"recall@5": True}),
      "avg metric 'recall@5' must be a number, got True"),
+    # a JSON integer has no bound; float() of this one raises OverflowError
+    (lambda d: d["avg"].update(map=10 ** 400),
+     f"avg metric 'map' must be a number, got {10 ** 400}"),
     (lambda d: d["per_field"]["CS"].pop("map"), f"per_field 'CS' must be {_METRICS}"),
     (lambda d: d["per_field"]["Med"].update(ndcg=0.5), f"per_field 'Med' must be {_METRICS}"),
     (lambda d: d["per_field"].update(CS=[0.5]), f"per_field 'CS' must be {_METRICS}"),
-], ids=["field-name", "str-metric", "bool-metric", "missing-metric", "extra-metric",
-        "list-for-object"])
+], ids=["field-name", "str-metric", "bool-metric", "int-past-float", "missing-metric",
+        "extra-metric", "list-for-object"])
 def test_report_rejects_malformed_eval_file(bench_eval, tmp_path, capsys, edit, message):
     data = copy.deepcopy(bench_eval)
     edit(data)
@@ -531,9 +534,11 @@ def test_pool_that_fails_to_sample_leaves_no_out(workspace, tmp_path, capsys):
     ("eval", {"run": []}, "run"),
     ("report", {"eval": ["a=b", 3]}, "eval"),
     ("ingest", {"config": "other.json"}, "config"),
+    # a JSON integer has no bound; float() of this one raises OverflowError
+    ("run", {"k1": 10 ** 400}, "k1"),
 ], ids=["unknown-key", "str-for-int", "bool-for-int", "tune-str-for-list",
         "benchgen-str-for-list", "flag-of-another-subcommand", "outside-choices",
-        "int-for-bool", "empty-list", "non-str-in-list", "config-key"])
+        "int-for-bool", "empty-list", "non-str-in-list", "config-key", "int-past-float"])
 def test_config_rejects_bad_key_or_value(workspace, tmp_path, capsys, command, config, key):
     _, _, pref_path, _ = workspace
     path = tmp_path / "cfg.json"
@@ -623,10 +628,12 @@ def test_malformed_json_names_its_path(workspace, tmp_path, capsys, command):
     ({"k1": "0.9", "b": 0.4}, "k1 must be a number"),
     ({"k1": 0.9, "b": None}, "b must be a number"),
     ({"k1": True, "b": 0.4}, "k1 must be a number"),
+    ({"k1": 10 ** 400, "b": 0.4}, "k1 must be a number"),
     ([0.9, 0.4], "params file must be a JSON object"),
     # json.dumps writes NaN, which no JSON reader may take as a number
     ({"k1": math.nan, "b": 0.4}, "malformed JSON: NaN is not a JSON value"),
-], ids=["missing-k1", "str-k1", "null-b", "bool-k1", "not-an-object", "nan-k1"])
+], ids=["missing-k1", "str-k1", "null-b", "bool-k1", "int-past-float-k1", "not-an-object",
+        "nan-k1"])
 def test_params_file_needs_numeric_k1_and_b(pipeline, tmp_path, capsys, params, expected):
     root, pref_path, emb, pools, run_files, _ = pipeline
     path = tmp_path / "params.json"

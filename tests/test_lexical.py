@@ -177,6 +177,17 @@ class TestScore:
         with pytest.raises(KeyError):
             score(ix, ["a"], "nope", Bm25Params())
 
+    @pytest.mark.parametrize("terms, params", [([], Bm25Params(0.0, 0.0)), (["x"], Bm25Params())],
+                             ids=["no-terms", "absent-term"])
+    def test_index_of_empty_documents_scores_zero(self, terms, params):
+        # avgdl is 0, so no term has a posting: every score is 0.0, as search
+        # finds nothing, and an unknown id is still a KeyError
+        ix = build_index(corpus_from_texts({"d0": ""}))
+        assert ix.avgdl == 0.0 and search(ix, "x") == []
+        assert score(ix, terms, "d0", params) == 0.0
+        with pytest.raises(KeyError):
+            score(ix, terms, "d1", params)
+
     def test_param_validation(self):
         with pytest.raises(ValueError):
             Bm25Params(k1=-0.1)

@@ -1,6 +1,6 @@
-"""Every JSON input file reader: malformed JSON (NaN and Infinity
-included), a value that is not an object and a missing or mis-shaped key
-each fail with a ValueError that names the file."""
+"""Every JSON input file reader: malformed JSON (NaN, Infinity and numbers
+past a float's range included), a value that is not an object and a
+missing or mis-shaped key each fail with a ValueError that names the file."""
 
 import json
 
@@ -67,7 +67,8 @@ READERS = {
 
 
 @pytest.mark.parametrize("reader", sorted(READERS))
-@pytest.mark.parametrize("case", ["malformed", "non-finite", "not-object", "bad-key"])
+@pytest.mark.parametrize("case", ["malformed", "non-finite", "overflow", "not-object",
+                                  "bad-key"])
 def test_reader_error_names_the_file(tmp_path, reader, case):
     read, what, bad_obj, bad_message = READERS[reader]
     text, message = {
@@ -75,6 +76,9 @@ def test_reader_error_names_the_file(tmp_path, reader, case):
         # Python's json reads these tokens as floats; JSON has no such values
         "non-finite": ('{"k1": 0.9, "b": [-Infinity, Infinity, NaN]}',
                        "malformed JSON: -Infinity is not a JSON value"),
+        # Python's float() reads these as infinities
+        "overflow": ('{"k1": 0.9, "b": [1e999, -1e999]}',
+                     "malformed JSON: 1e999 is out of a float's range"),
         "not-object": ("[1, 2]", f"{what} must be a JSON object"),
         "bad-key": (json.dumps(bad_obj), bad_message),
     }[case]
