@@ -26,7 +26,7 @@ from .benchgen import (Benchmark, BenchmarkEntry, BenchmarkParams, build_benchma
                        sample_positives, select_diverse_models, top_negatives_per_model,
                        write_benchmark_jsonl)
 from .harness import (BenchmarkReport, Bm25Model, DenseModel, RetrievalModel, RetrievalRun,
-                      candidate_type_breakdown, emit_report, evaluate_benchmark,
+                      candidate_type_breakdown, evaluate_benchmark,
                       render_report, run_retrieval, score_benchmark_rankings)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

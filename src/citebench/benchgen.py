@@ -21,17 +21,16 @@ fill a quota are dropped, never padded.
 from __future__ import annotations
 
 import functools
-import json
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .corpus import CitationGraph, Corpus, FIELD_ABBREVS, resolve_field
 from .metrics import _ranked_ids, jaccard
-from .util import Selection, checked, derive_seed, parse_json, read_json, sample, sum_in_order
+from .util import (Selection, checked, compact_json, derive_seed, indented_json, parse_json,
+                   read_json, sample, sum_in_order, write_text)
 
 GRAPH_TYPE = "graph"
 MOST_CITED_TYPE = "most_cited"
@@ -319,21 +318,11 @@ def _build_entry(corpus, graph, query_id, abbrev, types, per_model, params, seed
 
 
 def write_benchmark_jsonl(benchmark: Benchmark, path, manifest_path=None) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for entry in benchmark.entries:
-            obj = {
-                "query_id": entry.query_id,
-                "field": entry.field,
-                "positives": entry.positives,
-                "negatives": entry.negatives,
-            }
-            fh.write(json.dumps(obj, ensure_ascii=False, separators=(",", ":")))
-            fh.write("\n")
+    write_text(path, (compact_json({"query_id": e.query_id, "field": e.field,
+                                    "positives": e.positives, "negatives": e.negatives}) + "\n"
+                      for e in benchmark.entries))
     if manifest_path is not None:
-        Path(manifest_path).write_text(
-            json.dumps(benchmark.manifest, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
+        write_text(manifest_path, [indented_json(benchmark.manifest) + "\n"])
 
 
 def read_benchmark_jsonl(path, manifest_path=None) -> Benchmark:

@@ -35,13 +35,14 @@ from .corpus import (PrefilterRules, build_citation_graph, load_corpus,
                      prefilter, write_corpus_jsonl, FIELD_ABBREVS)
 from .dense import load_embeddings
 from .harness import (DEFAULT_CUTOFF, Bm25Model, DenseModel, RetrievalModel,
-                      candidate_type_breakdown, emit_report, rank_benchmark, run_retrieval,
-                      score_benchmark_rankings)
+                      candidate_type_breakdown, rank_benchmark, render_report,
+                      run_retrieval, score_benchmark_rankings)
 from .lexical import Bm25Params, build_index, default_tuning_grid, tune_params
 from .metrics import evaluate_run, metric_means, read_run_tsv, write_run_tsv
 from .pools import (PoolSet, SamplingPlan, build_dataset_pool, build_field_pool,
                     read_pool_json, repeat_pools, sample_queries, write_pool_json)
-from .util import canonical_json, checked, is_str_list, read_json, stable_digest, sum_in_order
+from .util import (canonical_json, checked, indented_json, is_str_list, read_json, stable_digest,
+                   sum_in_order, write_text)
 
 _METRIC_DISPLAY = {"map": "MAP", "ndcg": "nDCG"}
 
@@ -245,8 +246,7 @@ class _Inputs:
         return Path(self.args.out) / name
 
     def write_json(self, name: str, obj) -> None:
-        text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-        self.out(name).write_text(text, encoding="utf-8")
+        write_text(self.out(name), [indented_json(obj) + "\n"])
 
     def write_manifest(self, artifact: str) -> None:
         self.write_json(f"{artifact}.manifest.json", {
@@ -357,7 +357,7 @@ def cmd_eval(args: argparse.Namespace, inputs: _Inputs) -> int:
         rows = {**report.per_field, "AVG": report.macro}  # per_field is in FIELD_ABBREVS order
         inputs.write_json(f"{stem}.json", {"per_field": report.per_field, "avg": report.macro})
         table = {r: {_display_metric(m): v for m, v in vals.items()} for r, vals in rows.items()}
-        emit_report(table, inputs.out(f"{stem}.tsv"), row_header="Field")
+        write_text(inputs.out(f"{stem}.tsv"), [render_report(table, row_header="Field")])
         inputs.write_manifest(stem)
         macro = {_display_metric(m): round(v, 4) for m, v in report.macro.items()}
         print(f"eval: {stem} AVG {macro}")
@@ -396,6 +396,8 @@ def cmd_benchgen(args: argparse.Namespace, inputs: _Inputs) -> int:
     model_runs: dict[str, dict] = {}
     for name, path in _name_paths(args.run, "--run", unique=False):
         rankings = read_run_tsv(path)
+        inputs._check_ids(path, [*rankings, *(doc for ranked in rankings.values()
+                                              for doc, _ in ranked)])
         merged = model_runs.setdefault(name, {})
         overlap = merged.keys() & rankings.keys()
         if overlap:
@@ -424,7 +426,7 @@ def cmd_breakdown(args: argparse.Namespace, inputs: _Inputs) -> int:
     stem = f"breakdown_{model.name}"
     inputs.write_json(f"{stem}.json", table)
     display = {t: {_display_metric(m): v for m, v in vals.items()} for t, vals in table.items()}
-    emit_report(display, inputs.out(f"{stem}.tsv"), row_header="Type")
+    write_text(inputs.out(f"{stem}.tsv"), [render_report(display, row_header="Type")])
     inputs.write_manifest(stem)
     print(f"breakdown: {model.name} over {len(table)} candidate types -> {stem}.tsv")
     return 0
@@ -469,7 +471,7 @@ def cmd_report(args: argparse.Namespace, inputs: _Inputs) -> int:
                                          else data["per_field"][row]).items()}
              for row in [*fields, "AVG"]}
     path = inputs.out(f"report.{'md' if args.format == 'markdown' else 'tsv'}")
-    emit_report(table, path, row_header="Field", **_given(args, fmt="format"))
+    write_text(path, [render_report(table, row_header="Field", **_given(args, fmt="format"))])
     inputs.write_manifest("report")
     print(f"report: {len(table)} rows x {len(table['AVG'])} columns -> {path.name}")
     return 0

@@ -8,14 +8,13 @@ the corpus are dropped at build time and counted.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
 
-from .util import Numbering, canonical_json, parse_json, stable_digest
+from .util import Numbering, canonical_json, compact_json, parse_json, stable_digest, write_text
 
 
 class CorpusError(ValueError):
@@ -195,10 +194,7 @@ def load_corpus(path, *, reject_budget: int = 0) -> Corpus:
 
 def write_corpus_jsonl(corpus: Corpus, path) -> None:
     """Write a corpus back out in the canonical JSON Lines form."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for art in corpus:
-            fh.write(json.dumps(_article_obj(art), ensure_ascii=False, separators=(",", ":")))
-            fh.write("\n")
+    write_text(path, (compact_json(_article_obj(art)) + "\n" for art in corpus))
 
 
 class Adjacency:

@@ -12,7 +12,6 @@ _knn; util.Numbering.top selects each query's k best before sorting only those.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from collections.abc import Sequence
@@ -20,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .util import Numbering, checked, read_json
+from .util import Numbering, checked, compact_json, read_json, write_text
 
 METRICS = ("cosine", "dot", "euclidean")
 
@@ -123,9 +122,7 @@ def save_embeddings(ids: Sequence[str], vectors: np.ndarray, vector_path, manife
     with open(vector_path, "wb") as fh:
         fh.write(vectors.tobytes(order="C"))
     manifest = {"dim": int(vectors.shape[1]), "count": int(vectors.shape[0]), "ids": list(ids)}
-    with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, ensure_ascii=False, separators=(",", ":"))
-        fh.write("\n")
+    write_text(manifest_path, [compact_json(manifest) + "\n"])
 
 
 def _check(k: int, metric: str, chunks: int) -> None:

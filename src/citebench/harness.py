@@ -5,7 +5,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from pathlib import Path
 
 from . import dense, lexical, metrics
 from .benchgen import Benchmark
@@ -212,11 +211,3 @@ def render_report(table: Mapping[str, Mapping[str, float]], columns: Sequence[st
             lines.append("| " + " | ".join([r, *(cell(table[r][c]) for c in columns)]) + " |")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown report format {fmt!r}")
-
-
-def emit_report(table: Mapping[str, Mapping[str, float]], path,
-                fmt: str = "tsv", columns: Sequence[str] | None = None,
-                row_header: str = "") -> str:
-    """Write a rendered report to `path` and return the path."""
-    Path(path).write_text(render_report(table, columns, fmt, row_header), encoding="utf-8")
-    return str(path)

@@ -54,6 +54,7 @@ import json
 import math
 import re
 import struct
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -61,7 +62,7 @@ import numpy as np
 
 from . import metrics
 from .corpus import Corpus
-from .util import Numbering, checked, sum_in_order
+from .util import Numbering, checked, compact_json, sum_in_order
 
 _WORD = re.compile(r"\w+")
 # ranking depth of a search, and of a pool run, when the caller names none
@@ -83,7 +84,8 @@ class Bm25Params:
     b: float = 0.4
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.k1) and self.k1 >= 0):
+        # an int is compared exactly, with no float conversion to overflow, and NaN fails
+        if not 0 <= self.k1 <= sys.float_info.max:
             raise ValueError("k1 must be a finite number >= 0")
         if not 0.0 <= self.b <= 1.0:
             raise ValueError("b must be in [0, 1]")
@@ -457,8 +459,7 @@ _PREFIX = struct.Struct("<4sIQ")
 
 def save_index(index: Bm25Index, path) -> None:
     """Persist the index so that load_index(save_index(...)) ranks bit-identically."""
-    header = json.dumps({"ids": index.ids, "terms": list(index.vocab)},
-                        ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    header = compact_json({"ids": index.ids, "terms": list(index.vocab)}).encode("utf-8")
     header += b" " * (-len(header) % 8)  # keeps every array 8-byte aligned
     with open(path, "wb") as fh:
         fh.write(_PREFIX.pack(_MAGIC, _VERSION, len(header)))

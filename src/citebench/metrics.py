@@ -20,7 +20,7 @@ import math
 from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
-from .util import sum_in_order
+from .util import sum_in_order, write_text
 
 # the metric that BM25 tuning maximizes when the caller names none
 DEFAULT_OBJECTIVE = "map"
@@ -161,16 +161,14 @@ def evaluate_run(run, qrels: Mapping[str, set], recall_cutoff: int = 30) -> Metr
 def write_run_tsv(run, path) -> None:
     """Write `query_id <TAB> doc_id <TAB> rank <TAB> score` lines, queries sorted."""
     rankings = getattr(run, "rankings", run)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for q in sorted(rankings):
-            for rank, (doc, score) in enumerate(rankings[q], start=1):
-                fh.write(f"{q}\t{doc}\t{rank}\t{score!r}\n")
+    write_text(path, (f"{q}\t{doc}\t{rank}\t{score!r}\n" for q in sorted(rankings)
+                      for rank, (doc, score) in enumerate(rankings[q], start=1)))
 
 
 def read_run_tsv(path) -> dict[str, list[tuple[str, float]]]:
     """Read a run file; errors name `path:line`. Ranks must parse as
-    integers and be unique per query, scores as finite floats."""
-    rows: dict[str, list[tuple[int, str, float]]] = {}
+    integers and docs be unique per query, scores parse as finite floats."""
+    rows: dict[str, dict[str, tuple[int, float, int]]] = {}  # query -> doc -> (rank, score, line)
     rank_lines: dict[tuple[str, int], int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -197,12 +195,10 @@ def read_run_tsv(path) -> dict[str, list[tuple[str, float]]]:
             if first != lineno:
                 raise ValueError(f"{path}:{lineno}: rank {rank} repeats line {first} "
                                  f"for query {q!r}")
-            rows.setdefault(q, []).append((rank, doc, score))
-    rankings: dict[str, list[tuple[str, float]]] = {}
-    for q, items in rows.items():
-        items.sort(key=lambda t: t[0])
-        docs = [doc for _, doc, _ in items]
-        if len(set(docs)) != len(docs):
-            raise ValueError(f"duplicate doc ids for query {q!r} in {path}")
-        rankings[q] = [(doc, score) for _, doc, score in items]
-    return rankings
+            docs = rows.setdefault(q, {})
+            if doc in docs:
+                raise ValueError(f"{path}:{lineno}: duplicate doc {doc!r} repeats line "
+                                 f"{docs[doc][2]} for query {q!r}")
+            docs[doc] = (rank, score, lineno)
+    return {q: [(doc, score) for doc, (_, score, _) in sorted(docs.items(), key=lambda t: t[1][0])]
+            for q, docs in rows.items()}

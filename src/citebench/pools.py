@@ -9,13 +9,11 @@ year rule so noisy citation data cannot silently delete relevant items.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from pathlib import Path
 
 from .corpus import Article, CitationGraph, Corpus, FieldLabel, field_cited_set, resolve_field
-from .util import checked, read_json, sample
+from .util import checked, compact_json, read_json, sample, write_text
 
 DATASET_LEVEL = "dataset"
 FIELD_LEVEL = "field"
@@ -154,9 +152,7 @@ def write_pool_json(pool: PoolSet, path) -> None:
         pool_ids=pool.pool_ids,
         queries=[{"query_id": q, "positives": pool.positives[q]} for q in sorted(pool.positives)],
     )
-    Path(path).write_text(
-        json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n", encoding="utf-8"
-    )
+    write_text(path, [compact_json(obj) + "\n"])
 
 
 def read_pool_json(path) -> PoolSet:

@@ -1,4 +1,4 @@
-"""Shared helpers: JSON inputs, canonical JSON, hashing, seeded draws, float sums, row numbering."""
+"""Shared helpers: JSON and text files, hashing, seeded draws, float sums, row numbering."""
 
 from __future__ import annotations
 
@@ -27,14 +27,34 @@ def _finite_float(text: str) -> float:
 
 
 # json.dumps and json.loads with non-default arguments build a new encoder or
-# decoder on every call
+# decoder on every call; every encoder keeps non-ASCII text raw
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+_COMPACT = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+_INDENTED = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False)
 _DECODER = json.JSONDecoder(parse_constant=_no_constant, parse_float=_finite_float)
 
 
 def canonical_json(obj: Any) -> str:
     """Serialize with sorted keys and fixed separators so equal objects give equal bytes."""
     return _CANONICAL.encode(obj)
+
+
+def compact_json(obj: Any) -> str:
+    """One line of JSON with keys in the given order: a JSON Lines record, a pool
+    file, an embeddings manifest or an index header."""
+    return _COMPACT.encode(obj)
+
+
+def indented_json(obj: Any) -> str:
+    """JSON with sorted keys, indented by two spaces: a CLI artifact or manifest."""
+    return _INDENTED.encode(obj)
+
+
+def write_text(path, chunks: Iterable[str]) -> None:
+    """Write `chunks` to `path` as UTF-8 with "\\n" kept on every platform: every
+    text artifact's one writer."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(chunks)
 
 
 def sum_in_order(values: Iterable[float]) -> float:

@@ -1013,6 +1013,38 @@ def test_benchgen_pool_ids_outside_the_corpus_rejected(pipeline, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("column, named", [(0, "GHOSTQ"), (1, "GHOST")],
+                         ids=["query-id", "doc-id"])
+def test_benchgen_run_ids_outside_the_corpus_rejected(pipeline, tmp_path, capsys, column, named):
+    root, pref_path, emb, pools, run_files, _ = pipeline
+    lines = Path(run_files["dense_b"][0]).read_text(encoding="utf-8").splitlines()
+    cells = lines[0].split("\t")
+    cells[column] = named
+    run_path = tmp_path / "ghost_run.tsv"
+    run_path.write_text("\n".join(["\t".join(cells), *lines[1:]]) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = _benchgen_argv(pref_path, pools,
+                          {**run_files, "dense_b": [str(run_path), run_files["dense_b"][1]]})
+    assert main([*argv, "--out", str(out)]) == 1
+    assert _error(capsys) == f"{run_path}: id {named!r} is not in the corpus"
+    assert not out.exists()
+
+
+def test_json_artifacts_keep_non_ascii_raw(pipeline, tmp_path):
+    # a model name becomes a negative group type, so it reaches the benchmark
+    # manifest and the breakdown table
+    root, pref_path, emb, pools, run_files, _ = pipeline
+    bench_out, bd_out = tmp_path / "bench", tmp_path / "breakdown"
+    renamed = {"ñ" if model == "dense_b" else model: files for model, files in run_files.items()}
+    assert main([*_benchgen_argv(pref_path, pools, renamed), "--out", str(bench_out)]) == 0
+    assert main(["breakdown", "--corpus", pref_path, "--benchmark",
+                 str(bench_out / "benchmark.jsonl"), "--model", "bm25",
+                 "--out", str(bd_out)]) == 0
+    for path in (bench_out / "benchmark.manifest.json", bd_out / "breakdown_bm25.json"):
+        data = path.read_bytes()
+        assert b'"\xc3\xb1"' in data and b"\\u00f1" not in data, path.name
+
+
 @pytest.mark.parametrize("where", ["negative", "query"])
 @pytest.mark.parametrize("command", ["run-bm25", "run-dense", "breakdown"])
 def test_benchmark_ids_outside_the_corpus_rejected(pipeline, tmp_path, capsys, where, command):

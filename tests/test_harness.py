@@ -12,7 +12,7 @@ from citebench.benchgen import Benchmark, build_benchmark
 from citebench.corpus import Corpus
 from citebench.dense import EmbeddingStore, knn
 from citebench.harness import (Bm25Model, DenseModel, RetrievalModel, RetrievalRun,
-                               candidate_type_breakdown, emit_report, evaluate_benchmark,
+                               candidate_type_breakdown, evaluate_benchmark,
                                rank_benchmark, render_report, run_retrieval,
                                score_benchmark_rankings)
 from citebench.lexical import Bm25Params, build_index, search
@@ -324,9 +324,8 @@ class TestPoolIndependence:
 
 
 class TestReports:
-    def test_empty_table_header_only(self, tmp_path):
-        path = emit_report({}, tmp_path / "empty.tsv", columns=["MAP"], row_header="Field")
-        assert (tmp_path / "empty.tsv").read_text() == "Field\tMAP\n"
+    def test_empty_table_header_only(self):
+        assert render_report({}, columns=["MAP"], row_header="Field") == "Field\tMAP\n"
 
     def test_value_formatting(self):
         text = render_report({"Med": {"MAP": 0.404}}, row_header="Field")

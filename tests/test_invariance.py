@@ -8,10 +8,15 @@ scans (--threads 1 against 4). Every artifact after prefilter must keep its
 bytes, config_hash included, except where a change edits the artifact
 itself: prefiltered.jsonl keeps the corpus's line order, the shuffled pool
 files are inputs of the later steps, and --threads is part of config_hash.
+
+A last run renames every id S<digits> to T<digits>, which keeps their sort
+order. Its artifacts, with the ids renamed back, must equal the first run's,
+except those of BY_ID_STRING, which may depend on the id strings themselves.
 """
 
 import json
 import random
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,6 +31,15 @@ from citebench.dense import EmbeddingStore, save_embeddings
 MODELS = ("bm25", "dense_a", "dense_b")
 PREF = "out/pref/prefiltered.jsonl"
 POOLS = [f"out/pools_{field}/pool_field_{field}_250_rep0.json" for field in ("Med", "CS")]
+# the artifacts, by path prefix, that may change when the ids are renamed, and why
+BY_ID_STRING = {
+    "out/ingest/corpus_summary.json": "corpus_hash digests the ids",
+    "out/bench/": "derive_seed(seed, query_id, ...) hashes each query id to draw its entry",
+    "out/benchrun_": "ranks the benchmark's entries",
+    "out/bencheval_": "scores the benchmark's entries",
+    "out/breakdown_": "ranks the benchmark's entries",
+    "out/report/": "tabulates the benchmark's evals",
+}
 
 
 def _cli(*argv: str) -> None:
@@ -36,6 +50,11 @@ def _model_flags(model: str, threads: int) -> list[str]:
     if model == "bm25":
         return ["--model", "bm25"]
     return ["--model", model, "--embeddings", f"{model}={model}.f32", "--threads", str(threads)]
+
+
+def _rename_ids(text: str, old: str, new: str) -> str:
+    """`text` with each id `old`<6 digits> renamed `new`<6 digits>."""
+    return re.sub(rf"\b{old}(?=\d{{6}}\b)", new, text)
 
 
 def _shuffle_pool_ids(path: str) -> None:
@@ -100,22 +119,26 @@ def inputs(tmp_path_factory):
 
 
 def _tree(base, name, inputs, monkeypatch, *, shuffle_lines=False, shuffle_rows=False,
-          shuffle_pools=False, threads=1) -> dict[str, bytes]:
-    """Run the pipeline in `base/name` and return the bytes of every file it wrote."""
+          shuffle_pools=False, threads=1, rename_ids=False) -> dict[str, bytes]:
+    """Run the pipeline in `base/name` and return the bytes of every file it wrote,
+    with renamed ids named back."""
     lines, stores = inputs
     tree = base / name
     tree.mkdir()
     if shuffle_lines:
         lines = random.Random(3).sample(lines, len(lines))
+    rename = (lambda text: _rename_ids(text, "S", "T")) if rename_ids else (lambda text: text)
+    lines = list(map(rename, lines))
     (tree / "corpus.jsonl").write_text("".join(lines), encoding="utf-8")
     for label, store in stores.items():
         order = (np.random.default_rng(4).permutation(len(store)) if shuffle_rows
                  else np.arange(len(store)))
-        save_embeddings([store.ids[r] for r in order], store.vectors[order],
+        save_embeddings([rename(store.ids[r]) for r in order], store.vectors[order],
                         tree / f"{label}.f32", tree / f"{label}.f32.json")
     monkeypatch.chdir(tree)
     _pipeline(threads, shuffle_pools)
-    return {str(p.relative_to(tree)): p.read_bytes()
+    return {str(p.relative_to(tree)): (_rename_ids(p.read_text(encoding="utf-8"), "T", "S")
+                                       .encode("utf-8") if rename_ids else p.read_bytes())
             for p in sorted((tree / "out").rglob("*")) if p.is_file()}
 
 
@@ -132,12 +155,15 @@ def test_outputs_depend_only_on_what_the_inputs_mean(tmp_path, inputs, monkeypat
         "vector-rows": (dict(shuffle_rows=True), set()),
         "pool-ids": (dict(shuffle_pools=True), set(POOLS)),
         "threads": (dict(threads=4), set()),
+        "ids-renamed": (dict(rename_ids=True), {"out/ingest/corpus_summary.json"}),
     }
     for name, (change, edited) in variants.items():
         tree = _tree(tmp_path, name, inputs, monkeypatch, **change)
         assert tree.keys() == given.keys(), name
         assert all(tree[path] != given[path] for path in edited), name
         differ = sorted(path for path in given if path not in edited and tree[path] != given[path])
+        if name == "ids-renamed":
+            differ = [path for path in differ if not path.startswith(tuple(BY_ID_STRING))]
         if name == "threads":
             # the dense steps' manifests hash --threads; nothing else may differ
             assert all(path.endswith(".manifest.json") for path in differ), differ

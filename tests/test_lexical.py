@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -198,6 +199,15 @@ class TestScore:
                 Bm25Params(k1=k1)
         with pytest.raises(ValueError, match=r"^b must be in \[0, 1\]$"):
             Bm25Params(b=math.nan)
+
+    def test_params_past_a_floats_range_rejected(self):
+        # 10 ** 400 has no float, so converting it raises OverflowError
+        for k1 in (10 ** 400, -10 ** 400):
+            with pytest.raises(ValueError, match=r"^k1 must be a finite number >= 0$"):
+                Bm25Params(k1=k1)
+        with pytest.raises(ValueError, match=r"^b must be in \[0, 1\]$"):
+            Bm25Params(b=10 ** 400)
+        assert Bm25Params(k1=sys.float_info.max, b=1).k1 == sys.float_info.max
 
 
 class TestSearch:

@@ -197,7 +197,8 @@ class TestFileFormats:
         ("q1\tb\t2\tnan", "score 'nan' is not finite"),
         ("q1\tb\t2\t-inf", "score '-inf' is not finite"),
         ("q1\tb\t1\t1.0", "rank 1 repeats line 1 for query 'q1'"),
-    ], ids=["rank", "score", "nan", "inf", "repeated-rank"])
+        ("q1\ta\t2\t1.0", "duplicate doc 'a' repeats line 1 for query 'q1'"),
+    ], ids=["rank", "score", "nan", "inf", "repeated-rank", "repeated-doc"])
     def test_run_bad_line_named(self, tmp_path, bad_line, message):
         path = tmp_path / "run.tsv"
         path.write_text(f"q1\ta\t1\t2.0\nq2\ta\t1\t2.0\n{bad_line}\n")
